@@ -34,6 +34,20 @@ def _parse_codes(text: str) -> list[int]:
         raise ValueError(f"malformed code list {text!r}; expected comma-separated integers") from None
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _cap(args, default: int) -> int:
+    return default if args.cap is None else args.cap
+
+
 def _bool(flag: bool) -> str:
     return "true" if flag else "false"
 
@@ -92,7 +106,7 @@ def _cmd_dist(args) -> int:
     code = _load(args)
     w = _word(args, code)
     d, msg = dist_to_code_exhaustive(code, w, args.metric,
-                                     oracle_cap=args.cap or DEFAULT_ORACLE_CAP)
+                                     oracle_cap=_cap(args, DEFAULT_ORACLE_CAP))
     padded = list(msg.codes) + [0] * (code.k - len(msg.codes))
     _emit(args, f"distance={d} witness={','.join(str(c) for c in padded)}\n")
     return 0
@@ -101,7 +115,7 @@ def _cmd_dist(args) -> int:
 def _cmd_search(args) -> int:
     code = _load(args)
     res = distance_by_search(code, _word(args, code), args.metric,
-                             subspace_cap=args.cap or DEFAULT_SUBSPACE_CAP)
+                             subspace_cap=_cap(args, DEFAULT_SUBSPACE_CAP))
     _emit(args, f"distance={res.distance} bound={res.bound} "
                 f"deep_hole={_bool(res.is_deep_hole)} witness={_witness_str(res.witness)}\n")
     return 0
@@ -110,21 +124,21 @@ def _cmd_search(args) -> int:
 def _cmd_classify(args) -> int:
     code = _load(args)
     res = distance_by_search(code, _word(args, code), args.metric,
-                             subspace_cap=args.cap or DEFAULT_SUBSPACE_CAP)
+                             subspace_cap=_cap(args, DEFAULT_SUBSPACE_CAP))
     _emit(args, f"distance={res.distance} deep_hole={_bool(res.is_deep_hole)}\n")
     return 0
 
 
 def _cmd_mindist(args) -> int:
     code = _load(args)
-    _emit(args, f"{min_distance(code, args.metric, oracle_cap=args.cap or DEFAULT_ORACLE_CAP)}\n")
+    _emit(args, f"{min_distance(code, args.metric, oracle_cap=_cap(args, DEFAULT_ORACLE_CAP))}\n")
     return 0
 
 
 def _cmd_radius(args) -> int:
     code = _load(args)
     scan = covering_radius_scan(code, args.metric, jobs=args.jobs,
-                                scan_cap=args.cap or DEFAULT_CLASS_SCAN_CAP)
+                                scan_cap=_cap(args, DEFAULT_CLASS_SCAN_CAP))
     _emit(args, f"{scan.radius}\n")
     return 0
 
@@ -132,7 +146,7 @@ def _cmd_radius(args) -> int:
 def _cmd_census(args) -> int:
     code = _load(args)
     scan = covering_radius_scan(code, args.metric, jobs=args.jobs,
-                                scan_cap=args.cap or DEFAULT_CLASS_SCAN_CAP,
+                                scan_cap=_cap(args, DEFAULT_CLASS_SCAN_CAP),
                                 collect_rows=True)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -158,7 +172,7 @@ def _cmd_family(args) -> int:
     if args.low is not None:
         kwargs["low"] = LinPoly(code.ctx, _parse_codes(args.low))
     verdict = family_check(code, args.kind, metric=args.metric,
-                           subspace_cap=args.cap or DEFAULT_SUBSPACE_CAP, **kwargs)
+                           subspace_cap=_cap(args, DEFAULT_SUBSPACE_CAP), **kwargs)
     parts = []
     for key, val in verdict.params.items():
         parts.append(f"{key}=" + (",".join(str(v) for v in val)
@@ -218,7 +232,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--poly", required=True,
                            help="comma-separated coefficient codes, degree 0 first")
         if cap:
-            p.add_argument("--cap", type=int, default=None,
+            p.add_argument("--cap", type=_positive_int, default=None,
                            help="override the enumeration cap")
         if jobs:
             p.add_argument("--jobs", type=int, default=1,

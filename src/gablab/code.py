@@ -280,6 +280,9 @@ def covering_radius_raw(code: GabidulinCode, metric: str,
 # Code-spec files: plain key=value lines naming a code over a tower.
 
 
+SPEC_KEYS = ("p", "s", "m", "n", "k", "g", "modulus")
+
+
 def parse_code_spec(text: str, cap: int | None = None) -> GabidulinCode:
     kv = {}
     for ln, raw in enumerate(text.splitlines(), 1):
@@ -289,7 +292,13 @@ def parse_code_spec(text: str, cap: int | None = None) -> GabidulinCode:
         key, sep, val = line.partition("=")
         if not sep:
             raise ValueError(f"line {ln} of code spec is not key=value: {raw!r}")
-        kv[key.strip()] = val.strip()
+        key = key.strip()
+        if key not in SPEC_KEYS:
+            raise ValueError(f"line {ln} of code spec has unknown key {key!r}; "
+                             f"expected one of {', '.join(SPEC_KEYS)}")
+        if key in kv:
+            raise ValueError(f"line {ln} of code spec repeats key {key!r}")
+        kv[key] = val.strip()
     missing = [k for k in ("p", "s", "m", "n", "k", "g") if k not in kv]
     if missing:
         raise ValueError(f"code spec is missing keys: {', '.join(missing)}")

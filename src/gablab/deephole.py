@@ -12,20 +12,26 @@ at t = k an interpolant through any k independent points always exists, so
 every word sits within n - k of the code and ``is_deep_hole`` means
 distance == n - k in both metrics.
 
-Scaling f by a nonzero field scalar scales the word and permutes the code
-(the code is F_{q^m}-linear) while both weights are invariant under entry
-scaling, so monic normalization before a witness search is harmless; the
-normalizing scalar is returned alongside nothing - it is simply dropped
-after use.
+Scaling f by a nonzero field scalar lam scales the word and permutes the
+code (the code is F_{q^m}-linear), and both weights are invariant under
+entry scaling, so distance is constant on scalar orbits.  The witness is
+too: q-Lagrange interpolation is F_{q^m}-linear in its values (the
+interpolant is unique), so the interpolant v through lam*f's values is
+lam times the one through f's, and each test v(u) == f(u) holds for lam*f
+exactly when it holds for f, in both metrics.  The descent therefore
+accepts at the same level with the same first witness in canonical order,
+which is why class scans classify one monic class per orbit.
 """
 
 from __future__ import annotations
 
 import itertools
 import multiprocessing
+import os
 from dataclasses import dataclass
 
-from .code import GabidulinCode, Word, _check_metric, parse_code_spec
+from .code import (GabidulinCode, Word, _check_metric, format_code_spec,
+                   parse_code_spec)
 from .field import FieldCtx, FieldElement
 from .linpoly import (LinPoly, NEG_INF, SubspaceBasis, annihilator,
                       minor_coeff, q_lagrange)
@@ -195,8 +201,11 @@ def ratio_lemma_check(code: GabidulinCode, f: LinPoly, metric: str,
 
 # ---------------------------------------------------------------------------
 # Class scans.  A class is the coefficient tuple (a_k, ..., a_{n-1}); its
-# representative has zeros below q-degree k.  Workers rebuild their code
-# from primitives so results merge deterministically regardless of order.
+# representative has zeros below q-degree k.  The unit of work is the zero
+# class or a monic class (top nonzero coefficient 1), one per scalar orbit;
+# the parent expands unit results to every class.  Workers rebuild their
+# code from primitives so results merge deterministically regardless of
+# order.
 
 
 @dataclass
@@ -225,24 +234,40 @@ def _witness_codes(wit) -> tuple[int, ...] | None:
     return tuple(wit)
 
 
-def _scan_range(code: GabidulinCode, metric: str, start: int, stop: int,
-                subspace_cap: int, collect_rows: bool):
-    hist: dict[int, int] = {}
-    rows = [] if collect_rows else None
-    for idx in range(start, stop):
-        f = _class_poly(code, idx)
-        res = classify_poly(code, f, metric, subspace_cap)
-        hist[res.distance] = hist.get(res.distance, 0) + 1
-        if collect_rows:
-            rows.append((idx, f.codes, metric, res.distance, res.is_deep_hole,
-                         _witness_codes(res.witness)))
-    return hist, rows
+def _monic_units(code: GabidulinCode) -> list[int]:
+    """Indices of the zero class and every monic class, ascending.
+
+    A monic class with its top coefficient at a_{k+j} has an index in
+    order**j .. 2*order**j - 1, so there are (order**(n-k) - 1)/(order - 1)
+    of them.
+    """
+    order = code.ctx.order
+    units = [0]
+    for j in range(code.n - code.k):
+        units.extend(range(order ** j, 2 * order ** j))
+    return units
+
+
+def _pool_size(jobs: int, units: int) -> int:
+    """Worker processes for a scan of ``units`` units: never more than
+    requested, than CPUs, or than units."""
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
+    return min(jobs, os.cpu_count() or 1, units)
+
+
+def _classify_units(code: GabidulinCode, metric: str, units: list[int],
+                    subspace_cap: int) -> list[tuple]:
+    out = []
+    for idx in units:
+        res = classify_poly(code, _class_poly(code, idx), metric, subspace_cap)
+        out.append((res.distance, res.is_deep_hole, _witness_codes(res.witness)))
+    return out
 
 
 def _scan_worker(args):
-    (spec_text, metric, start, stop, subspace_cap, collect_rows) = args
-    code = parse_code_spec(spec_text)
-    return _scan_range(code, metric, start, stop, subspace_cap, collect_rows)
+    spec_text, metric, units, subspace_cap = args
+    return _classify_units(parse_code_spec(spec_text), metric, units, subspace_cap)
 
 
 def covering_radius_scan(code: GabidulinCode, metric: str,
@@ -252,36 +277,54 @@ def covering_radius_scan(code: GabidulinCode, metric: str,
                          collect_rows: bool = False) -> ScanResult:
     """Max distance over all order**(n-k) translation classes.
 
-    With jobs > 1 the class range is split into contiguous chunks and the
-    chunk results are merged in index order, so output is identical for
-    every worker count.
+    Only the zero class and the monic classes are classified; each monic
+    result stands for its order - 1 scalar multiples (see the module
+    docstring).  With several workers the unit list is split into
+    contiguous chunks merged in order, and rows are expanded in class-index
+    order, so output is identical for every worker count.
     """
     _check_metric(metric)
-    total = code.ctx.order ** (code.n - code.k)
+    ctx = code.ctx
+    order, width = ctx.order, code.n - code.k
+    total = order ** width
     if total > scan_cap:
         raise ValueError(
             f"{total} classes exceed the scan cap {scan_cap}; raise the cap to proceed")
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    if jobs == 1 or total < 4 * jobs:
-        hist, rows = _scan_range(code, metric, 0, total, subspace_cap, collect_rows)
+    units = _monic_units(code)
+    workers = _pool_size(jobs, len(units))
+    if workers == 1:
+        results = _classify_units(code, metric, units, subspace_cap)
     else:
-        from .code import format_code_spec
         spec_text = format_code_spec(code)
-        bounds = [total * i // jobs for i in range(jobs + 1)]
-        tasks = [(spec_text, metric, bounds[i], bounds[i + 1], subspace_cap, collect_rows)
-                 for i in range(jobs)]
-        with multiprocessing.Pool(jobs) as pool:
+        bounds = [len(units) * i // workers for i in range(workers + 1)]
+        tasks = [(spec_text, metric, units[bounds[i]:bounds[i + 1]], subspace_cap)
+                 for i in range(workers)]
+        with multiprocessing.Pool(workers) as pool:
             parts = pool.map(_scan_worker, tasks)
-        hist = {}
-        rows = [] if collect_rows else None
-        for h, r in parts:
-            for d, c in h.items():
-                hist[d] = hist.get(d, 0) + c
-            if collect_rows:
-                rows.extend(r)
-    radius = max(hist) if hist else 0
-    return ScanResult(radius=radius, histogram=dict(sorted(hist.items())),
+        results = [res for part in parts for res in part]
+    by_unit = dict(zip(units, results))
+    hist: dict[int, int] = {}
+    for idx, (dist, _, _) in by_unit.items():
+        hist[dist] = hist.get(dist, 0) + (order - 1 if idx else 1)
+    rows = None
+    if collect_rows:
+        rows = []
+        for idx in range(total):
+            rem, digits = idx, []
+            for _ in range(width):
+                rem, c = divmod(rem, order)
+                digits.append(c)
+            while digits and digits[-1] == 0:
+                digits.pop()
+            unit = 0
+            if digits:
+                lead_inv = ctx.inv(digits[-1])
+                for c in reversed(digits):
+                    unit = unit * order + ctx.mul(lead_inv, c)
+            dist, deep, wit = by_unit[unit]
+            codes = (0,) * code.k + tuple(digits) if digits else ()
+            rows.append((idx, codes, metric, dist, deep, wit))
+    return ScanResult(radius=max(hist), histogram=dict(sorted(hist.items())),
                       classes=total, rows=rows)
 
 

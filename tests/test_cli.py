@@ -217,3 +217,24 @@ def test_cap_override_flows_through(capsys, spec24):
     status, out, _ = run(capsys, "radius", "--spec", spec24, "--cap", "256")
     assert status == 0
     assert out == "2\n"
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+@pytest.mark.parametrize("command,extra", [
+    ("census", ()),
+    ("dist", ("--word", "1,2,3,4")),
+])
+def test_cap_below_one_is_a_usage_error(capsys, spec24, command, extra, cap):
+    status, out, err = run(capsys, command, "--spec", spec24, *extra, "--cap", cap)
+    assert status == 2
+    assert out == ""
+    assert "--cap" in err
+
+
+def test_spec_key_typo_exits_1(capsys, tmp_path):
+    bad = tmp_path / "typo.txt"
+    bad.write_text(CODE24 + "modulos=1,1,0,0,1\n")
+    status, out, err = run(capsys, "field", "--spec", str(bad))
+    assert status == 1
+    assert out == ""
+    assert "unknown key 'modulos'" in err

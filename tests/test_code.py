@@ -246,6 +246,16 @@ def test_parse_code_spec_malformed(mutation, fragment):
         parse_code_spec("\n".join(lines))
 
 
+def test_parse_code_spec_rejects_unknown_and_duplicate_keys():
+    base = "p=2\ns=1\nm=3\nn=3\nk=1\ng=1,2,4\n"
+    with pytest.raises(ValueError, match="unknown key 'modulos'"):
+        parse_code_spec(base + "modulos=1,0,1,1\n")
+    with pytest.raises(ValueError, match="repeats key 'k'"):
+        parse_code_spec(base + "k=2\n")
+    with pytest.raises(ValueError, match="repeats key 'modulus'"):
+        parse_code_spec(base + "modulus=1,1,0,1\nmodulus=1,0,1,1\n")
+
+
 def test_parse_respects_field_cap():
     text = "p=2\ns=1\nm=3\nn=3\nk=1\ng=1,2,4"
     parse_code_spec(text, cap=8)

@@ -12,13 +12,14 @@ import random
 
 import pytest
 
+from gablab import deephole
 from gablab import (FieldCtx, GabidulinCode, LinPoly, annihilator, classify,
                     classify_poly, covering_radius_scan,
                     dist_to_code_exhaustive, distance_by_search,
                     equality_witness, excluded_leading_set, family_check,
                     minor_coeff, quadric_census, quadric_v, ratio_lemma_check,
                     subspace_bases)
-from gablab.deephole import _class_poly
+from gablab.deephole import _class_poly, _witness_codes
 
 
 # -- search == oracle, exhaustively ------------------------------------------------
@@ -219,6 +220,76 @@ def test_scan_without_rows_and_caps(gf8_code):
         covering_radius_scan(gf8_code, "rank", scan_cap=63)
     with pytest.raises(ValueError):
         covering_radius_scan(gf8_code, "rank", jobs=0)
+
+
+def _per_class_scan(code, metric):
+    # Reference: classify every class on its own, no orbit reduction.
+    hist, rows = {}, []
+    for idx in range(code.ctx.order ** (code.n - code.k)):
+        f = _class_poly(code, idx)
+        res = classify_poly(code, f, metric)
+        hist[res.distance] = hist.get(res.distance, 0) + 1
+        rows.append((idx, f.codes, metric, res.distance, res.is_deep_hole,
+                     _witness_codes(res.witness)))
+    return dict(sorted(hist.items())), rows
+
+
+@pytest.mark.parametrize("field_fixture,points,k", [
+    ("gf8", (1, 2, 4), 1),
+    ("gf16", (1, 2, 4, 8), 2),
+    ("gf27", (1, 3, 9), 1),
+    ("tower16", (1, 4), 1),
+])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_orbit_scan_equals_per_class_reference(request, field_fixture, points, k, jobs):
+    code = GabidulinCode(request.getfixturevalue(field_fixture), points, k)
+    for metric in ("rank", "hamming"):
+        hist, rows = _per_class_scan(code, metric)
+        scan = covering_radius_scan(code, metric, jobs=jobs, collect_rows=True)
+        assert scan.histogram == hist
+        assert scan.rows == rows
+        assert scan.radius == max(hist)
+        assert scan.classes == len(rows)
+
+
+def test_scan_classifies_one_class_per_scalar_orbit(gf8_code, monkeypatch):
+    calls = []
+    real = deephole.classify_poly
+
+    def counting(code, f, *args, **kwargs):
+        calls.append(f.codes)
+        return real(code, f, *args, **kwargs)
+
+    monkeypatch.setattr(deephole, "classify_poly", counting)
+    scan = covering_radius_scan(gf8_code, "rank", collect_rows=True)
+    # The zero class plus (8^2 - 1)/(8 - 1) = 9 monic classes, not all 64.
+    assert len(calls) == 10
+    assert len(scan.rows) == 64
+    assert all(codes == () or codes[-1] == 1 for codes in calls)
+
+
+def test_monic_units_count_and_shape(gf8_code, gf16):
+    assert deephole._monic_units(gf8_code) == [0, 1, 8, 9, 10, 11, 12, 13, 14, 15]
+    code = GabidulinCode(gf16, (1, 2, 4, 8), 1)
+    assert len(deephole._monic_units(code)) == 1 + (16 ** 3 - 1) // 15  # 274
+    full = GabidulinCode(gf16, (1, 2, 4, 8), 4)
+    assert deephole._monic_units(full) == [0]
+
+
+def test_pool_size_is_bounded(monkeypatch):
+    monkeypatch.setattr(deephole.os, "cpu_count", lambda: 2)
+    assert deephole._pool_size(1, 274) == 1
+    assert deephole._pool_size(100000, 274) == 2
+    assert deephole._pool_size(10 ** 9, 10 ** 9) == 2
+    assert deephole._pool_size(100000, 1) == 1
+    monkeypatch.setattr(deephole.os, "cpu_count", lambda: None)
+    assert deephole._pool_size(100000, 274) == 1
+    monkeypatch.setattr(deephole.os, "cpu_count", lambda: 64)
+    assert deephole._pool_size(100000, 10) == 10
+    assert deephole._pool_size(3, 10) == 3
+    for bad in (0, -1, -100000):
+        with pytest.raises(ValueError):
+            deephole._pool_size(bad, 274)
 
 
 def test_scan_radius_equals_n_minus_k_on_small_mrd_codes(gf16):
