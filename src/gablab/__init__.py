@@ -14,7 +14,7 @@ from .code import (GabidulinCode, METRICS, Word, covering_radius_raw,
                    dist_to_code_exhaustive, format_code_spec, load_code_spec,
                    min_distance, parse_code_spec, weight)
 from .deephole import (ClassifyResult, FamilyVerdict, QuadricCensus,
-                       ScanResult, classify, classify_poly,
+                       ScanResult, classify_poly,
                        covering_radius_scan, distance_by_search,
                        equality_witness, excluded_leading_set, family_check,
                        quadric_census, quadric_v, ratio_lemma_check)
@@ -31,7 +31,7 @@ __all__ = [
     "dist_to_code_exhaustive", "format_code_spec", "load_code_spec",
     "min_distance", "parse_code_spec", "weight",
     "ClassifyResult", "FamilyVerdict", "QuadricCensus", "ScanResult",
-    "classify", "classify_poly", "covering_radius_scan",
+    "classify_poly", "covering_radius_scan",
     "distance_by_search", "equality_witness", "excluded_leading_set",
     "family_check", "quadric_census", "quadric_v", "ratio_lemma_check",
     "__version__",

@@ -113,19 +113,15 @@ def _cmd_dist(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    """``search`` and ``classify``; the latter omits the bound and witness."""
     code = _load(args)
     res = distance_by_search(code, _word(args, code), args.metric,
                              subspace_cap=_cap(args, DEFAULT_SUBSPACE_CAP))
-    _emit(args, f"distance={res.distance} bound={res.bound} "
-                f"deep_hole={_bool(res.is_deep_hole)} witness={_witness_str(res.witness)}\n")
-    return 0
-
-
-def _cmd_classify(args) -> int:
-    code = _load(args)
-    res = distance_by_search(code, _word(args, code), args.metric,
-                             subspace_cap=_cap(args, DEFAULT_SUBSPACE_CAP))
-    _emit(args, f"distance={res.distance} deep_hole={_bool(res.is_deep_hole)}\n")
+    if args.command == "search":
+        _emit(args, f"distance={res.distance} bound={res.bound} "
+                    f"deep_hole={_bool(res.is_deep_hole)} witness={_witness_str(res.witness)}\n")
+    else:
+        _emit(args, f"distance={res.distance} deep_hole={_bool(res.is_deep_hole)}\n")
     return 0
 
 
@@ -235,7 +231,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--cap", type=_positive_int, default=None,
                            help="override the enumeration cap")
         if jobs:
-            p.add_argument("--jobs", type=int, default=1,
+            p.add_argument("--jobs", type=_positive_int, default=1,
                            help="parallel workers (output is identical at any count)")
         if out:
             p.add_argument("--out", default=None, help="write output to a file")
@@ -248,7 +244,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metric=True, word=True, cap=True, out=True)
     add("search", _cmd_search, "distance by the descending witness search",
         metric=True, word=True, cap=True, out=True)
-    add("classify", _cmd_classify, "deep-hole status of a word",
+    add("classify", _cmd_search, "deep-hole status of a word",
         metric=True, word=True, cap=True, out=True)
     add("mindist", _cmd_mindist, "exhaustive minimum distance",
         metric=True, cap=True, out=True)

@@ -88,7 +88,7 @@ class Word:
 
 def _weight_codes(ctx: FieldCtx, codes, metric: str) -> int:
     if metric == "rank":
-        return ctx._rank_codes(codes)
+        return len(ctx._greedy_codes(codes))
     return sum(1 for c in codes if c)
 
 
@@ -252,12 +252,12 @@ def covering_radius_raw(code: GabidulinCode, metric: str,
     hist: dict[int, int] = {}
     radius = 0
     if ctx.p == 2:
-        sm, mask = ctx.sm, ctx.order - 1
+        mask = ctx.order - 1
         shifts = [j * ctx.sm for j in range(n)]
         packed_cws = [sum(c << sh for c, sh in zip(cw, shifts)) for cw in cws]
         if metric == "rank":
-            rank = ctx._rank_codes
-            wt = [rank([(pk >> sh) & mask for sh in shifts]) for pk in range(total)]
+            greedy = ctx._greedy_codes
+            wt = [len(greedy([(pk >> sh) & mask for sh in shifts])) for pk in range(total)]
         else:
             wt = [sum(1 for sh in shifts if (pk >> sh) & mask) for pk in range(total)]
         for w in range(total):

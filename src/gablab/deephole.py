@@ -103,7 +103,7 @@ def equality_witness(code: GabidulinCode, f: LinPoly, metric: str,
                 return sub
         return None
     for idx in _subset_iter(code, d, subspace_cap):
-        pts = SubspaceBasis(code.ctx, [code.points[i] for i in idx])
+        pts = SubspaceBasis._unchecked(code.ctx, [code.points[i] for i in idx])
         if (f - annihilator(pts)).deg_q < k:
             return idx
     return None
@@ -116,14 +116,14 @@ def _accepting_cover(code: GabidulinCode, f: LinPoly, t: int, metric: str,
     ctx, k = code.ctx, code.k
     if metric == "rank":
         for sub in _subspace_iter(code, t, subspace_cap):
-            head = SubspaceBasis(ctx, sub.gens[:k])
+            head = SubspaceBasis._unchecked(ctx, sub.gens[:k])
             v = q_lagrange(head, [f(u) for u in head.gens])
             if all(v(u) == f(u) for u in sub.gens[k:]):
                 return sub
         return None
     for idx in _subset_iter(code, t, subspace_cap):
         pts = [code.points[i] for i in idx]
-        head = SubspaceBasis(ctx, pts[:k])
+        head = SubspaceBasis._unchecked(ctx, pts[:k])
         v = q_lagrange(head, [f(u) for u in pts[:k]])
         if all(v(u) == f(u) for u in pts[k:]):
             return idx
@@ -160,12 +160,6 @@ def distance_by_search(code: GabidulinCode, w: Word, metric: str,
     return classify_poly(code, code.sigma_inverse(w), metric, subspace_cap)
 
 
-def classify(code: GabidulinCode, w: Word, metric: str,
-             subspace_cap: int = DEFAULT_SUBSPACE_CAP) -> ClassifyResult:
-    """User-facing alias of :func:`distance_by_search`."""
-    return distance_by_search(code, w, metric, subspace_cap)
-
-
 def ratio_lemma_check(code: GabidulinCode, f: LinPoly, metric: str,
                       subspace_cap: int = DEFAULT_SUBSPACE_CAP):
     """Second witness route for representatives of q-degree exactly k+1.
@@ -193,7 +187,7 @@ def ratio_lemma_check(code: GabidulinCode, f: LinPoly, metric: str,
                 return sub
         return None
     for idx in _subset_iter(code, k + 1, subspace_cap):
-        pts = SubspaceBasis(ctx, [code.points[i] for i in idx])
+        pts = SubspaceBasis._unchecked(ctx, [code.points[i] for i in idx])
         if minor_coeff(pts, 1).code == a1:
             return idx
     return None

@@ -24,6 +24,7 @@ element wrapper enforces this by reference identity of the context.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 DEFAULT_FIELD_CAP = 1 << 24
@@ -165,127 +166,114 @@ def _smallest_irreducible(p: int, d: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# F_p linear algebra on digit vectors (row lists).  Cold paths only; the hot
-# rank computation has packed fast paths on FieldCtx.
+# Linear algebra.  ``_eliminate`` (forward elimination) with
+# ``_back_substitute`` is the one Gaussian elimination: determinants,
+# solves, ranks and null spaces of code matrices run it over their own
+# FieldCtx, and F_p digit matrices run it over ``_prime_field(p)``, whose
+# codes are the digits.  F_q-ranks and greedy bases, the hot ones, use the
+# one incremental F_p echelon in ``FieldCtx._greedy_codes`` instead.
 
 
-def _fp_rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
+def _eliminate(ctx, rows, ncols: int):
+    """Echelon form of a copy of a code matrix over ctx.
+
+    Columns 0..ncols-1 are taken in turn; a column's pivot is the first row
+    at or below the current rank with a nonzero entry there.  It is swapped
+    up, scaled to a leading 1 (one inversion per pivot) and subtracted from
+    the rows below.  Columns from ``ncols`` on, an augmented right-hand
+    side, ride along unpivoted.  Returns the rows, the pivot columns, the
+    pivot entries before scaling and the number of row swaps.
+    """
     rows = [list(r) for r in rows]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
+    mul, sub = ctx.mul, ctx.sub
+    pivots, leads, swaps = [], [], 0
     for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if piv is None:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][c], p - 2, p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            swaps += 1
+        top = rows[r]
+        leads.append(top[c])
+        inv = ctx.inv(top[c])
+        top[c:] = [1] + [mul(inv, x) for x in top[c + 1:]]
+        for row in rows[r + 1:]:
+            f = row[c]
+            if f:
+                row[c:] = [0] + [sub(a, mul(f, b)) for a, b in zip(row[c + 1:], top[c + 1:])]
         pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
+    return rows, pivots, leads, swaps
 
 
-def _fp_nullspace(rows: list[list[int]], p: int) -> list[list[int]]:
-    ncols = len(rows[0]) if rows else 0
-    red, pivots = _fp_rref(rows, p)
-    basis = []
-    for fc in range(ncols):
-        if fc in pivots:
-            continue
-        v = [0] * ncols
-        v[fc] = 1
-        for ri, pc in enumerate(pivots):
-            v[pc] = (-red[ri][fc]) % p
-        basis.append(v)
-    return basis
-
-
-def _fp_solve(rows: list[list[int]], rhs: list[int], p: int) -> list[int] | None:
-    """One solution of rows * x = rhs, or None; free variables get 0."""
-    aug = [list(r) + [b % p] for r, b in zip(rows, rhs)]
-    ncols = len(rows[0]) if rows else 0
-    red, pivots = _fp_rref(aug, p)
-    if ncols in pivots:
-        return None
-    x = [0] * ncols
-    for ri, pc in enumerate(pivots):
-        x[pc] = red[ri][ncols]
+def _back_substitute(ctx, rows, pivots, x: list[int], rhs) -> list[int]:
+    """Set the pivot entries of x, last pivot first, so that echelon row i
+    times x equals rhs[i]; the free entries of x stay as given."""
+    mul, sub = ctx.mul, ctx.sub
+    for i in range(len(pivots) - 1, -1, -1):
+        row, acc = rows[i], rhs[i]
+        for j in range(pivots[i] + 1, len(x)):
+            if x[j]:
+                acc = sub(acc, mul(row[j], x[j]))
+        x[pivots[i]] = acc
     return x
 
 
-class _RowSpaceGF2:
-    """Incremental row space over F_2; vectors are packed ints."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self):
-        self.rows: dict[int, int] = {}
-
-    def _reduce(self, v: int) -> int:
-        rows = self.rows
-        while v:
-            w = rows.get(v.bit_length() - 1)
-            if w is None:
-                return v
-            v ^= w
+def _det(ctx, rows) -> int:
+    """Determinant of a square code matrix: (-1)**swaps * prod(leads)."""
+    _, pivots, leads, swaps = _eliminate(ctx, rows, len(rows))
+    if len(pivots) < len(rows):
         return 0
-
-    def member(self, v: int) -> bool:
-        return self._reduce(v) == 0
-
-    def insert(self, v: int) -> bool:
-        v = self._reduce(v)
-        if v == 0:
-            return False
-        self.rows[v.bit_length() - 1] = v
-        return True
+    det = 1
+    for v in leads:
+        det = ctx.mul(det, v)
+    return ctx.neg(det) if swaps % 2 else det
 
 
-class _RowSpaceFp:
-    """Incremental row space over F_p; vectors are digit lists."""
+def _solve(ctx, rows, rhs) -> list[int] | None:
+    """One solution of rows * x = rhs with free entries 0, or None."""
+    n = len(rows[0])
+    red, pivots, _, _ = _eliminate(ctx, [list(r) + [b] for r, b in zip(rows, rhs)], n)
+    col = [row[n] for row in red]
+    if any(col[len(pivots):]):
+        return None
+    return _back_substitute(ctx, red, pivots, [0] * n, col)
 
-    __slots__ = ("p", "rows")
 
-    def __init__(self, p: int):
-        self.p = p
-        self.rows: dict[int, list[int]] = {}
+def _nullspace(ctx, rows) -> list[list[int]]:
+    """Basis of rows * x = 0: per free column f, the x with x[f] = 1 and
+    every other free entry 0, ascending in f."""
+    n = len(rows[0])
+    red, pivots, _, _ = _eliminate(ctx, rows, n)
+    out = []
+    for f in range(n):
+        if f not in pivots:
+            x = [0] * n
+            x[f] = 1
+            out.append(_back_substitute(ctx, red, pivots, x, [0] * len(pivots)))
+    return out
 
-    def _reduce(self, v):
-        p = self.p
-        v = list(v)
-        while True:
-            lead = -1
-            for i in range(len(v) - 1, -1, -1):
-                if v[i]:
-                    lead = i
-                    break
-            if lead < 0:
-                return None
-            row = self.rows.get(lead)
-            if row is None:
-                return lead, v
-            f = v[lead]
-            v = [(a - f * b) % p for a, b in zip(v, row)]
 
-    def member(self, v) -> bool:
-        return self._reduce(v) is None
+@functools.cache
+def _prime_field(p: int) -> "FieldCtx":
+    return FieldCtx(p, 1, 1)
 
-    def insert(self, v) -> bool:
-        red = self._reduce(v)
-        if red is None:
-            return False
-        lead, vv = red
-        inv = pow(vv[lead], self.p - 2, self.p)
-        self.rows[lead] = [(x * inv) % self.p for x in vv]
-        return True
+
+def _echelon_insert_digits(rows: dict, v: list[int], p: int) -> bool:
+    """Reduce a digit vector against an F_p echelon keyed by leading
+    position, rows stored with leading digit 1, and insert the remainder;
+    False when v reduces to zero (it lies in the span)."""
+    for lead in range(len(v) - 1, -1, -1):
+        f = v[lead]
+        if f:
+            w = rows.get(lead)
+            if w is None:
+                inv = pow(f, p - 2, p)
+                rows[lead] = [x * inv % p for x in v]
+                return True
+            v = [(a - f * b) % p for a, b in zip(v, w)]
+    return False
 
 
 class FieldCtx:
@@ -578,15 +566,15 @@ class FieldCtx:
     # -- the middle field -----------------------------------------------------
 
     def _subfield_pbasis(self) -> tuple[int, ...]:
-        """Codes of an F_p-basis of F_q, from the kernel of frob - id."""
+        """Codes of an F_p-basis of F_q, ascending, from the kernel of
+        frob - id.  The first is 1: column 0 (the element 1) is zero, so its
+        kernel vector is the unit vector."""
         if self._sub_pbasis is None:
             n = self.sm
-            cols = []
-            for j in range(n):
-                bj = self.p ** j
-                cols.append(self._digits(self.sub(self.frob(bj), bj)))
-            rows = [[cols[j][d] for j in range(n)] for d in range(n)]
-            null = _fp_nullspace(rows, self.p)
+            cols = [self._digits(self.sub(self.frob(self.p ** j), self.p ** j))
+                    for j in range(n)]
+            rows = [[col[d] for col in cols] for d in range(n)]
+            null = _nullspace(_prime_field(self.p), rows)
             codes = sorted(self._undigits(v) for v in null)
             if len(codes) != self.s:
                 raise AssertionError("fixed field of the q-power map has wrong size")
@@ -611,40 +599,39 @@ class FieldCtx:
     # -- F_q-linear structure --------------------------------------------------
 
     def _greedy_codes(self, codes) -> list[int]:
-        lifts = self._subfield_pbasis()
-        if self.p == 2:
-            space = _RowSpaceGF2()
-            tovec = lambda c: c
-        else:
-            space = _RowSpaceFp(self.p)
-            tovec = self._digits
+        """The first maximal F_q-independent sublist of codes, in input order.
+
+        Each code is reduced once against one incremental F_p echelon keyed
+        by leading position, of packed ints for p = 2 and of digit lists
+        otherwise.  Its first lift (by 1, so unmultiplied) reduces to zero
+        exactly when the code is dependent; otherwise the code is kept and
+        its lifts by the rest of the F_p-basis of F_q (none when s = 1)
+        enter the echelon too.
+        """
+        p, lifts = self.p, self._subfield_pbasis()
+        rows: dict = {}
         kept = []
         for c in codes:
-            if not space.member(tovec(c)):
+            for e in lifts:
+                v = c if e == 1 else self.mul(e, c)
+                if p == 2:
+                    while v:
+                        w = rows.get(v.bit_length() - 1)
+                        if w is None:
+                            rows[v.bit_length() - 1] = v
+                            break
+                        v ^= w
+                else:
+                    v = _echelon_insert_digits(rows, self._digits(v), p)
+                if not v:
+                    break
+            else:
                 kept.append(c)
-                for e in lifts:
-                    space.insert(tovec(self.mul(e, c)))
         return kept
-
-    def _rank_codes(self, codes) -> int:
-        if self.p == 2 and self.s == 1:
-            rows: dict[int, int] = {}
-            r = 0
-            for v in codes:
-                while v:
-                    h = v.bit_length() - 1
-                    w = rows.get(h)
-                    if w is None:
-                        rows[h] = v
-                        r += 1
-                        break
-                    v ^= w
-            return r
-        return len(self._greedy_codes(codes))
 
     def span_dim(self, elems) -> int:
         """Dimension over F_q of the span of the given elements."""
-        return self._rank_codes([self.element(e).code for e in elems])
+        return len(self._greedy_codes([self.element(e).code for e in elems]))
 
     def greedy_independent(self, elems) -> list["FieldElement"]:
         """First maximal F_q-independent sublist, scanning in input order."""
@@ -659,12 +646,9 @@ class FieldCtx:
         if basis.ctx is not self:
             raise ValueError("basis belongs to a different field context")
         lifts = self._subfield_pbasis()
-        cols = []
-        for beta in basis.elems:
-            for e in lifts:
-                cols.append(self._digits(self.mul(e, beta.code)))
+        cols = [self._digits(self.mul(e, beta.code)) for beta in basis.elems for e in lifts]
         rows = [[col[d] for col in cols] for d in range(self.sm)]
-        sol = _fp_solve(rows, self._digits(u.code), self.p)
+        sol = _solve(_prime_field(self.p), rows, self._digits(u.code))
         if sol is None:
             raise AssertionError("full basis failed to span the field")
         out = []

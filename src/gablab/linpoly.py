@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import itertools
 
-from .field import BasisSpec, FieldCtx, FieldElement
+from .field import (FieldCtx, FieldElement, _det, _eliminate, _nullspace, _prime_field,
+                    _solve)
 
 NEG_INF = float("-inf")
 
@@ -30,9 +31,10 @@ class LinPoly:
             if isinstance(c, FieldElement):
                 if c.ctx is not ctx:
                     raise ValueError("coefficient from a different field context")
-                codes.append(c.code)
-            else:
-                codes.append(ctx.element(int(c)).code)
+                c = c.code
+            elif type(c) is not int or not 0 <= c < ctx.order:
+                raise ValueError(f"coefficient {c!r} is not a code of {ctx!r}")
+            codes.append(c)
         while codes and codes[-1] == 0:
             codes.pop()
         self.ctx = ctx
@@ -187,6 +189,16 @@ class SubspaceBasis:
         self.ctx = ctx
         self.gens = gens
 
+    @classmethod
+    def _unchecked(cls, ctx: FieldCtx, gens) -> "SubspaceBasis":
+        """Wrap FieldElements that are independent by construction: the
+        RREF enumeration's output, prefixes of a basis, subsets of a
+        code's points and greedy output.  Nothing is re-checked."""
+        self = object.__new__(cls)
+        self.ctx = ctx
+        self.gens = tuple(gens)
+        return self
+
     @property
     def dim(self) -> int:
         return len(self.gens)
@@ -228,55 +240,10 @@ class SubspaceBasis:
 
 
 # ---------------------------------------------------------------------------
-# Linear algebra over the top field, on code matrices.  Deterministic partial
-# pivoting: the first nonzero entry in row order is the pivot.
-
-
-def _det_codes(ctx: FieldCtx, rows: list[list[int]]) -> int:
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("determinant needs a square matrix")
-    rows = [list(r) for r in rows]
-    det = 1 % ctx.order
-    negate = False
-    for c in range(n):
-        piv = next((r for r in range(c, n) if rows[r][c]), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            negate = not negate
-        pv = rows[c][c]
-        det = ctx.mul(det, pv)
-        inv = ctx.inv(pv)
-        for r in range(c + 1, n):
-            if rows[r][c]:
-                f = ctx.mul(rows[r][c], inv)
-                rows[r] = [ctx.sub(a, ctx.mul(f, b)) for a, b in zip(rows[r], rows[c])]
-    return ctx.neg(det) if negate else det
-
-
-def _solve_codes(ctx: FieldCtx, rows: list[list[int]], rhs: list[int]) -> list[int]:
-    n = len(rows)
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if aug[r][c]), None)
-        if piv is None:
-            raise ValueError("singular linear system")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = ctx.inv(aug[c][c])
-        aug[c] = [ctx.mul(inv, v) for v in aug[c]]
-        for r in range(c + 1, n):
-            if aug[r][c]:
-                f = aug[r][c]
-                aug[r] = [ctx.sub(a, ctx.mul(f, b)) for a, b in zip(aug[r], aug[c])]
-    sol = [0] * n
-    for c in range(n - 1, -1, -1):
-        acc = aug[c][n]
-        for j in range(c + 1, n):
-            acc = ctx.sub(acc, ctx.mul(aug[c][j], sol[j]))
-        sol[c] = acc
-    return sol
+# Matrix jobs over the top field (Moore determinants, interpolation solves,
+# ranks) and root spaces (null spaces over F_p) all run the one Gaussian
+# elimination of gablab.field: the pivot is the first nonzero entry in row
+# order, scaled to 1, then back substitution.
 
 
 def matrix_rank(rows) -> int:
@@ -284,25 +251,8 @@ def matrix_rank(rows) -> int:
     rows = [list(r) for r in rows]
     if not rows:
         return 0
-    ctx = rows[0][0].ctx
-    mat = [[e.code for e in r] for r in rows]
-    nr, nc = len(mat), len(mat[0])
-    rank = 0
-    for c in range(nc):
-        piv = next((r for r in range(rank, nr) if mat[r][c]), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = ctx.inv(mat[rank][c])
-        mat[rank] = [ctx.mul(inv, v) for v in mat[rank]]
-        for r in range(nr):
-            if r != rank and mat[r][c]:
-                f = mat[r][c]
-                mat[r] = [ctx.sub(a, ctx.mul(f, b)) for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-        if rank == nr:
-            break
-    return rank
+    codes = [[e.code for e in r] for r in rows]
+    return len(_eliminate(rows[0][0].ctx, codes, len(codes[0]))[1])
 
 
 class MooreMatrix:
@@ -346,7 +296,7 @@ class MooreMatrix:
     def det(self) -> FieldElement:
         if len(self.row_exps) != len(self.elems):
             raise ValueError("determinant of a non-square Moore matrix")
-        return FieldElement(self.ctx, _det_codes(self.ctx, self.entries))
+        return FieldElement(self.ctx, _det(self.ctx, self.entries))
 
 
 def moore_det(elems, deleted_row=None) -> FieldElement:
@@ -386,19 +336,17 @@ def root_space(f: LinPoly) -> SubspaceBasis:
     if f.is_zero():
         raise ValueError("the zero polynomial has the whole field as roots")
     ctx = f.ctx
-    from .field import _fp_nullspace  # local: keep field's helpers private
-
     n = ctx.sm
     cols = [ctx._digits(f(FieldElement(ctx, ctx.p ** j)).code) for j in range(n)]
-    rows = [[cols[j][d] for j in range(n)] for d in range(n)]
-    null = _fp_nullspace(rows, ctx.p)
+    rows = [[col[d] for col in cols] for d in range(n)]
+    null = _nullspace(_prime_field(ctx.p), rows)
     kept = ctx._greedy_codes(sorted(ctx._undigits(v) for v in null))
     if len(kept) * ctx.s != len(null):
         raise AssertionError("root set of a linearized polynomial must be F_q-linear")
     dim = len(kept)
     if f.deg_q is not NEG_INF and dim > f.deg_q:
         raise AssertionError("root space larger than the q-degree")
-    return SubspaceBasis(ctx, [FieldElement(ctx, c) for c in kept])
+    return SubspaceBasis._unchecked(ctx, [FieldElement(ctx, c) for c in kept])
 
 
 def q_lagrange(points: SubspaceBasis, values) -> LinPoly:
@@ -424,7 +372,7 @@ def q_lagrange(points: SubspaceBasis, values) -> LinPoly:
                 c = ctx.frob(c)
             row.append(c)
         rows.append(row)
-    sol = _solve_codes(ctx, rows, [v.code for v in values])
+    sol = _solve(ctx, rows, [v.code for v in values])
     return LinPoly(ctx, sol)
 
 

@@ -40,7 +40,7 @@ def subspace_bases(ambient: SubspaceBasis, t: int, cap: int | None = None):
         raise ValueError(
             f"{count} candidate subspaces exceed the cap {cap}; raise the cap to proceed")
     if t == 0:
-        yield SubspaceBasis(ctx, ())
+        yield SubspaceBasis._unchecked(ctx, ())
         return
     scalars = [e.code for e in ctx.subfield_elements()]
     gcodes = [g.code for g in ambient.gens]
@@ -63,4 +63,4 @@ def subspace_bases(ambient: SubspaceBasis, t: int, cap: int | None = None):
                     if c:
                         acc = ctx.add(acc, ctx.mul(c, g))
                 gens.append(FieldElement(ctx, acc))
-            yield SubspaceBasis(ctx, gens)
+            yield SubspaceBasis._unchecked(ctx, gens)

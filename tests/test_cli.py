@@ -231,6 +231,15 @@ def test_cap_below_one_is_a_usage_error(capsys, spec24, command, extra, cap):
     assert "--cap" in err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+@pytest.mark.parametrize("command", ["radius", "census"])
+def test_jobs_below_one_is_a_usage_error(capsys, spec24, command, jobs):
+    status, out, err = run(capsys, command, "--spec", spec24, "--jobs", jobs)
+    assert status == 2
+    assert out == ""
+    assert "--jobs" in err
+
+
 def test_spec_key_typo_exits_1(capsys, tmp_path):
     bad = tmp_path / "typo.txt"
     bad.write_text(CODE24 + "modulos=1,1,0,0,1\n")

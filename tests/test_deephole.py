@@ -13,7 +13,7 @@ import random
 import pytest
 
 from gablab import deephole
-from gablab import (FieldCtx, GabidulinCode, LinPoly, annihilator, classify,
+from gablab import (FieldCtx, GabidulinCode, LinPoly, annihilator,
                     classify_poly, covering_radius_scan,
                     dist_to_code_exhaustive, distance_by_search,
                     equality_witness, excluded_leading_set, family_check,
@@ -73,13 +73,13 @@ def test_distance_is_scaling_invariant(code24):
 
 def test_classify_word_alias_and_codeword_case(code24):
     zero = code24.word((0, 0, 0, 0))
-    res = classify(code24, zero, "rank")
+    res = distance_by_search(code24, zero, "rank")
     assert res.distance == 0
     assert res.bound == 0
     assert not res.is_deep_hole
     assert res.witness is None
     cw = code24.encode(LinPoly(code24.ctx, (7, 9)))
-    assert classify(code24, cw, "hamming").distance == 0
+    assert distance_by_search(code24, cw, "hamming").distance == 0
 
 
 def test_full_dimension_code_words_are_deep_holes(gf8):

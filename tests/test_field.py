@@ -10,7 +10,8 @@ import random
 import pytest
 
 from gablab import BasisSpec, FieldCtx
-from gablab.field import _pdivmod, _poly_is_irreducible
+from gablab.field import (_det, _eliminate, _nullspace, _pdivmod, _poly_is_irreducible,
+                          _prime_field, _solve)
 
 
 def _irreducible_by_trial_division(poly: list[int], p: int) -> bool:
@@ -201,6 +202,24 @@ def test_span_dim_and_greedy_independent(gf16, tower16):
     assert tower16.span_dim([1, 5]) == 2  # 5 is outside the middle field
 
 
+@pytest.mark.parametrize("field", ["gf16", "gf27", "tower16", "gf3_4"])
+def test_span_dim_is_log_q_of_the_span_size(request, field):
+    # The incremental echelon against the span built by closure over F_q.
+    ctx = FieldCtx(3, 1, 4) if field == "gf3_4" else request.getfixturevalue(field)
+    scalars = [e.code for e in ctx.subfield_elements()]
+    rng = random.Random(43)
+    for _ in range(300):
+        codes = [rng.randrange(ctx.order) for _ in range(rng.randrange(1, 5))]
+        span = {0}
+        for c in codes:
+            span = {ctx.add(u, ctx.mul(a, c)) for u in span for a in scalars}
+        kept = [e.code for e in ctx.greedy_independent(codes)]
+        assert ctx.q ** ctx.span_dim(codes) == len(span)
+        assert ctx.q ** len(kept) == len(span)
+        rest = iter(codes)
+        assert all(c in rest for c in kept)  # a sublist, in input order
+
+
 def test_coords_reconstruct_the_element(gf16, tower16):
     rng = random.Random(19)
     for ctx, basis_codes in ((gf16, (1, 2, 4, 8)), (gf16, (15, 7, 3, 1)),
@@ -278,3 +297,77 @@ def test_gen_is_the_residue_of_x(gf8):
     assert (g**3).code == 3
     with pytest.raises(ValueError):
         FieldCtx(3, 1, 1).gen()
+
+
+# -- the shared elimination against independent references ----------------------
+
+
+def _leibniz_det(ctx, rows) -> int:
+    """Sum over permutations of sign * product of entries; no elimination."""
+    n, det = len(rows), 0
+    for perm in itertools.permutations(range(n)):
+        term = 1
+        for i, j in enumerate(perm):
+            term = ctx.mul(term, rows[i][j])
+        inversions = sum(1 for a, b in itertools.combinations(perm, 2) if a > b)
+        det = ctx.sub(det, term) if inversions % 2 else ctx.add(det, term)
+    return det
+
+
+def _mat_vec(ctx, rows, x) -> list[int]:
+    out = []
+    for row in rows:
+        acc = 0
+        for a, b in zip(row, x):
+            acc = ctx.add(acc, ctx.mul(a, b))
+        out.append(acc)
+    return out
+
+
+@pytest.mark.parametrize("field", ["gf16", "gf27", "tower16", "F3"])
+def test_elimination_against_independent_references(request, field):
+    ctx = _prime_field(3) if field == "F3" else request.getfixturevalue(field)
+    rng = random.Random(41)
+    rand = lambda r, c: [[rng.randrange(ctx.order) for _ in range(c)] for _ in range(r)]
+    for n in (3, 4):
+        for trial in range(40):
+            rows = rand(n, n)
+            if trial % 4 == 1:
+                rows[-1] = list(rows[0])          # singular
+            elif trial % 4 == 2:
+                for row in rows:
+                    row[0] = 0                    # zero column
+            elif trial % 4 == 3:
+                rows[0][0] = 0                    # forces a row swap
+            assert _det(ctx, rows) == _leibniz_det(ctx, rows)
+    for nr, nc in ((3, 3), (4, 4), (2, 4), (4, 2), (3, 5)):
+        for _ in range(15):
+            rows = rand(nr, nc)
+            rows[rng.randrange(nr)] = [0] * nc
+            b = _mat_vec(ctx, rows, [rng.randrange(ctx.order) for _ in range(nc)])
+            x = _solve(ctx, rows, b)
+            assert x is not None and _mat_vec(ctx, rows, x) == b
+            zero_row = next(i for i, r in enumerate(rows) if not any(r))
+            b[zero_row] = ctx.add(b[zero_row], 1)
+            assert _solve(ctx, rows, b) is None   # 0 = nonzero is inconsistent
+            null = _nullspace(ctx, rows)
+            rank = len(_eliminate(ctx, rows, nc)[1])
+            assert len(null) == nc - rank
+            for v in null:
+                assert any(v) and not any(_mat_vec(ctx, rows, v))
+
+
+@pytest.mark.parametrize("p,m", [(2, 17), (3, 11)])
+def test_direct_route_above_the_table_limit(p, m):
+    ctx = FieldCtx(p, 1, m)
+    rng = random.Random(59)
+    for _ in range(30):
+        a, b, c = (rng.randrange(1, ctx.order) for _ in range(3))
+        assert ctx.mul(a, ctx.inv(a)) == 1
+        assert ctx.pow(a, ctx.order - 1) == 1
+        u = a
+        for _ in range(m):
+            u = ctx.frob(u)
+        assert u == a
+        assert ctx.mul(a, ctx.add(b, c)) == ctx.add(ctx.mul(a, b), ctx.mul(a, c))
+    assert ctx._exp is None  # no table was ever built

@@ -93,6 +93,12 @@ def test_linpoly_basics(gf8):
         LinPoly.monomial(gf8, -1)
 
 
+@pytest.mark.parametrize("coeffs", [(1.9, 2.5), (1, 2.0), ("3",), (True,), (8,), (-1,), (None,)])
+def test_linpoly_rejects_non_codes(gf8, coeffs):
+    with pytest.raises(ValueError):
+        LinPoly(gf8, coeffs)
+
+
 def test_evaluation_is_q_linear(gf16, tower16):
     # F_q-linearity: f(au + bv) = a f(u) + b f(v) for a, b in the middle field.
     for ctx in (gf16, tower16):

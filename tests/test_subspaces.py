@@ -35,6 +35,17 @@ def _full_ambient(ctx) -> SubspaceBasis:
     return SubspaceBasis(ctx, gens)
 
 
+@pytest.mark.parametrize("field_fixture", ["gf8", "tower16"])
+def test_every_enumerated_basis_passes_the_public_check(request, field_fixture):
+    # The enumeration skips the independence check; the public one must agree.
+    ctx = request.getfixturevalue(field_fixture)
+    ambient = _full_ambient(ctx)
+    for t in range(ambient.dim + 1):
+        for sub in subspace_bases(ambient, t):
+            assert ctx.span_dim(sub.gens) == t
+            assert SubspaceBasis(ctx, sub.gens).gens == sub.gens
+
+
 @pytest.mark.parametrize("field_fixture,dims", [
     ("gf16", (0, 1, 2, 3, 4)),
     ("gf27", (0, 1, 2, 3)),
