@@ -5,7 +5,9 @@ words and polynomials are comma-separated canonical element codes.  All
 enumeration orders are fixed, and parallel scans merge chunk results in
 index order, so identical inputs give byte-identical output at any
 ``--jobs`` count.  Exit status: 0 success, 1 domain error (message on
-stderr), 2 usage error.
+stderr), 2 usage error, 3 internal error (a broken invariant such as
+"level t = k must always accept"; ``internal error: <message>`` on
+stderr, no traceback).
 """
 
 from __future__ import annotations
@@ -281,12 +283,12 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 def entry() -> None:

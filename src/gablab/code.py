@@ -16,8 +16,6 @@ witnesses are the first minimizer in that order.
 
 from __future__ import annotations
 
-import itertools
-
 from .field import FieldCtx, FieldElement
 from .linpoly import LinPoly, SubspaceBasis, q_lagrange
 
@@ -238,42 +236,41 @@ def covering_radius_raw(code: GabidulinCode, metric: str,
                         oracle_cap: int = DEFAULT_ORACLE_CAP) -> tuple[int, dict[int, int]]:
     """max over ALL words of the exhaustive distance, with a histogram.
 
-    Independent of the class-based scan: it visits every one of the
-    order**n words.  Char-2 fields use a packed rank/weight table, checked
-    elsewhere against the plain per-word oracle.
+    Independent of the class-based scan and of any polynomial theory: it
+    walks all order**n words by index (entry 0 the lowest base-order
+    digit).  A word w's distance is the least weight in its coset w - C,
+    and every member of that coset has the same distance, so each unseen
+    word's coset is built with ``ctx.sub``, each member's weight is taken
+    once, and the minimum is credited to every member not yet seen.  That
+    is order**n weight computations in all, not order**n * |C|.
     """
     _check_metric(metric)
-    ctx, n = code.ctx, code.n
-    total = ctx.order ** n
+    ctx, n, order = code.ctx, code.n, code.ctx.order
+    total = order ** n
     if total > word_cap:
         raise ValueError(
             f"{total} words exceed the scan cap {word_cap}; raise the cap to proceed")
     cws = [cw for _, cw in code.iter_codewords(oracle_cap)]
+    sub = ctx.sub
+    seen = bytearray(total)
     hist: dict[int, int] = {}
-    radius = 0
-    if ctx.p == 2:
-        mask = ctx.order - 1
-        shifts = [j * ctx.sm for j in range(n)]
-        packed_cws = [sum(c << sh for c, sh in zip(cw, shifts)) for cw in cws]
-        if metric == "rank":
-            greedy = ctx._greedy_codes
-            wt = [len(greedy([(pk >> sh) & mask for sh in shifts])) for pk in range(total)]
-        else:
-            wt = [sum(1 for sh in shifts if (pk >> sh) & mask) for pk in range(total)]
-        for w in range(total):
-            d = min(wt[w ^ c] for c in packed_cws)
-            hist[d] = hist.get(d, 0) + 1
-            if d > radius:
-                radius = d
-    else:
-        sub = ctx.sub
-        for wc in itertools.product(range(ctx.order), repeat=n):
-            d = min(_weight_codes(ctx, [sub(a, b) for a, b in zip(wc, cw)], metric)
-                    for cw in cws)
-            hist[d] = hist.get(d, 0) + 1
-            if d > radius:
-                radius = d
-    return radius, dict(sorted(hist.items()))
+    for idx in range(total):
+        if seen[idx]:
+            continue
+        rem, wc = idx, []
+        for _ in range(n):
+            rem, c = divmod(rem, order)
+            wc.append(c)
+        coset = [[sub(a, b) for a, b in zip(wc, cw)] for cw in cws]
+        d = min(_weight_codes(ctx, member, metric) for member in coset)
+        for member in coset:
+            j = 0
+            for c in reversed(member):
+                j = j * order + c
+            if not seen[j]:
+                seen[j] = 1
+                hist[d] = hist.get(d, 0) + 1
+    return max(hist), dict(sorted(hist.items()))
 
 
 # ---------------------------------------------------------------------------

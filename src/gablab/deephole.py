@@ -26,6 +26,7 @@ which is why class scans classify one monic class per orbit.
 from __future__ import annotations
 
 import itertools
+import math
 import multiprocessing
 import os
 from dataclasses import dataclass
@@ -65,17 +66,24 @@ class ClassifyResult:
     witness: object = None
 
 
-def _subspace_iter(code: GabidulinCode, t: int, cap: int):
-    return subspace_bases(code.span, t, cap=cap)
+def _candidates(code: GabidulinCode, t: int, metric: str, cap: int):
+    """(witness, basis) for every t-dimensional candidate, canonical order.
 
-
-def _subset_iter(code: GabidulinCode, t: int, cap: int):
-    import math
+    Rank: each t-dimensional subspace of the point span is its own witness.
+    Hamming: each t-subset of the points, as an index tuple, with the span
+    basis of those points.
+    """
+    if metric == "rank":
+        for sub in subspace_bases(code.span, t, cap=cap):
+            yield sub, sub
+        return
     count = math.comb(code.n, t)
     if count > cap:
         raise ValueError(
             f"{count} candidate subsets exceed the cap {cap}; raise the cap to proceed")
-    return itertools.combinations(range(code.n), t)
+    ctx, points = code.ctx, code.points
+    for idx in itertools.combinations(range(code.n), t):
+        yield idx, SubspaceBasis._unchecked(ctx, [points[i] for i in idx])
 
 
 def equality_witness(code: GabidulinCode, f: LinPoly, metric: str,
@@ -96,16 +104,9 @@ def equality_witness(code: GabidulinCode, f: LinPoly, metric: str,
     if d is NEG_INF or not code.k <= d < code.n:
         raise ValueError(f"representative q-degree must lie in {code.k}..{code.n - 1}")
     f = f.monic()[0]
-    k = code.k
-    if metric == "rank":
-        for sub in _subspace_iter(code, d, subspace_cap):
-            if (f - annihilator(sub)).deg_q < k:
-                return sub
-        return None
-    for idx in _subset_iter(code, d, subspace_cap):
-        pts = SubspaceBasis._unchecked(code.ctx, [code.points[i] for i in idx])
-        if (f - annihilator(pts)).deg_q < k:
-            return idx
+    for wit, basis in _candidates(code, d, metric, subspace_cap):
+        if (f - annihilator(basis)).deg_q < code.k:
+            return wit
     return None
 
 
@@ -114,19 +115,11 @@ def _accepting_cover(code: GabidulinCode, f: LinPoly, t: int, metric: str,
     """First t-level witness (U, v interpolated through its first k members
     matching f on the rest), or None."""
     ctx, k = code.ctx, code.k
-    if metric == "rank":
-        for sub in _subspace_iter(code, t, subspace_cap):
-            head = SubspaceBasis._unchecked(ctx, sub.gens[:k])
-            v = q_lagrange(head, [f(u) for u in head.gens])
-            if all(v(u) == f(u) for u in sub.gens[k:]):
-                return sub
-        return None
-    for idx in _subset_iter(code, t, subspace_cap):
-        pts = [code.points[i] for i in idx]
-        head = SubspaceBasis._unchecked(ctx, pts[:k])
-        v = q_lagrange(head, [f(u) for u in pts[:k]])
-        if all(v(u) == f(u) for u in pts[k:]):
-            return idx
+    for wit, basis in _candidates(code, t, metric, subspace_cap):
+        head = SubspaceBasis._unchecked(ctx, basis.gens[:k])
+        v = q_lagrange(head, [f(u) for u in head.gens])
+        if all(v(u) == f(u) for u in basis.gens[k:]):
+            return wit
     return None
 
 
@@ -179,17 +172,10 @@ def ratio_lemma_check(code: GabidulinCode, f: LinPoly, metric: str,
     if k + 1 >= code.n:
         raise ValueError("degree k+1 must stay below the word length")
     f = f.monic()[0]
-    ctx = code.ctx
-    a1 = ctx.neg(f.codes[k] if k < len(f.codes) else 0)
-    if metric == "rank":
-        for sub in _subspace_iter(code, k + 1, subspace_cap):
-            if minor_coeff(sub, 1).code == a1:
-                return sub
-        return None
-    for idx in _subset_iter(code, k + 1, subspace_cap):
-        pts = SubspaceBasis._unchecked(ctx, [code.points[i] for i in idx])
-        if minor_coeff(pts, 1).code == a1:
-            return idx
+    a1 = code.ctx.neg(f.codes[k] if k < len(f.codes) else 0)
+    for wit, basis in _candidates(code, k + 1, metric, subspace_cap):
+        if minor_coeff(basis, 1).code == a1:
+            return wit
     return None
 
 

@@ -310,7 +310,9 @@ class FieldCtx:
         if modulus is None:
             self.modulus = _smallest_irreducible(p, self.sm)
         else:
-            mod = tuple(int(c) for c in modulus)
+            mod = tuple(modulus)
+            if any(type(c) is not int for c in mod):
+                raise ValueError(f"modulus coefficients must be integers, got {mod!r}")
             if len(mod) != self.sm + 1:
                 raise ValueError(
                     f"modulus must have degree {self.sm}, got degree {len(mod) - 1}")
@@ -340,6 +342,8 @@ class FieldCtx:
             if value.ctx is not self:
                 raise ValueError("element belongs to a different field context")
             return value
+        if isinstance(value, bool):
+            raise ValueError(f"{value!r} is not a code of {self!r}")
         if isinstance(value, int):
             if not 0 <= value < self.order:
                 raise ValueError(f"code {value} out of range for {self!r}")
@@ -350,8 +354,8 @@ class FieldCtx:
         coeffs = list(coeffs)
         if len(coeffs) > self.sm:
             raise ValueError("too many coefficients for this field")
-        if any(not 0 <= c < self.p for c in coeffs):
-            raise ValueError("coefficients must lie in [0, p)")
+        if any(type(c) is not int or not 0 <= c < self.p for c in coeffs):
+            raise ValueError("coefficients must be integers in [0, p)")
         coeffs += [0] * (self.sm - len(coeffs))
         return FieldElement(self, self._undigits(coeffs))
 

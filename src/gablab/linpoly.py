@@ -274,7 +274,9 @@ class MooreMatrix:
         if row_exps is None:
             row_exps = tuple(range(len(elems)))
         else:
-            row_exps = tuple(int(e) for e in row_exps)
+            row_exps = tuple(row_exps)
+            if any(type(e) is not int for e in row_exps):
+                raise ValueError(f"row exponents must be integers, got {row_exps!r}")
             if any(e < 0 for e in row_exps):
                 raise ValueError("row exponents must be nonnegative")
             if any(a >= b for a, b in zip(row_exps, row_exps[1:])):

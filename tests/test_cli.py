@@ -1,5 +1,7 @@
 """Command-line behavior: output formats, determinism, exit codes."""
 
+import hashlib
+
 import pytest
 
 from gablab.cli import main
@@ -134,6 +136,31 @@ def test_census_out_file(capsys, tmp_path, spec23):
     assert target.read_text() == stdout_version
 
 
+# Leading 16 hex digits of the sha256 of ``gab census`` stdout, pinned so
+# that every column (the witness included) stays byte-identical.
+GOLDEN_CENSUS = {
+    "gf8": ("p=2\ns=1\nm=3\nn=3\nk=1\ng=1,2,4\n",
+            {"rank": "49b15e44153b54f2", "hamming": "1fb0e2a0ca68fbc1"}),
+    "gf16": ("p=2\ns=1\nm=4\nn=4\nk=2\ng=1,2,4,8\n",
+             {"rank": "944ab89f66dd129b", "hamming": "b45b8845ddd7b806"}),
+    "gf27": ("p=3\ns=1\nm=3\nn=3\nk=1\ng=1,3,9\n",
+             {"rank": "a02c7aeb442b7006", "hamming": "42eb4d56da425b24"}),
+    "tower16": ("p=2\ns=2\nm=2\nn=2\nk=1\ng=1,4\n",
+                {"rank": "2249b8471979dc81", "hamming": "5a7b3bbeecf1a37b"}),
+}
+
+
+@pytest.mark.parametrize("metric", ["rank", "hamming"])
+@pytest.mark.parametrize("name", sorted(GOLDEN_CENSUS))
+def test_census_matches_golden_digest(capsys, tmp_path, name, metric):
+    text, digests = GOLDEN_CENSUS[name]
+    path = tmp_path / f"{name}.txt"
+    path.write_text(text)
+    status, out, _ = run(capsys, "census", "--spec", str(path), "--metric", metric)
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digests[metric]
+
+
 # -- family / quadric -------------------------------------------------------------------
 
 
@@ -238,6 +265,18 @@ def test_jobs_below_one_is_a_usage_error(capsys, spec24, command, jobs):
     assert status == 2
     assert out == ""
     assert "--jobs" in err
+
+
+def test_internal_error_exits_3(capsys, monkeypatch, spec23):
+    def broken(*args, **kwargs):
+        raise AssertionError("level t = k must always accept")
+
+    monkeypatch.setattr("gablab.cli.distance_by_search", broken)
+    status, out, err = run(capsys, "search", "--spec", spec23, "--word", "1,2,3")
+    assert status == 3
+    assert out == ""
+    assert err == "internal error: level t = k must always accept\n"
+    assert "Traceback" not in err
 
 
 def test_spec_key_typo_exits_1(capsys, tmp_path):

@@ -1,15 +1,16 @@
 """Code construction, brute-force distance oracles, and spec-file I/O.
 
-The packed char-2 word scan in covering_radius_raw is cross-checked here
-against the plain per-word oracle, and the generic odd-characteristic
-branch runs on GF(27).
+covering_radius_raw's coset walk is cross-checked here against one
+dist_to_code_exhaustive call per word (GF(8), GF(9), GF(25), GF(4^2)) and
+against the class scan on GF(27).
 """
 
+import itertools
 import random
 
 import pytest
 
-from gablab import (GabidulinCode, LinPoly, Word, covering_radius_raw,
+from gablab import (FieldCtx, GabidulinCode, LinPoly, Word, covering_radius_raw,
                     covering_radius_scan, dist_to_code_exhaustive,
                     format_code_spec, min_distance, parse_code_spec, weight)
 
@@ -158,7 +159,7 @@ def test_covering_radius_raw_frozen_gf8(gf8_code):
 
 
 def test_packed_scan_matches_per_word_oracle(gf8_code):
-    # The packed char-2 fast path against one-word-at-a-time distances.
+    # The coset walk against one-word-at-a-time distances, in char 2.
     ctx = gf8_code.ctx
     for metric in ("rank", "hamming"):
         _, hist = covering_radius_raw(gf8_code, metric)
@@ -172,9 +173,28 @@ def test_packed_scan_matches_per_word_oracle(gf8_code):
         assert recount == hist
 
 
+@pytest.mark.parametrize("p,s,m,points", [
+    (3, 1, 2, (1, 3)),   # GF(9)
+    (5, 1, 2, (1, 5)),   # GF(25)
+    (2, 2, 2, (1, 4)),   # GF(4^2), q = 4
+])
+@pytest.mark.parametrize("metric", ["rank", "hamming"])
+def test_raw_scan_matches_per_word_oracle_beyond_gf8(p, s, m, points, metric):
+    # Per-word distances do not rely on the coset property the walk uses.
+    ctx = FieldCtx(p, s, m)
+    code = GabidulinCode(ctx, points, 1)
+    radius, hist = covering_radius_raw(code, metric)
+    recount: dict[int, int] = {}
+    for wc in itertools.product(range(ctx.order), repeat=code.n):
+        d, _ = dist_to_code_exhaustive(code, code.word(wc), metric)
+        recount[d] = recount.get(d, 0) + 1
+    assert hist == recount
+    assert radius == max(recount)
+
+
 def test_generic_branch_matches_class_scan_gf27(gf27):
-    # Odd characteristic exercises the non-packed word loop; the class scan
-    # (translation-invariance route) must produce a consistent histogram.
+    # The coset walk in odd characteristic; the class scan (translation-
+    # invariance route) must produce a consistent histogram.
     code = GabidulinCode(gf27, (1, 3), 1)
     radius, hist = covering_radius_raw(code, "rank")
     scan = covering_radius_scan(code, "rank")

@@ -256,6 +256,25 @@ def test_ctx_validation_errors():
     assert alt.mul(2, 2) == 4  # x * x = x^2, still below the modulus
 
 
+def test_modulus_rejects_non_integer_coefficients():
+    # int() would truncate this to the irreducible (1, 1, 0, 1).
+    with pytest.raises(ValueError, match="modulus coefficients must be integers"):
+        FieldCtx(2, 1, 3, modulus=[1.7, 1, 0, 1.2])
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_element_rejects_bools(gf8, value):
+    with pytest.raises(ValueError, match="is not a code"):
+        gf8.element(value)
+
+
+@pytest.mark.parametrize("coeffs", [(1.0, 1), (1.5,), (True, 0)])
+def test_element_rejects_non_integer_coefficients(gf8, coeffs):
+    # These were stored as the float codes 3.0 and 1.5 and the bool True.
+    with pytest.raises(ValueError, match="coefficients must be integers"):
+        gf8.element(coeffs)
+
+
 def test_element_wrapping_and_context_separation(gf4, gf8):
     with pytest.raises(ValueError):
         gf4.element(4)

@@ -259,6 +259,13 @@ def test_moore_matrix_validation(gf16):
         moore_det(e, deleted_row=5)
 
 
+def test_moore_matrix_rejects_non_integer_row_exponents(gf16):
+    # int() would truncate (0, 1.9) to (0, 1).
+    e = [gf16.element(1), gf16.element(2)]
+    with pytest.raises(ValueError, match="row exponents must be integers"):
+        MooreMatrix(e, [0, 1.9])
+
+
 def test_minor_coeff_signs_in_odd_characteristic(gf27):
     # Annihilator coefficients alternate: coeff(t-i) = (-1)^i h_i.  Char 3
     # makes sign slips visible, unlike the binary fields.
