@@ -21,6 +21,14 @@ lam times the one through f's, and each test v(u) == f(u) holds for lam*f
 exactly when it holds for f, in both metrics.  The descent therefore
 accepts at the same level with the same first witness in canonical order,
 which is why class scans classify one monic class per orbit.
+
+The descent never evaluates f on a candidate.  Every candidate generator
+is an F_q-combination u = sum_j c_j g_j of the points (an RREF row of
+``subspace_bases`` in the rank metric, a unit row in Hamming), and f is
+F_q-linear, so f(u) = sum_j c_j f(g_j): the same combination of f's values
+on the points, which are the word's entries.  ``classify_poly`` evaluates f
+once on the points; each candidate's values are row combinations of those
+codes (XORs when q = 2), and only the interpolant v is evaluated, on codes.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ from .code import (GabidulinCode, Word, _check_metric, format_code_spec,
 from .field import FieldCtx, FieldElement
 from .linpoly import (LinPoly, NEG_INF, SubspaceBasis, annihilator,
                       minor_coeff, q_lagrange)
-from .subspaces import gaussian_binomial, subspace_bases
+from .subspaces import _combine_rows, gaussian_binomial, subspace_bases
 
 DEFAULT_SUBSPACE_CAP = 10 ** 6
 DEFAULT_CLASS_SCAN_CAP = 1 << 20
@@ -71,19 +79,23 @@ def _candidates(code: GabidulinCode, t: int, metric: str, cap: int):
 
     Rank: each t-dimensional subspace of the point span is its own witness.
     Hamming: each t-subset of the points, as an index tuple, with the span
-    basis of those points.
+    basis of those points.  Either basis carries its coefficient rows over
+    the points (unit rows for Hamming).
     """
     if metric == "rank":
         for sub in subspace_bases(code.span, t, cap=cap):
             yield sub, sub
         return
-    count = math.comb(code.n, t)
+    n = code.n
+    count = math.comb(n, t)
     if count > cap:
         raise ValueError(
             f"{count} candidate subsets exceed the cap {cap}; raise the cap to proceed")
     ctx, points = code.ctx, code.points
-    for idx in itertools.combinations(range(code.n), t):
-        yield idx, SubspaceBasis._unchecked(ctx, [points[i] for i in idx])
+    units = [[int(j == i) for j in range(n)] for i in range(n)]
+    for idx in itertools.combinations(range(n), t):
+        yield idx, SubspaceBasis._unchecked(ctx, [points[i] for i in idx],
+                                            [units[i] for i in idx])
 
 
 def equality_witness(code: GabidulinCode, f: LinPoly, metric: str,
@@ -110,15 +122,17 @@ def equality_witness(code: GabidulinCode, f: LinPoly, metric: str,
     return None
 
 
-def _accepting_cover(code: GabidulinCode, f: LinPoly, t: int, metric: str,
+def _accepting_cover(code: GabidulinCode, fvals: list[int], t: int, metric: str,
                      subspace_cap: int):
     """First t-level witness (U, v interpolated through its first k members
-    matching f on the rest), or None."""
+    matching f on the rest), or None.  ``fvals`` are f's values on the
+    points; f's values on U's generators are their row combinations."""
     ctx, k = code.ctx, code.k
     for wit, basis in _candidates(code, t, metric, subspace_cap):
-        head = SubspaceBasis._unchecked(ctx, basis.gens[:k])
-        v = q_lagrange(head, [f(u) for u in head.gens])
-        if all(v(u) == f(u) for u in basis.gens[k:]):
+        vals = _combine_rows(ctx, basis._rows, fvals)
+        gens = basis.gens
+        v = q_lagrange(SubspaceBasis._unchecked(ctx, gens[:k]), vals[:k])
+        if all(v._eval(u.code) == y for u, y in zip(gens[k:], vals[k:])):
             return wit
     return None
 
@@ -137,8 +151,9 @@ def classify_poly(code: GabidulinCode, f: LinPoly, metric: str,
         return ClassifyResult(distance=0, bound=0, is_deep_hole=(n == k),
                               metric=metric, witness=None)
     bound = n - d
+    fvals = [f(g).code for g in code.points]
     for t in range(d, k - 1, -1):
-        wit = _accepting_cover(code, f, t, metric, subspace_cap)
+        wit = _accepting_cover(code, fvals, t, metric, subspace_cap)
         if wit is not None:
             dist = n - t
             return ClassifyResult(distance=dist, bound=bound,

@@ -18,8 +18,13 @@ pure function of element codes, so contexts and elements can be shared
 freely between threads and worker processes.  Small fields lazily build a
 discrete-log table pair to speed up multiplication; the direct polynomial
 route stays in place for larger fields and is what builds the tables in
-the first place.  Codes from different contexts must never be mixed; the
-element wrapper enforces this by reference identity of the context.
+the first place.  On the direct route in characteristic 2 (packed ints),
+the inverse is extended Euclid in F_2[x] against the modulus, and the
+q-power map is a**q powered from the top set bit, which for q = 2**s is
+s squarings and no other multiply; odd characteristic takes Fermat's
+a**(order - 2) and the same q-th powers.  Codes from different
+contexts must never be mixed; the element wrapper enforces this by
+reference identity of the context.
 """
 
 from __future__ import annotations
@@ -348,6 +353,11 @@ class FieldCtx:
             if not 0 <= value < self.order:
                 raise ValueError(f"code {value} out of range for {self!r}")
             return FieldElement(self, value)
+        try:
+            iter(value)
+        except TypeError:
+            raise ValueError(f"{value!r} is not a code or coefficient sequence "
+                             f"of {self!r}") from None
         return self.from_coeffs(value)
 
     def from_coeffs(self, coeffs) -> "FieldElement":
@@ -428,11 +438,10 @@ class FieldCtx:
             return 0
         if self.p == 2:
             r = 0
-            while b:
-                if b & 1:
-                    r ^= a
-                a <<= 1
-                b >>= 1
+            while b:  # one shifted copy of a per set bit of b
+                low = b & -b
+                r ^= a * low
+                b ^= low
             deg, mint = self.sm, self._mod_int
             bl = r.bit_length()
             while bl > deg:
@@ -457,14 +466,31 @@ class FieldCtx:
         return self._undigits([c % p for c in conv[: self.sm]])
 
     def _pow_direct(self, a: int, e: int) -> int:
-        r = 1 % self.order
-        a %= self.order
-        while e:
-            if e & 1:
+        # Left to right from the top set bit: no 1*a multiply, no squaring
+        # past the last bit.
+        if e == 0:
+            return 1 % self.order
+        r = a
+        for bit in bin(e)[3:]:
+            r = self._mul_direct(r, r)
+            if bit == "1":
                 r = self._mul_direct(r, a)
-            a = self._mul_direct(a, a)
-            e >>= 1
         return r
+
+    def _inv_euclid2(self, a: int) -> int:
+        """Inverse of a nonzero code for p = 2 by extended Euclid in F_2[x]:
+        g1 * a == u and g2 * a == v modulo the modulus throughout, and the
+        degrees of u and v fall until u == 1."""
+        u, v, g1, g2 = a, self._mod_int, 1, 0
+        du, dv = u.bit_length(), v.bit_length()
+        while u != 1:
+            if du < dv:
+                u, v, g1, g2, du, dv = v, u, g2, g1, dv, du
+            j = du - dv
+            u ^= v << j
+            g1 ^= g2 << j
+            du = u.bit_length()
+        return g1
 
     def _build_tables(self):
         # Benign under races: every builder computes identical tables.
@@ -511,6 +537,8 @@ class FieldCtx:
             self._build_tables()
         if self._exp is not None:
             return self._exp[(-self._log[a]) % self._n1] if self._n1 > 1 else a
+        if self.p == 2:
+            return self._inv_euclid2(a)
         return self._pow_direct(a, self.order - 2)
 
     def div(self, a: int, b: int) -> int:
@@ -526,7 +554,7 @@ class FieldCtx:
         if self._exp is not None:
             return self._exp[(self._log[a] * e) % self._n1] if self._n1 > 1 else a
         if e < 0:
-            return self._pow_direct(self._pow_direct(a, self.order - 2), -e)
+            return self._pow_direct(self.inv(a), -e)
         return self._pow_direct(a, e)
 
     def frob(self, a: int, i: int = 1) -> int:

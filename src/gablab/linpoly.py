@@ -71,15 +71,18 @@ class LinPoly:
         return tuple(FieldElement(self.ctx, c) for c in self.codes)
 
     def __call__(self, u) -> FieldElement:
+        return FieldElement(self.ctx, self._eval(self.ctx.element(u).code))
+
+    def _eval(self, u: int) -> int:
+        """Value at the code u, as a code; the hot loops' evaluation."""
         ctx = self.ctx
-        u = ctx.element(u)
-        acc, up = 0, u.code
+        acc = 0
         for i, a in enumerate(self.codes):
             if i:
-                up = ctx.frob(up)
+                u = ctx.frob(u)
             if a:
-                acc = ctx.add(acc, ctx.mul(a, up))
-        return FieldElement(ctx, acc)
+                acc = ctx.add(acc, ctx.mul(a, u))
+        return acc
 
     def _binop(self, other, op):
         if not isinstance(other, LinPoly):
@@ -178,9 +181,11 @@ class SubspaceBasis:
 
     Construction rejects dependent generators, so a SubspaceBasis is a
     certificate of independence; the empty basis spans the zero space.
+    ``_rows``, when not None, holds the F_q coefficient rows (codes) that
+    write each generator over an ambient basis it was drawn from.
     """
 
-    __slots__ = ("ctx", "gens")
+    __slots__ = ("ctx", "gens", "_rows")
 
     def __init__(self, ctx: FieldCtx, gens=()):
         gens = tuple(ctx.element(g) for g in gens)
@@ -188,15 +193,18 @@ class SubspaceBasis:
             raise ValueError("dependent generators cannot form a subspace basis")
         self.ctx = ctx
         self.gens = gens
+        self._rows = None
 
     @classmethod
-    def _unchecked(cls, ctx: FieldCtx, gens) -> "SubspaceBasis":
+    def _unchecked(cls, ctx: FieldCtx, gens, rows=None) -> "SubspaceBasis":
         """Wrap FieldElements that are independent by construction: the
         RREF enumeration's output, prefixes of a basis, subsets of a
-        code's points and greedy output.  Nothing is re-checked."""
+        code's points and greedy output.  Nothing is re-checked; ``rows``
+        are the generators' coefficient rows over the ambient basis."""
         self = object.__new__(cls)
         self.ctx = ctx
         self.gens = tuple(gens)
+        self._rows = rows
         return self
 
     @property
@@ -325,10 +333,10 @@ def annihilator(basis: SubspaceBasis) -> LinPoly:
     ctx = basis.ctx
     a = LinPoly.x(ctx)
     for w in basis.gens:
-        val = a(w)
-        if val.code == 0:
+        val = a._eval(w.code)
+        if val == 0:
             raise ValueError("dependent generators passed to annihilator")
-        c = ctx.pow(val.code, ctx.q - 1)
+        c = ctx.pow(val, ctx.q - 1)
         a = LinPoly(ctx, (ctx.neg(c), 1)).compose(a)
     return a
 

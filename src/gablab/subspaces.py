@@ -5,7 +5,9 @@ reduced-row-echelon coefficient matrix, so enumerating those matrices
 yields each subspace once, in a reproducible order: pivot-column tuples
 ascend lexicographically, and for a fixed pivot tuple the free entries run
 through F_q (ascending element code) as an odometer whose last listed cell
-varies fastest.  Free cells are listed row-major.
+varies fastest.  Free cells are listed row-major.  Each yielded basis
+carries its coefficient rows, so a caller can form the same F_q-combinations
+of any other values attached to the ambient generators.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ def subspace_bases(ambient: SubspaceBasis, t: int, cap: int | None = None):
         raise ValueError(
             f"{count} candidate subspaces exceed the cap {cap}; raise the cap to proceed")
     if t == 0:
-        yield SubspaceBasis._unchecked(ctx, ())
+        yield SubspaceBasis._unchecked(ctx, (), [])
         return
     scalars = [e.code for e in ctx.subfield_elements()]
     gcodes = [g.code for g in ambient.gens]
@@ -50,17 +52,25 @@ def subspace_bases(ambient: SubspaceBasis, t: int, cap: int | None = None):
                       for i in range(t)
                       for j in range(pivots[i] + 1, n)
                       if j not in pivot_set]
-        for assign in itertools.product(range(ctx.q), repeat=len(free_cells)):
+        for assign in itertools.product(scalars, repeat=len(free_cells)):
             rows = [[0] * n for _ in range(t)]
             for i, pc in enumerate(pivots):
                 rows[i][pc] = 1
-            for (i, j), v in zip(free_cells, assign):
-                rows[i][j] = scalars[v]
-            gens = []
-            for row in rows:
-                acc = 0
-                for c, g in zip(row, gcodes):
-                    if c:
-                        acc = ctx.add(acc, ctx.mul(c, g))
-                gens.append(FieldElement(ctx, acc))
-            yield SubspaceBasis._unchecked(ctx, gens)
+            for (i, j), c in zip(free_cells, assign):
+                rows[i][j] = c
+            gens = [FieldElement(ctx, g) for g in _combine_rows(ctx, rows, gcodes)]
+            yield SubspaceBasis._unchecked(ctx, gens, rows)
+
+
+def _combine_rows(ctx, rows, codes) -> list[int]:
+    """sum_j row[j] * codes[j] for each row of F_q coefficient codes; a
+    coefficient 1 costs one addition and no multiplication."""
+    add, mul = ctx.add, ctx.mul
+    out = []
+    for row in rows:
+        acc = 0
+        for c, x in zip(row, codes):
+            if c:
+                acc = add(acc, x if c == 1 else mul(c, x))
+        out.append(acc)
+    return out

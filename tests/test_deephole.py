@@ -8,6 +8,7 @@ q-degree k+1, scan determinism across worker counts, and the structured
 families.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -97,6 +98,65 @@ def test_classify_rejects_overdegree_and_foreign_polynomials(code24, gf8):
         classify_poly(code24, LinPoly(gf8, (1,)), "rank")
     with pytest.raises(ValueError):
         classify_poly(code24, LinPoly.monomial(code24.ctx, 3), "euclid")
+
+
+# -- search on a field above the table limit ------------------------------------------------
+
+
+def _bigfield_words():
+    """A GF(2^17), n = 5, k = 1 code and ten seeded words: three random,
+    four codewords plus an error of F_2-rank <= 1, 2, 3, 1 and three plus
+    an error on 1, 2, 3 positions."""
+    ctx = FieldCtx(2, 1, 17)
+    rng = random.Random(1711)
+    while True:
+        points = [rng.randrange(1, ctx.order) for _ in range(5)]
+        if ctx.span_dim(points) == 5:
+            break
+    code = GabidulinCode(ctx, points, 1)
+    words = []
+    for i in range(10):
+        cw = code.encode(LinPoly(ctx, [rng.randrange(ctx.order)])).codes
+        err = [0] * 5
+        if i < 3:
+            err = [rng.randrange(ctx.order) for _ in range(5)]
+        elif i < 7:
+            for _ in range((1, 2, 3, 1)[i - 3]):
+                e = rng.randrange(1, ctx.order)
+                err = [x ^ (e if rng.randrange(2) else 0) for x in err]
+        else:
+            for j in rng.sample(range(5), i - 6):
+                err[j] = rng.randrange(1, ctx.order)
+        words.append(code.word([a ^ b for a, b in zip(cw, err)]))
+    return code, words
+
+
+def test_bigfield_search_answers_are_pinned():
+    # Computed before the descent moved to word values; distance and
+    # witness codes in both metrics.
+    code, words = _bigfield_words()
+    answers = []
+    for w in words:
+        for metric in ("rank", "hamming"):
+            res = distance_by_search(code, w, metric)
+            answers.append((metric, res.distance, _witness_codes(res.witness)))
+    digest = hashlib.sha256(repr(answers).encode()).hexdigest()
+    assert digest[:16] == "183acba9e411dc0b"
+
+
+def test_search_evaluates_the_representative_at_most_n_times(monkeypatch):
+    code, words = _bigfield_words()
+    calls = []
+    real = LinPoly.__call__
+
+    def counting(self, u):
+        calls.append(1)
+        return real(self, u)
+
+    monkeypatch.setattr(LinPoly, "__call__", counting)
+    res = distance_by_search(code, words[0], "rank")  # a random word: every level
+    assert res.distance == 4
+    assert len(calls) <= code.n
 
 
 # -- equality witnesses ---------------------------------------------------------------

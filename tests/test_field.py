@@ -275,6 +275,14 @@ def test_element_rejects_non_integer_coefficients(gf8, coeffs):
         gf8.element(coeffs)
 
 
+@pytest.mark.parametrize("value", [2.0, None])
+def test_element_rejects_values_that_are_neither_codes_nor_sequences(gf8, value):
+    # These used to escape as TypeError ("'float' object is not iterable"),
+    # which the CLI's exit-1 handler does not catch.
+    with pytest.raises(ValueError, match=f"{value!r} is not a code"):
+        gf8.element(value)
+
+
 def test_element_wrapping_and_context_separation(gf4, gf8):
     with pytest.raises(ValueError):
         gf4.element(4)
@@ -389,4 +397,25 @@ def test_direct_route_above_the_table_limit(p, m):
             u = ctx.frob(u)
         assert u == a
         assert ctx.mul(a, ctx.add(b, c)) == ctx.add(ctx.mul(a, b), ctx.mul(a, c))
+    assert ctx._exp is None  # no table was ever built
+
+
+@pytest.mark.parametrize("p,s,m", [(2, 1, 17), (2, 2, 9), (2, 3, 6), (3, 1, 11)])
+def test_direct_route_kernels_against_their_definitions(p, s, m):
+    # Above the table limit: inv against Fermat, frob against i-fold q-th
+    # powers and _pow_direct against repeated multiplication.
+    ctx = FieldCtx(p, s, m)
+    rng = random.Random(61)
+    for _ in range(12):
+        a = rng.randrange(1, ctx.order)
+        assert ctx.inv(a) == ctx._pow_direct(a, ctx.order - 2)
+        u = a
+        for i in range(m + 1):
+            assert ctx.frob(a, i) == u
+            u = ctx._pow_direct(u, ctx.q)
+        acc = 1
+        for e in range(41):
+            assert ctx._pow_direct(a, e) == acc
+            acc = ctx._mul_direct(acc, a)
+    assert ctx._pow_direct(0, 0) == 1 and ctx._pow_direct(0, 5) == 0
     assert ctx._exp is None  # no table was ever built

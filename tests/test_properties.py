@@ -2,9 +2,12 @@
 
 The raw word scan (coset walk over all order**n words) and the class scan
 (witness descent over one monic class per scalar orbit) share no code
-beyond field arithmetic, so agreement on random codes checks both.
+beyond field arithmetic, so agreement on random codes checks both.  The
+same holds for the single-word search and the codeword-enumerating
+oracle, checked on towers with random irreducible moduli.
 """
 
+import random
 from functools import lru_cache
 
 import pytest
@@ -13,8 +16,10 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from gablab import (FieldCtx, GabidulinCode, covering_radius_raw,  # noqa: E402
-                    covering_radius_scan)
+from gablab import (FieldCtx, GabidulinCode, LinPoly, covering_radius_raw,  # noqa: E402
+                    covering_radius_scan, dist_to_code_exhaustive,
+                    distance_by_search)
+from gablab.field import _poly_is_irreducible  # noqa: E402
 
 WORD_LIMIT = 4096
 
@@ -52,3 +57,72 @@ def test_raw_histogram_is_class_histogram_times_class_size(code):
         scan = covering_radius_scan(code, metric)
         assert radius == scan.radius
         assert hist == {d: c * per_class for d, c in scan.histogram.items()}
+
+
+# (p, s, m, n) for the search-vs-oracle property: p in {2, 3, 5}, n >= 2
+# (at n = 1 every word is a codeword) and order**n <= 2**16; k is drawn
+# with order**k <= CODEWORD_LIMIT, so the oracle's enumeration stays short.
+CODEWORD_LIMIT = 1024
+SEARCH_SHAPES = [(p, s, m, n) for p in (2, 3, 5) for s in (1, 2) for m in range(1, 7)
+                 for n in range(2, m + 1)
+                 if (p ** (s * m)) ** n <= 1 << 16]
+
+
+@lru_cache(maxsize=None)
+def _irreducibles(p: int, d: int) -> list[tuple[int, ...]]:
+    """Every monic irreducible of degree d over F_p, degree 0 first."""
+    out = []
+    for low in range(p ** d):
+        coeffs = [(low // p ** i) % p for i in range(d)] + [1]
+        if _poly_is_irreducible(coeffs, p):
+            out.append(tuple(coeffs))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _ctx_with(p: int, s: int, m: int, modulus: tuple[int, ...]) -> FieldCtx:
+    return FieldCtx(p, s, m, modulus=modulus)
+
+
+@st.composite
+def small_codes_and_words(draw):
+    """A tower with a random irreducible modulus, random independent
+    points, a random k and three words: uniform, a codeword plus an error
+    of F_q-rank <= r and a codeword plus an error on r positions, with r
+    random in 1..n-1."""
+    p, s, m, n = draw(st.sampled_from(SEARCH_SHAPES))
+    ctx = _ctx_with(p, s, m, draw(st.sampled_from(_irreducibles(p, s * m))))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    points = []
+    while len(points) < n:
+        g = rng.randrange(1, ctx.order)
+        if ctx.span_dim(points + [g]) == len(points) + 1:
+            points.append(g)
+    k_max = max(k for k in range(1, n + 1) if ctx.order ** k <= CODEWORD_LIMIT)
+    code = GabidulinCode(ctx, points, rng.randint(1, k_max))
+    scalars = [e.code for e in ctx.subfield_elements()]
+    words = [[rng.randrange(ctx.order) for _ in range(n)]]
+    for kind in ("rank", "support"):
+        msg = LinPoly(ctx, [rng.randrange(ctx.order) for _ in range(code.k)])
+        err = [0] * n
+        r = rng.randint(1, n - 1)
+        if kind == "rank":
+            for _ in range(r):
+                e = rng.randrange(1, ctx.order)
+                err = [ctx.add(x, ctx.mul(rng.choice(scalars), e)) for x in err]
+        else:
+            for j in rng.sample(range(n), r):
+                err[j] = rng.randrange(1, ctx.order)
+        words.append([ctx.add(a, b) for a, b in zip(code.encode(msg).codes, err)])
+    return code, [code.word(w) for w in words]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(case=small_codes_and_words())
+def test_search_distance_equals_oracle(case):
+    code, words = case
+    for w in words:
+        for metric in ("rank", "hamming"):
+            res = distance_by_search(code, w, metric)
+            assert res.distance == dist_to_code_exhaustive(code, w, metric)[0]
+            assert res.is_deep_hole == (res.distance == code.n - code.k)
