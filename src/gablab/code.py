@@ -84,10 +84,19 @@ class Word:
         return f"Word({list(self.codes)})"
 
 
-def _weight_codes(ctx: FieldCtx, codes, metric: str) -> int:
+def _weight_codes(ctx: FieldCtx, codes, metric: str, limit: int | None = None) -> int:
+    """min(weight, limit) of an iterable of codes, drawing none past the
+    point where the weight reaches limit (None: the full weight)."""
     if metric == "rank":
-        return len(ctx._greedy_codes(codes))
-    return sum(1 for c in codes if c)
+        return len(ctx._greedy_codes(codes, limit))
+    w = 0
+    if limit != 0:
+        for c in codes:
+            if c:
+                w += 1
+                if w == limit:
+                    break
+    return w
 
 
 def weight(w: Word, metric: str) -> int:
@@ -195,7 +204,9 @@ class GabidulinCode:
 def dist_to_code_exhaustive(code: GabidulinCode, w: Word, metric: str,
                             oracle_cap: int = DEFAULT_ORACLE_CAP) -> tuple[int, LinPoly]:
     """Exact distance by enumerating every codeword, plus the first-closest
-    message polynomial in canonical order."""
+    message polynomial in canonical order.  Every codeword is visited, but
+    its distance is taken only up to the best so far: the entry differences
+    are drawn lazily, and none past that bound is subtracted or reduced."""
     _check_metric(metric)
     if len(w) != code.n:
         raise ValueError("word length mismatch")
@@ -204,7 +215,7 @@ def dist_to_code_exhaustive(code: GabidulinCode, w: Word, metric: str,
     sub = ctx.sub
     best, best_msg = None, None
     for mc, cw in code.iter_codewords(oracle_cap):
-        d = _weight_codes(ctx, [sub(a, b) for a, b in zip(wc, cw)], metric)
+        d = _weight_codes(ctx, map(sub, wc, cw), metric, best)
         if best is None or d < best:
             best, best_msg = d, mc
             if d == 0:
@@ -214,14 +225,15 @@ def dist_to_code_exhaustive(code: GabidulinCode, w: Word, metric: str,
 
 def min_distance(code: GabidulinCode, metric: str,
                  oracle_cap: int = DEFAULT_ORACLE_CAP) -> int:
-    """Exhaustive minimum weight over the nonzero codewords."""
+    """Exhaustive minimum weight over the nonzero codewords.  Every one is
+    visited; each weight is taken only up to the best so far."""
     _check_metric(metric)
     ctx = code.ctx
     best = None
     for mc, cw in code.iter_codewords(oracle_cap):
         if not any(mc):
             continue
-        d = _weight_codes(ctx, cw, metric)
+        d = _weight_codes(ctx, cw, metric, best)
         if best is None or d < best:
             best = d
             if best == 1:
@@ -242,7 +254,8 @@ def covering_radius_raw(code: GabidulinCode, metric: str,
     and every member of that coset has the same distance, so each unseen
     word's coset is built with ``ctx.sub``, each member's weight is taken
     once, and the minimum is credited to every member not yet seen.  That
-    is order**n weight computations in all, not order**n * |C|.
+    is order**n weight computations in all, not order**n * |C|; every
+    member is visited, its weight taken only up to the coset's best so far.
     """
     _check_metric(metric)
     ctx, n, order = code.ctx, code.n, code.ctx.order
@@ -262,7 +275,9 @@ def covering_radius_raw(code: GabidulinCode, metric: str,
             rem, c = divmod(rem, order)
             wc.append(c)
         coset = [[sub(a, b) for a, b in zip(wc, cw)] for cw in cws]
-        d = min(_weight_codes(ctx, member, metric) for member in coset)
+        d = None
+        for member in coset:
+            d = _weight_codes(ctx, member, metric, d)
         for member in coset:
             j = 0
             for c in reversed(member):

@@ -16,9 +16,12 @@ the same field.
 A ``FieldCtx`` is immutable after construction and every operation is a
 pure function of element codes, so contexts and elements can be shared
 freely between threads and worker processes.  Small fields lazily build a
-discrete-log table pair to speed up multiplication; the direct polynomial
-route stays in place for larger fields and is what builds the tables in
-the first place.  On the direct route in characteristic 2 (packed ints),
+discrete-log table pair for multiplication and, in odd characteristic, a
+Zech-logarithm table zech[i] = log(1 + g**i) (-1 where that sum is 0), so
+a + b = g**(log a + zech[log b - log a]) and -a = g**(log a + (order-1)/2)
+are lookups.  Fields above the table limit build no table and take the
+direct polynomial route, odd additions digit by digit; that route also
+builds the tables.  On the direct route in characteristic 2 (packed ints),
 the inverse is extended Euclid in F_2[x] against the modulus, and the
 q-power map is a**q powered from the top set bit, which for q = 2**s is
 s squarings and no other multiply; odd characteristic takes Fermat's
@@ -292,7 +295,7 @@ class FieldCtx:
 
     __slots__ = (
         "p", "s", "m", "q", "sm", "order", "modulus",
-        "_mod_int", "_n1", "_exp", "_log", "_frob_tab",
+        "_mod_int", "_n1", "_exp", "_log", "_frob_tab", "_zech",
         "_sub_pbasis", "_sub_codes",
     )
 
@@ -333,6 +336,7 @@ class FieldCtx:
         self._exp = None
         self._log = None
         self._frob_tab = None
+        self._zech = None
         self._sub_pbasis = None
         self._sub_codes = None
 
@@ -408,6 +412,17 @@ class FieldCtx:
     def add(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
+        if self._exp is None:
+            if self.order > _TABLE_LIMIT:
+                return self._add_digits(a, b)
+            self._build_tables()
+        if a == 0 or b == 0:
+            return a or b
+        log, n1 = self._log, self._n1
+        z = self._zech[(log[b] - log[a]) % n1]
+        return self._exp[(log[a] + z) % n1] if z >= 0 else 0
+
+    def _add_digits(self, a: int, b: int) -> int:
         p = self.p
         out, mult = 0, 1
         for _ in range(self.sm):
@@ -420,6 +435,10 @@ class FieldCtx:
     def neg(self, a: int) -> int:
         if self.p == 2:
             return a
+        if self._exp is None and self.order <= _TABLE_LIMIT:
+            self._build_tables()
+        if self._exp is not None:
+            return self._exp[(self._log[a] + (self._n1 >> 1)) % self._n1] if a else 0
         p = self.p
         out, mult = 0, 1
         for _ in range(self.sm):
@@ -519,7 +538,11 @@ class FieldCtx:
         frob = [0] * self.order
         for a in range(1, self.order):
             frob[a] = exp[(log[a] * qr) % n1] if n1 > 1 else a
-        self._exp, self._log, self._frob_tab = exp, log, frob
+        zech = None
+        if self.p != 2:
+            zech = [log[t] if t else -1 for t in (self._add_digits(1, e) for e in exp)]
+        # _exp last: the routes test it before reading the other tables.
+        self._log, self._frob_tab, self._zech, self._exp = log, frob, zech, exp
 
     def mul(self, a: int, b: int) -> int:
         if self._exp is None:
@@ -630,8 +653,9 @@ class FieldCtx:
 
     # -- F_q-linear structure --------------------------------------------------
 
-    def _greedy_codes(self, codes) -> list[int]:
-        """The first maximal F_q-independent sublist of codes, in input order.
+    def _greedy_codes(self, codes, limit: int | None = None) -> list[int]:
+        """The first maximal F_q-independent sublist of codes, in input order,
+        or its first ``limit`` members: no code past those is drawn.
 
         Each code is reduced once against one incremental F_p echelon keyed
         by leading position, of packed ints for p = 2 and of digit lists
@@ -643,6 +667,8 @@ class FieldCtx:
         p, lifts = self.p, self._subfield_pbasis()
         rows: dict = {}
         kept = []
+        if limit == 0:
+            return kept
         for c in codes:
             for e in lifts:
                 v = c if e == 1 else self.mul(e, c)
@@ -659,6 +685,8 @@ class FieldCtx:
                     break
             else:
                 kept.append(c)
+                if len(kept) == limit:
+                    break
         return kept
 
     def span_dim(self, elems) -> int:

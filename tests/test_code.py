@@ -2,7 +2,8 @@
 
 covering_radius_raw's coset walk is cross-checked here against one
 dist_to_code_exhaustive call per word (GF(8), GF(9), GF(25), GF(4^2)) and
-against the class scan on GF(27).
+against the class scan on GF(27).  The oracles take weights only up to the
+best so far; a plain full-weight reference checks their answers.
 """
 
 import itertools
@@ -146,6 +147,46 @@ def test_distance_zero_iff_codeword(code24):
         d, msg = dist_to_code_exhaustive(code24, code24.word(cw), "rank")
         assert d == 0
         assert msg.codes == LinPoly(code24.ctx, mc).codes
+
+
+def _full_weight(ctx, codes, metric):
+    return ctx.span_dim(codes) if metric == "rank" else sum(1 for c in codes if c)
+
+
+def _reference_distance(code, w, metric):
+    """Every codeword's full weight; the first strict minimum wins."""
+    ctx, best, best_msg = code.ctx, None, None
+    for mc, cw in code.iter_codewords():
+        d = _full_weight(ctx, [ctx.sub(a, b) for a, b in zip(w.codes, cw)], metric)
+        if best is None or d < best:
+            best, best_msg = d, mc
+    return best, best_msg
+
+
+@pytest.mark.parametrize("ctx_args,n,k", [
+    ((3, 1, 2), 2, 1),   # GF(9)
+    ((3, 1, 3), 3, 1),   # GF(27)
+    ((3, 1, 3), 3, 2),
+    ((2, 1, 4), 4, 2),   # GF(16)
+    ((2, 2, 2), 2, 1),   # tower16, q = 4
+])
+def test_bounded_oracles_match_full_weight_reference(ctx_args, n, k):
+    ctx = FieldCtx(*ctx_args)
+    rng = random.Random(67)
+    points = []
+    while len(points) < n:
+        g = rng.randrange(1, ctx.order)
+        if ctx.span_dim(points + [g]) == len(points) + 1:
+            points.append(g)
+    code = GabidulinCode(ctx, points, k)
+    for metric in ("rank", "hamming"):
+        for _ in range(12):
+            w = code.word([rng.randrange(ctx.order) for _ in range(n)])
+            d, msg = dist_to_code_exhaustive(code, w, metric)
+            ref_d, ref_msg = _reference_distance(code, w, metric)
+            assert (d, msg.codes) == (ref_d, LinPoly(ctx, ref_msg).codes)
+        assert min_distance(code, metric) == min(
+            _full_weight(ctx, cw, metric) for mc, cw in code.iter_codewords() if any(mc))
 
 
 def test_covering_radius_raw_frozen_gf8(gf8_code):

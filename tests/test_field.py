@@ -384,6 +384,20 @@ def test_elimination_against_independent_references(request, field):
                 assert any(v) and not any(_mat_vec(ctx, rows, v))
 
 
+@pytest.mark.parametrize("p,s,m", [(3, 1, 2), (5, 1, 2), (3, 1, 3), (3, 1, 4), (3, 2, 2)])
+def test_zech_route_matches_the_digit_route(p, s, m):
+    # GF(9), GF(25), GF(27), GF(81) and GF(9^2): every pair, table route
+    # against the digit loop.
+    ctx = FieldCtx(p, s, m)
+    for a in range(ctx.order):
+        neg_a = ctx._undigits([-d % p for d in ctx._digits(a)])
+        assert ctx.neg(a) == neg_a
+        for b in range(ctx.order):
+            assert ctx.add(a, b) == ctx._add_digits(a, b)
+            assert ctx.sub(b, a) == ctx.add(b, neg_a)
+    assert ctx._zech is not None
+
+
 @pytest.mark.parametrize("p,m", [(2, 17), (3, 11)])
 def test_direct_route_above_the_table_limit(p, m):
     ctx = FieldCtx(p, 1, m)

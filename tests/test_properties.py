@@ -19,6 +19,7 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 from gablab import (FieldCtx, GabidulinCode, LinPoly, covering_radius_raw,  # noqa: E402
                     covering_radius_scan, dist_to_code_exhaustive,
                     distance_by_search)
+from gablab.code import _weight_codes  # noqa: E402
 from gablab.field import _poly_is_irreducible  # noqa: E402
 
 WORD_LIMIT = 4096
@@ -126,3 +127,26 @@ def test_search_distance_equals_oracle(case):
             res = distance_by_search(code, w, metric)
             assert res.distance == dist_to_code_exhaustive(code, w, metric)[0]
             assert res.is_deep_hole == (res.distance == code.n - code.k)
+
+
+# (p, s, m) towers with p in {2, 3, 5} and s in {1, 2}, order <= 5**4.
+WEIGHT_TOWERS = [(p, s, m) for p in (2, 3, 5) for s in (1, 2) for m in (1, 2, 3)
+                 if p ** (s * m) <= 625]
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(tower=st.sampled_from(WEIGHT_TOWERS), data=st.data())
+def test_bounded_weight_is_the_full_weight_capped(tower, data):
+    ctx = _ctx(*tower)
+    codes = data.draw(st.lists(st.integers(0, ctx.order - 1), max_size=6))
+    for metric in ("rank", "hamming"):
+        full = _weight_codes(ctx, codes, metric)
+        for limit in range(len(codes) + 2):
+            it = iter(codes)
+            assert _weight_codes(ctx, it, metric, limit) == min(full, limit)
+            # Codes are drawn only up to the shortest prefix whose weight
+            # reaches the limit.
+            drawn = len(codes) - len(list(it))
+            assert drawn == next((j for j in range(len(codes) + 1)
+                                  if _weight_codes(ctx, codes[:j], metric) >= limit),
+                                 len(codes))
