@@ -162,15 +162,20 @@ class GabidulinCode:
         return self.ctx.order ** self.k
 
     def iter_codewords(self, oracle_cap: int = DEFAULT_ORACLE_CAP):
-        """(message coefficient codes, codeword codes) pairs, canonical order."""
+        """(message coefficient codes, codeword codes) pairs, canonical order;
+        up to ``_CODEWORD_CACHE_LIMIT`` of them are listed whole on first use."""
         count = self.message_count()
         if count > oracle_cap:
             raise ValueError(
                 f"{count} codewords exceed the oracle cap {oracle_cap}; "
                 "raise the cap to proceed")
-        if self._cw_cache is not None:
-            yield from self._cw_cache
-            return
+        if count > _CODEWORD_CACHE_LIMIT:
+            return self._codewords(count)
+        if self._cw_cache is None:
+            self._cw_cache = list(self._codewords(count))
+        return iter(self._cw_cache)
+
+    def _codewords(self, count: int):
         ctx, k, n = self.ctx, self.k, self.n
         pows = []
         for g in self.points:
@@ -180,7 +185,6 @@ class GabidulinCode:
                     c = ctx.frob(c)
                 row.append(c)
             pows.append(row)
-        collect = [] if count <= _CODEWORD_CACHE_LIMIT else None
         for idx in range(count):
             rem, mc = idx, []
             for _ in range(k):
@@ -193,12 +197,7 @@ class GabidulinCode:
                     if a:
                         acc = ctx.add(acc, ctx.mul(a, pj[i]))
                 wc.append(acc)
-            pair = (tuple(mc), tuple(wc))
-            if collect is not None:
-                collect.append(pair)
-            yield pair
-        if collect is not None:
-            self._cw_cache = collect
+            yield tuple(mc), tuple(wc)
 
 
 def dist_to_code_exhaustive(code: GabidulinCode, w: Word, metric: str,

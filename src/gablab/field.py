@@ -18,22 +18,25 @@ pure function of element codes, so contexts and elements can be shared
 freely between threads and worker processes.  Small fields lazily build a
 discrete-log table pair for multiplication and, in odd characteristic, a
 Zech-logarithm table zech[i] = log(1 + g**i) (-1 where that sum is 0), so
-a + b = g**(log a + zech[log b - log a]) and -a = g**(log a + (order-1)/2)
-are lookups.  Fields above the table limit build no table and take the
-direct polynomial route, odd additions digit by digit; that route also
-builds the tables.  On the direct route in characteristic 2 (packed ints),
-the inverse is extended Euclid in F_2[x] against the modulus, and the
-q-power map is a**q powered from the top set bit, which for q = 2**s is
-s squarings and no other multiply; odd characteristic takes Fermat's
-a**(order - 2) and the same q-th powers.  Codes from different
-contexts must never be mixed; the element wrapper enforces this by
-reference identity of the context.
+a + b = g**(log a + zech[log b - log a]), -a = g**(log a + (order-1)/2)
+and a - b = a + (-b) are lookups.  Fields above the table limit build no
+table and take the direct polynomial route, odd additions digit by digit;
+that route also builds the tables.  The odd-characteristic F_q-rank
+echelon (``FieldCtx._greedy_codes``) reduces codes, not digit lists, with
+``sub`` and ``mul`` on either route.  On the direct route in
+characteristic 2 (packed ints), the inverse is extended Euclid in F_2[x]
+against the modulus, and the q-power map is a**q powered from the top set
+bit, which for q = 2**s is s squarings and no other multiply; odd
+characteristic takes Fermat's a**(order - 2) and the same q-th powers.
+Codes from different contexts must never be mixed; the element wrapper
+enforces this by reference identity of the context.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from bisect import bisect_right
 
 DEFAULT_FIELD_CAP = 1 << 24
 
@@ -268,20 +271,11 @@ def _prime_field(p: int) -> "FieldCtx":
     return FieldCtx(p, 1, 1)
 
 
-def _echelon_insert_digits(rows: dict, v: list[int], p: int) -> bool:
-    """Reduce a digit vector against an F_p echelon keyed by leading
-    position, rows stored with leading digit 1, and insert the remainder;
-    False when v reduces to zero (it lies in the span)."""
-    for lead in range(len(v) - 1, -1, -1):
-        f = v[lead]
-        if f:
-            w = rows.get(lead)
-            if w is None:
-                inv = pow(f, p - 2, p)
-                rows[lead] = [x * inv % p for x in v]
-                return True
-            v = [(a - f * b) % p for a, b in zip(v, w)]
-    return False
+@functools.cache
+def _fp_tables(p: int, sm: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """p**i for i < sm (a code's leading base-p position is the last i with
+    p**i <= code) and the digits' inverses mod p (0 for 0)."""
+    return tuple(p ** i for i in range(sm)), (0,) + tuple(pow(f, -1, p) for f in range(1, p))
 
 
 class FieldCtx:
@@ -450,6 +444,8 @@ class FieldCtx:
     def sub(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
+        if b and self._exp is not None:
+            return self.add(a, self._exp[(self._log[b] + (self._n1 >> 1)) % self._n1])
         return self.add(a, self.neg(b))
 
     def _mul_direct(self, a: int, b: int) -> int:
@@ -658,20 +654,23 @@ class FieldCtx:
         or its first ``limit`` members: no code past those is drawn.
 
         Each code is reduced once against one incremental F_p echelon keyed
-        by leading position, of packed ints for p = 2 and of digit lists
-        otherwise.  Its first lift (by 1, so unmultiplied) reduces to zero
-        exactly when the code is dependent; otherwise the code is kept and
-        its lifts by the rest of the F_p-basis of F_q (none when s = 1)
-        enter the echelon too.
+        by leading base-p position, of packed ints for p = 2 and of codes
+        otherwise, an odd row kept as it comes with its leading digit's
+        inverse: a code with leading digit f there loses r = f / (row's
+        digit) mod p times the row (no multiply when r = 1).  Its first lift
+        (by 1, so unmultiplied) reduces to zero exactly when the code is
+        dependent; otherwise the code is kept and its lifts by the rest of
+        the F_p-basis of F_q (none when s = 1) enter the echelon too.
         """
         p, lifts = self.p, self._subfield_pbasis()
+        (pw, inv), mul, sub = _fp_tables(p, self.sm), self.mul, self.sub
         rows: dict = {}
         kept = []
         if limit == 0:
             return kept
         for c in codes:
             for e in lifts:
-                v = c if e == 1 else self.mul(e, c)
+                v = c if e == 1 else mul(e, c)
                 if p == 2:
                     while v:
                         w = rows.get(v.bit_length() - 1)
@@ -680,7 +679,14 @@ class FieldCtx:
                             break
                         v ^= w
                 else:
-                    v = _echelon_insert_digits(rows, self._digits(v), p)
+                    while v:
+                        lead = bisect_right(pw, v) - 1
+                        row = rows.get(lead)
+                        if row is None:
+                            rows[lead] = (v, inv[v // pw[lead]])
+                            break
+                        r = v // pw[lead] * row[1] % p
+                        v = sub(v, row[0] if r == 1 else mul(r, row[0]))
                 if not v:
                     break
             else:

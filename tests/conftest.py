@@ -1,4 +1,5 @@
-"""Shared fixtures: small field contexts and codes reused across the suite.
+"""Shared fixtures: small field contexts and codes reused across the suite,
+and an F_q-rank reference that shares no code with the rank echelon.
 
 Everything here is deterministic and cheap to build; session scope just
 avoids rebuilding the same lazy tables in every test module.
@@ -7,6 +8,26 @@ avoids rebuilding the same lazy tables in every test module.
 import pytest
 
 from gablab import FieldCtx, GabidulinCode
+from gablab.field import _eliminate, _prime_field
+
+
+def _greedy_reference(ctx: FieldCtx, codes) -> list[int]:
+    """The first maximal F_q-independent sublist of codes, by a route
+    independent of ``FieldCtx._greedy_codes``: a code is kept when the F_p
+    digit matrix of the lifts (by ``_subfield_pbasis()``) of the kept codes
+    and it has full rank under ``_eliminate`` over the prime field."""
+    fp, lifts = _prime_field(ctx.p), ctx._subfield_pbasis()
+    kept = []
+    for c in codes:
+        rows = [ctx._digits(ctx.mul(e, x)) for x in kept + [c] for e in lifts]
+        if len(_eliminate(fp, rows, ctx.sm)[1]) == ctx.s * (len(kept) + 1):
+            kept.append(c)
+    return kept
+
+
+@pytest.fixture(scope="session")
+def greedy_reference():
+    return _greedy_reference
 
 
 @pytest.fixture(scope="session")

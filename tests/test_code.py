@@ -3,9 +3,12 @@
 covering_radius_raw's coset walk is cross-checked here against one
 dist_to_code_exhaustive call per word (GF(8), GF(9), GF(25), GF(4^2)) and
 against the class scan on GF(27).  The oracles take weights only up to the
-best so far; a plain full-weight reference checks their answers.
+best so far; a plain full-weight reference, with rank weights from the
+independent elimination in ``conftest``, checks their answers.  A pinned
+digest holds the oracle answers on odd-characteristic codes fixed.
 """
 
+import hashlib
 import itertools
 import random
 
@@ -149,15 +152,18 @@ def test_distance_zero_iff_codeword(code24):
         assert msg.codes == LinPoly(code24.ctx, mc).codes
 
 
-def _full_weight(ctx, codes, metric):
-    return ctx.span_dim(codes) if metric == "rank" else sum(1 for c in codes if c)
+def _full_weight(ctx, codes, metric, greedy_reference):
+    if metric == "rank":
+        return len(greedy_reference(ctx, codes))
+    return sum(1 for c in codes if c)
 
 
-def _reference_distance(code, w, metric):
+def _reference_distance(code, w, metric, greedy_reference):
     """Every codeword's full weight; the first strict minimum wins."""
     ctx, best, best_msg = code.ctx, None, None
     for mc, cw in code.iter_codewords():
-        d = _full_weight(ctx, [ctx.sub(a, b) for a, b in zip(w.codes, cw)], metric)
+        d = _full_weight(ctx, [ctx.sub(a, b) for a, b in zip(w.codes, cw)], metric,
+                         greedy_reference)
         if best is None or d < best:
             best, best_msg = d, mc
     return best, best_msg
@@ -170,7 +176,7 @@ def _reference_distance(code, w, metric):
     ((2, 1, 4), 4, 2),   # GF(16)
     ((2, 2, 2), 2, 1),   # tower16, q = 4
 ])
-def test_bounded_oracles_match_full_weight_reference(ctx_args, n, k):
+def test_bounded_oracles_match_full_weight_reference(ctx_args, n, k, greedy_reference):
     ctx = FieldCtx(*ctx_args)
     rng = random.Random(67)
     points = []
@@ -183,10 +189,64 @@ def test_bounded_oracles_match_full_weight_reference(ctx_args, n, k):
         for _ in range(12):
             w = code.word([rng.randrange(ctx.order) for _ in range(n)])
             d, msg = dist_to_code_exhaustive(code, w, metric)
-            ref_d, ref_msg = _reference_distance(code, w, metric)
+            ref_d, ref_msg = _reference_distance(code, w, metric, greedy_reference)
             assert (d, msg.codes) == (ref_d, LinPoly(ctx, ref_msg).codes)
         assert min_distance(code, metric) == min(
-            _full_weight(ctx, cw, metric) for mc, cw in code.iter_codewords() if any(mc))
+            _full_weight(ctx, cw, metric, greedy_reference)
+            for mc, cw in code.iter_codewords() if any(mc))
+
+
+def test_codeword_cache_survives_an_early_stop():
+    # The first oracle call meets a codeword and stops at distance 0; the
+    # enumeration it started must still fill the cache.
+    ctx = FieldCtx(3, 1, 3)
+    code = GabidulinCode(ctx, (1, 3, 9), 2)
+    cw = code.encode(LinPoly(ctx, (5, 7)))
+    d, msg = dist_to_code_exhaustive(code, cw, "rank")
+    assert (d, msg.codes) == (0, (5, 7))
+    assert code._cw_cache is not None and len(code._cw_cache) == 729
+    fresh = GabidulinCode(ctx, (1, 3, 9), 2)
+    assert code._cw_cache == list(fresh.iter_codewords())
+    rng = random.Random(71)
+    for metric in ("rank", "hamming"):
+        for _ in range(4):
+            w = code.word([rng.randrange(ctx.order) for _ in range(3)])
+            d, msg = dist_to_code_exhaustive(code, w, metric)
+            ref_d, ref_msg = dist_to_code_exhaustive(fresh, w, metric)
+            assert (d, msg.codes) == (ref_d, ref_msg.codes)
+        assert min_distance(code, metric) == min_distance(fresh, metric) == 2
+
+
+# (p, s, m), n, k: the oracle-odd shape GF(81) n=4 k=2 and small odd
+# codes, points 1, p, p**2, ...
+ORACLE_DIGEST_CODES = [((3, 1, 4), 4, 2), ((3, 1, 3), 3, 1), ((3, 1, 3), 3, 2),
+                       ((5, 1, 2), 2, 1), ((3, 2, 2), 2, 1)]
+RAW_DIGEST_CODES = [((3, 1, 2), 2, 1), ((3, 1, 3), 2, 1)]
+
+
+def test_odd_characteristic_oracle_answers_match_pinned_digest():
+    # Per code and metric: five seeded words, one codeword, min_distance;
+    # then the raw scan's radius and histogram.  Pinned from the digit-list
+    # echelon that preceded the code-level one.
+    answers = []
+    for (p, s, m), n, k in ORACLE_DIGEST_CODES:
+        ctx = FieldCtx(p, s, m)
+        code = GabidulinCode(ctx, [p ** i for i in range(n)], k)
+        rng = random.Random(f"oracle/{p}/{s}/{m}/{n}/{k}")
+        for metric in ("rank", "hamming"):
+            for _ in range(5):
+                w = code.word([rng.randrange(ctx.order) for _ in range(n)])
+                d, msg = dist_to_code_exhaustive(code, w, metric)
+                answers.append((d, msg.codes))
+            cw = code.encode(LinPoly(ctx, [rng.randrange(ctx.order) for _ in range(k)]))
+            d, msg = dist_to_code_exhaustive(code, cw, metric)
+            answers.append((d, msg.codes))
+            answers.append(min_distance(code, metric))
+    for (p, s, m), n, k in RAW_DIGEST_CODES:
+        code = GabidulinCode(FieldCtx(p, s, m), [p ** i for i in range(n)], k)
+        for metric in ("rank", "hamming"):
+            answers.append(covering_radius_raw(code, metric))
+    assert hashlib.sha256(repr(answers).encode()).hexdigest()[:16] == "f7d1ff4b9b05ffec"
 
 
 def test_covering_radius_raw_frozen_gf8(gf8_code):

@@ -4,7 +4,8 @@ The raw word scan (coset walk over all order**n words) and the class scan
 (witness descent over one monic class per scalar orbit) share no code
 beyond field arithmetic, so agreement on random codes checks both.  The
 same holds for the single-word search and the codeword-enumerating
-oracle, checked on towers with random irreducible moduli.
+oracle, checked on towers with random irreducible moduli.  The rank
+echelon is checked against an elimination over the prime field.
 """
 
 import random
@@ -150,3 +151,51 @@ def test_bounded_weight_is_the_full_weight_capped(tower, data):
             assert drawn == next((j for j in range(len(codes) + 1)
                                   if _weight_codes(ctx, codes[:j], metric) >= limit),
                                  len(codes))
+
+
+# (p, s, m) towers with p in {2, 3, 5, 7}, s in {1, 2} and order <= 7**4.
+GREEDY_TOWERS = [(p, s, m) for p in (2, 3, 5, 7) for s in (1, 2) for m in (1, 2, 3, 4)
+                 if p ** (s * m) <= 7 ** 4]
+
+
+def _dependent_codes(ctx: FieldCtx, base: list[int], combos, perm) -> list[int]:
+    """base, then one F_q-combination of base per entry of combos (its
+    scalars index F_q), permuted by perm."""
+    scalars = [e.code for e in ctx.subfield_elements()]
+    codes = list(base)
+    for coeffs in combos:
+        acc = 0
+        for c, x in zip(coeffs, base):
+            acc = ctx.add(acc, ctx.mul(scalars[c % len(scalars)], x))
+        codes.append(acc)
+    return [codes[i] for i in perm]
+
+
+def _check_greedy(ctx: FieldCtx, codes: list[int], greedy_reference) -> None:
+    ref = greedy_reference(ctx, codes)
+    assert ctx._greedy_codes(codes) == ref
+    for limit in range(len(codes) + 2):
+        assert ctx._greedy_codes(codes, limit) == ref[:limit]
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(tower=st.sampled_from(GREEDY_TOWERS), data=st.data())
+def test_greedy_codes_match_prime_field_elimination(tower, data, greedy_reference):
+    ctx = _ctx(*tower)
+    base = data.draw(st.lists(st.integers(0, ctx.order - 1), max_size=4))
+    combos = data.draw(st.lists(st.lists(st.integers(0, ctx.q - 1), min_size=len(base),
+                                         max_size=len(base)), max_size=3))
+    perm = data.draw(st.permutations(range(len(base) + len(combos))))
+    _check_greedy(ctx, _dependent_codes(ctx, base, combos, perm), greedy_reference)
+
+
+@pytest.mark.parametrize("p,s,m", [(3, 1, 11), (5, 1, 7), (3, 2, 6)])
+def test_greedy_codes_on_the_direct_route(p, s, m, greedy_reference):
+    ctx = _ctx(p, s, m)
+    rng = random.Random(f"greedy/{p}/{s}/{m}")
+    for _ in range(12):
+        base = [rng.randrange(ctx.order) for _ in range(rng.randint(0, 4))]
+        combos = [[rng.randrange(ctx.q) for _ in base] for _ in range(rng.randint(0, 3))]
+        perm = rng.sample(range(len(base) + len(combos)), len(base) + len(combos))
+        _check_greedy(ctx, _dependent_codes(ctx, base, combos, perm), greedy_reference)
+    assert ctx._exp is None
