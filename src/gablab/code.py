@@ -17,7 +17,7 @@ witnesses are the first minimizer in that order.
 from __future__ import annotations
 
 from .field import FieldCtx, FieldElement
-from .linpoly import LinPoly, SubspaceBasis, q_lagrange
+from .linpoly import LinPoly, SubspaceBasis, _moore_rows, q_lagrange
 
 DEFAULT_ORACLE_CAP = 1 << 20
 DEFAULT_WORD_SCAN_CAP = 1 << 20
@@ -177,14 +177,7 @@ class GabidulinCode:
 
     def _codewords(self, count: int):
         ctx, k, n = self.ctx, self.k, self.n
-        pows = []
-        for g in self.points:
-            row, c = [], g.code
-            for i in range(k):
-                if i:
-                    c = ctx.frob(c)
-                row.append(c)
-            pows.append(row)
+        pows = _moore_rows(ctx, [g.code for g in self.points], k)
         for idx in range(count):
             rem, mc = idx, []
             for _ in range(k):
@@ -207,6 +200,8 @@ def dist_to_code_exhaustive(code: GabidulinCode, w: Word, metric: str,
     its distance is taken only up to the best so far: the entry differences
     are drawn lazily, and none past that bound is subtracted or reduced."""
     _check_metric(metric)
+    if not isinstance(w, Word) or w.ctx is not code.ctx:
+        raise ValueError("word must live over the code's field context")
     if len(w) != code.n:
         raise ValueError("word length mismatch")
     ctx = code.ctx

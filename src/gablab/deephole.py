@@ -15,10 +15,9 @@ distance == n - k in both metrics.
 Scaling f by a nonzero field scalar lam scales the word and permutes the
 code (the code is F_{q^m}-linear), and both weights are invariant under
 entry scaling, so distance is constant on scalar orbits.  The witness is
-too: q-Lagrange interpolation is F_{q^m}-linear in its values (the
-interpolant is unique), so the interpolant v through lam*f's values is
-lam times the one through f's, and each test v(u) == f(u) holds for lam*f
-exactly when it holds for f, in both metrics.  The descent therefore
+too: a candidate's Moore system with right side lam*f's values has the
+solutions lam*v of the one with f's values, so it is consistent for lam*f
+exactly when it is for f, in both metrics.  The descent therefore
 accepts at the same level with the same first witness in canonical order,
 which is why class scans classify one monic class per orbit.
 
@@ -28,7 +27,11 @@ is an F_q-combination u = sum_j c_j g_j of the points (an RREF row of
 F_q-linear, so f(u) = sum_j c_j f(g_j): the same combination of f's values
 on the points, which are the word's entries.  ``classify_poly`` evaluates f
 once on the points; each candidate's values are row combinations of those
-codes (XORs when q = 2), and only the interpolant v is evaluated, on codes.
+codes (XORs when q = 2).  A candidate U with generators u_1..u_t accepts
+when the t x k Moore system sum_i v_i u_j^(q^i) = f(u_j) is consistent:
+one elimination on codes, with no polynomial built or evaluated.  Its
+rank is k (t >= k independent generators), so a solution is unique and
+is the interpolant through u_1..u_k, which then agrees with f on all of U.
 """
 
 from __future__ import annotations
@@ -41,10 +44,11 @@ from dataclasses import dataclass
 
 from .code import (GabidulinCode, Word, _check_metric, format_code_spec,
                    parse_code_spec)
-from .field import FieldCtx, FieldElement
-from .linpoly import (LinPoly, NEG_INF, SubspaceBasis, annihilator,
-                      minor_coeff, q_lagrange)
-from .subspaces import _combine_rows, gaussian_binomial, subspace_bases
+from .field import FieldCtx, FieldElement, _solve
+from .linpoly import (LinPoly, NEG_INF, SubspaceBasis, _moore_rows, annihilator,
+                      minor_coeff)
+from .linpoly import q_lagrange  # noqa: F401  unused; bench/gabtrace.py patches it here
+from .subspaces import _combine_rows, subspace_bases
 
 DEFAULT_SUBSPACE_CAP = 10 ** 6
 DEFAULT_CLASS_SCAN_CAP = 1 << 20
@@ -124,15 +128,14 @@ def equality_witness(code: GabidulinCode, f: LinPoly, metric: str,
 
 def _accepting_cover(code: GabidulinCode, fvals: list[int], t: int, metric: str,
                      subspace_cap: int):
-    """First t-level witness (U, v interpolated through its first k members
-    matching f on the rest), or None.  ``fvals`` are f's values on the
+    """First t-level witness U whose t x k Moore system (row j: u_j^(q^i)
+    for i < k, right side f(u_j)) is consistent, or None: a solution is a v
+    of q-degree < k agreeing with f on U.  ``fvals`` are f's values on the
     points; f's values on U's generators are their row combinations."""
     ctx, k = code.ctx, code.k
     for wit, basis in _candidates(code, t, metric, subspace_cap):
-        vals = _combine_rows(ctx, basis._rows, fvals)
-        gens = basis.gens
-        v = q_lagrange(SubspaceBasis._unchecked(ctx, gens[:k]), vals[:k])
-        if all(v._eval(u.code) == y for u, y in zip(gens[k:], vals[k:])):
+        rows = _moore_rows(ctx, [g.code for g in basis.gens], k)
+        if _solve(ctx, rows, _combine_rows(ctx, basis._rows, fvals)) is not None:
             return wit
     return None
 

@@ -15,13 +15,14 @@ the same field.
 
 A ``FieldCtx`` is immutable after construction and every operation is a
 pure function of element codes, so contexts and elements can be shared
-freely between threads and worker processes.  Small fields lazily build a
-discrete-log table pair for multiplication and, in odd characteristic, a
-Zech-logarithm table zech[i] = log(1 + g**i) (-1 where that sum is 0), so
+freely between threads and worker processes.  Fields up to the table
+limit build, once at construction, a discrete-log table pair for
+multiplication and, in odd characteristic, a Zech-logarithm table
+zech[i] = log(1 + g**i) (-1 where that sum is 0), so
 a + b = g**(log a + zech[log b - log a]), -a = g**(log a + (order-1)/2)
-and a - b = a + (-b) are lookups.  Fields above the table limit build no
-table and take the direct polynomial route, odd additions digit by digit;
-that route also builds the tables.  The odd-characteristic F_q-rank
+and a - b = a + (-b) are lookups.  Fields above the limit build no table
+and take the direct polynomial route, odd additions digit by digit; the
+tables are built with that route.  The odd-characteristic F_q-rank
 echelon (``FieldCtx._greedy_codes``) reduces codes, not digit lists, with
 ``sub`` and ``mul`` on either route.  On the direct route in
 characteristic 2 (packed ints), the inverse is extended Euclid in F_2[x]
@@ -327,10 +328,9 @@ class FieldCtx:
             self.modulus = mod
         self._mod_int = sum(c << i for i, c in enumerate(self.modulus)) if p == 2 else 0
         self._n1 = order - 1
-        self._exp = None
-        self._log = None
-        self._frob_tab = None
-        self._zech = None
+        self._exp = self._log = self._frob_tab = self._zech = None
+        if order <= _TABLE_LIMIT:
+            self._build_tables()
         self._sub_pbasis = None
         self._sub_codes = None
 
@@ -407,9 +407,7 @@ class FieldCtx:
         if self.p == 2:
             return a ^ b
         if self._exp is None:
-            if self.order > _TABLE_LIMIT:
-                return self._add_digits(a, b)
-            self._build_tables()
+            return self._add_digits(a, b)
         if a == 0 or b == 0:
             return a or b
         log, n1 = self._log, self._n1
@@ -429,8 +427,6 @@ class FieldCtx:
     def neg(self, a: int) -> int:
         if self.p == 2:
             return a
-        if self._exp is None and self.order <= _TABLE_LIMIT:
-            self._build_tables()
         if self._exp is not None:
             return self._exp[(self._log[a] + (self._n1 >> 1)) % self._n1] if a else 0
         p = self.p
@@ -508,9 +504,6 @@ class FieldCtx:
         return g1
 
     def _build_tables(self):
-        # Benign under races: every builder computes identical tables.
-        if self._exp is not None:
-            return
         n1 = self._n1
         if n1 <= 1:
             g = 1 % self.order
@@ -537,14 +530,11 @@ class FieldCtx:
         zech = None
         if self.p != 2:
             zech = [log[t] if t else -1 for t in (self._add_digits(1, e) for e in exp)]
-        # _exp last: the routes test it before reading the other tables.
         self._log, self._frob_tab, self._zech, self._exp = log, frob, zech, exp
 
     def mul(self, a: int, b: int) -> int:
         if self._exp is None:
-            if self.order > _TABLE_LIMIT:
-                return self._mul_direct(a, b)
-            self._build_tables()
+            return self._mul_direct(a, b)
         if a == 0 or b == 0:
             return 0
         return self._exp[(self._log[a] + self._log[b]) % self._n1]
@@ -552,8 +542,6 @@ class FieldCtx:
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        if self._exp is None and self.order <= _TABLE_LIMIT:
-            self._build_tables()
         if self._exp is not None:
             return self._exp[(-self._log[a]) % self._n1] if self._n1 > 1 else a
         if self.p == 2:
@@ -568,8 +556,6 @@ class FieldCtx:
             if e < 0:
                 raise ZeroDivisionError("inverse of zero")
             return 0 if e else 1 % self.order
-        if self._exp is None and self.order <= _TABLE_LIMIT:
-            self._build_tables()
         if self._exp is not None:
             return self._exp[(self._log[a] * e) % self._n1] if self._n1 > 1 else a
         if e < 0:
@@ -583,8 +569,6 @@ class FieldCtx:
         i %= self.m
         if i == 0:
             return a
-        if self._frob_tab is None and self.order <= _TABLE_LIMIT:
-            self._build_tables()
         if self._frob_tab is not None:
             tab = self._frob_tab
             for _ in range(i):

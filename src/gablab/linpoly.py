@@ -254,6 +254,21 @@ class SubspaceBasis:
 # order, scaled to 1, then back substitution.
 
 
+def _moore_rows(ctx: FieldCtx, codes, k: int) -> list[list[int]]:
+    """[c, c^q, ..., c^(q^(k-1))] for each code c: the transposed k-row
+    Moore matrix of the codes, one row per code."""
+    frob = ctx.frob
+    out = []
+    for c in codes:
+        row = []
+        for i in range(k):
+            if i:
+                c = frob(c)
+            row.append(c)
+        out.append(row)
+    return out
+
+
 def matrix_rank(rows) -> int:
     """Rank over the field of a matrix of FieldElements."""
     rows = [list(r) for r in rows]
@@ -283,6 +298,8 @@ class MooreMatrix:
             row_exps = tuple(range(len(elems)))
         else:
             row_exps = tuple(row_exps)
+            if not row_exps:
+                raise ValueError("a Moore matrix needs at least one row")
             if any(type(e) is not int for e in row_exps):
                 raise ValueError(f"row exponents must be integers, got {row_exps!r}")
             if any(e < 0 for e in row_exps):
@@ -292,16 +309,8 @@ class MooreMatrix:
         self.ctx = ctx
         self.elems = elems
         self.row_exps = row_exps
-        codes = [e.code for e in elems]
-        entries = []
-        prev_exp = 0
-        row = list(codes)
-        for e in row_exps:
-            for _ in range(e - prev_exp):
-                row = [ctx.frob(c) for c in row]
-            prev_exp = e
-            entries.append(list(row))
-        self.entries = entries
+        powers = _moore_rows(ctx, [e.code for e in elems], row_exps[-1] + 1)
+        self.entries = [[r[e] for r in powers] for e in row_exps]
 
     def det(self) -> FieldElement:
         if len(self.row_exps) != len(self.elems):
@@ -374,15 +383,8 @@ def q_lagrange(points: SubspaceBasis, values) -> LinPoly:
         raise ValueError("point/value count mismatch")
     if n == 0:
         raise ValueError("interpolation needs at least one point")
-    rows = []
-    for g in points.gens:
-        row, c = [], g.code
-        for i in range(n):
-            if i:
-                c = ctx.frob(c)
-            row.append(c)
-        rows.append(row)
-    sol = _solve(ctx, rows, [v.code for v in values])
+    sol = _solve(ctx, _moore_rows(ctx, [g.code for g in points.gens], n),
+                 [v.code for v in values])
     return LinPoly(ctx, sol)
 
 

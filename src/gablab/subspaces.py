@@ -41,9 +41,6 @@ def subspace_bases(ambient: SubspaceBasis, t: int, cap: int | None = None):
     if cap is not None and count > cap:
         raise ValueError(
             f"{count} candidate subspaces exceed the cap {cap}; raise the cap to proceed")
-    if t == 0:
-        yield SubspaceBasis._unchecked(ctx, (), [])
-        return
     scalars = [e.code for e in ctx.subfield_elements()]
     gcodes = [g.code for g in ambient.gens]
     for pivots in itertools.combinations(range(n), t):

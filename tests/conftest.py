@@ -2,7 +2,7 @@
 and an F_q-rank reference that shares no code with the rank echelon.
 
 Everything here is deterministic and cheap to build; session scope just
-avoids rebuilding the same lazy tables in every test module.
+avoids rebuilding the same field tables in every test module.
 """
 
 import pytest

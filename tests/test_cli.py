@@ -147,6 +147,13 @@ GOLDEN_CENSUS = {
              {"rank": "a02c7aeb442b7006", "hamming": "42eb4d56da425b24"}),
     "tower16": ("p=2\ns=2\nm=2\nn=2\nk=1\ng=1,4\n",
                 {"rank": "2249b8471979dc81", "hamming": "5a7b3bbeecf1a37b"}),
+    # k >= 2 outside GF(16): the descent's acceptance at levels t > k.
+    "gf32k3": ("p=2\ns=1\nm=5\nn=5\nk=3\ng=1,2,4,8,16\n",
+               {"rank": "febca9cb0492f7c2", "hamming": "56b8ff906b4d3b52"}),
+    "gf81k2": ("p=3\ns=1\nm=4\nn=4\nk=2\ng=1,3,9,27\n",
+               {"rank": "43d757f07e919952", "hamming": "aabe49b351f7eaca"}),
+    "tower64k2": ("p=2\ns=2\nm=3\nn=3\nk=2\ng=1,4,16\n",
+                  {"rank": "2eb4adddc674cf39", "hamming": "eb73f8c81f684e7b"}),
 }
 
 

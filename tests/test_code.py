@@ -111,6 +111,19 @@ def test_sigma_inverse_round_trip(code24):
         assert code24.sigma_inverse(code24.evaluate(f)) == f
 
 
+@pytest.mark.parametrize("other, codes", [
+    (FieldCtx(2, 1, 5), (31, 17, 20, 3)),                    # another order
+    (FieldCtx(2, 1, 4, (1, 0, 0, 1, 1)), (5, 6, 7, 8)),      # GF(16), x^4+x^3+1
+], ids=["gf32", "gf16-other-modulus"])
+def test_oracle_rejects_a_word_over_another_field(code24, other, codes):
+    w = Word(other, codes)
+    for metric in ("rank", "hamming"):
+        with pytest.raises(ValueError, match="code's field context"):
+            dist_to_code_exhaustive(code24, w, metric)
+    with pytest.raises(ValueError, match="code's field context"):
+        code24.sigma_inverse(w)
+
+
 def test_iter_codewords_order_and_cache(gf4_code):
     pairs = list(gf4_code.iter_codewords())
     # canonical order: message coefficient tuples ascend, degree-0 fastest

@@ -252,6 +252,8 @@ def test_moore_matrix_validation(gf16):
     with pytest.raises(ValueError):
         MooreMatrix(e, row_exps=(-1, 0))
     with pytest.raises(ValueError):
+        MooreMatrix(e, row_exps=())  # no rows, as no columns
+    with pytest.raises(ValueError):
         MooreMatrix(e, row_exps=(0,)).det()  # rectangular slice has no det
     m = MooreMatrix(e, row_exps=(0, 2))
     assert m.det().code == moore_det(e, deleted_row=1).code
