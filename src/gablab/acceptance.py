@@ -23,8 +23,8 @@ from .deephole import (classify_poly, covering_radius_scan, equality_witness,
                        _pair_quadric_value, quadric_census, quadric_v,
                        ratio_lemma_check)
 from .field import BasisSpec, FieldCtx, FieldElement
-from .linpoly import (LinPoly, MooreMatrix, SubspaceBasis, annihilator,
-                      matrix_rank, minor_coeff, root_space)
+from .linpoly import (LinPoly, MooreMatrix, annihilator, matrix_rank, minor_coeff,
+                      root_space)
 from .subspaces import subspace_bases
 
 

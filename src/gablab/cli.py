@@ -90,7 +90,7 @@ def _cmd_field(args) -> int:
         "modulus=" + ",".join(str(c) for c in ctx.modulus),
         f"n={code.n}",
         f"k={code.k}",
-        "g=" + ",".join(str(g.code) for g in code.points),
+        "g=" + ",".join(str(c) for c in code.span.codes),
     ]
     _emit(args, "\n".join(lines) + "\n")
     return 0

@@ -16,7 +16,7 @@ witnesses are the first minimizer in that order.
 
 from __future__ import annotations
 
-from .field import FieldCtx, FieldElement
+from .field import FieldCtx, FieldElement, _base_digits, _from_base_digits
 from .linpoly import LinPoly, SubspaceBasis, _moore_rows, q_lagrange
 
 DEFAULT_ORACLE_CAP = 1 << 20
@@ -33,38 +33,37 @@ def _check_metric(metric: str) -> str:
 
 
 class Word:
-    """A length-n tuple of field elements; subtraction is entry-wise."""
+    """A length-n tuple of field elements; addition and subtraction are
+    entry-wise.  The entries are stored as their integer ``codes``;
+    ``entries`` wraps them in FieldElements on each read."""
 
-    __slots__ = ("ctx", "entries")
+    __slots__ = ("ctx", "codes")
 
     def __init__(self, ctx: FieldCtx, entries):
         self.ctx = ctx
-        self.entries = tuple(ctx.element(e) for e in entries)
-        if not self.entries:
+        self.codes = tuple(ctx.element(e).code for e in entries)
+        if not self.codes:
             raise ValueError("a word needs at least one entry")
 
     @property
-    def codes(self) -> tuple[int, ...]:
-        return tuple(e.code for e in self.entries)
+    def entries(self) -> tuple[FieldElement, ...]:
+        return tuple(FieldElement(self.ctx, c) for c in self.codes)
+
+    def _entrywise(self, other: "Word", op) -> "Word":
+        if not isinstance(other, Word) or other.ctx is not self.ctx:
+            raise ValueError("word arithmetic needs matching contexts")
+        if len(other.codes) != len(self.codes):
+            raise ValueError("word length mismatch")
+        return Word(self.ctx, [op(a, b) for a, b in zip(self.codes, other.codes)])
 
     def __sub__(self, other: "Word") -> "Word":
-        if not isinstance(other, Word) or other.ctx is not self.ctx:
-            raise ValueError("word arithmetic needs matching contexts")
-        if len(other.entries) != len(self.entries):
-            raise ValueError("word length mismatch")
-        ctx = self.ctx
-        return Word(ctx, [ctx.sub(a.code, b.code) for a, b in zip(self.entries, other.entries)])
+        return self._entrywise(other, self.ctx.sub)
 
     def __add__(self, other: "Word") -> "Word":
-        if not isinstance(other, Word) or other.ctx is not self.ctx:
-            raise ValueError("word arithmetic needs matching contexts")
-        if len(other.entries) != len(self.entries):
-            raise ValueError("word length mismatch")
-        ctx = self.ctx
-        return Word(ctx, [ctx.add(a.code, b.code) for a, b in zip(self.entries, other.entries)])
+        return self._entrywise(other, self.ctx.add)
 
     def __len__(self):
-        return len(self.entries)
+        return len(self.codes)
 
     def __iter__(self):
         return iter(self.entries)
@@ -127,7 +126,7 @@ class GabidulinCode:
 
     def __repr__(self):
         return (f"GabidulinCode(n={self.n}, k={self.k}, "
-                f"points={[g.code for g in self.points]})")
+                f"points={list(self.span.codes)})")
 
     def encode(self, msg: LinPoly) -> Word:
         if not isinstance(msg, LinPoly) or msg.ctx is not self.ctx:
@@ -150,7 +149,7 @@ class GabidulinCode:
             raise ValueError("word must live over the code's field context")
         if len(w) != self.n:
             raise ValueError("word length mismatch")
-        return q_lagrange(self.span, w.entries)
+        return q_lagrange(self.span, w.codes)
 
     def word(self, codes) -> Word:
         w = Word(self.ctx, codes)
@@ -177,12 +176,9 @@ class GabidulinCode:
 
     def _codewords(self, count: int):
         ctx, k, n = self.ctx, self.k, self.n
-        pows = _moore_rows(ctx, [g.code for g in self.points], k)
+        pows = _moore_rows(ctx, self.span.codes, k)
         for idx in range(count):
-            rem, mc = idx, []
-            for _ in range(k):
-                rem, c = divmod(rem, ctx.order)
-                mc.append(c)
+            mc = _base_digits(idx, ctx.order, k)
             wc = []
             for j in range(n):
                 acc, pj = 0, pows[j]
@@ -264,18 +260,13 @@ def covering_radius_raw(code: GabidulinCode, metric: str,
     for idx in range(total):
         if seen[idx]:
             continue
-        rem, wc = idx, []
-        for _ in range(n):
-            rem, c = divmod(rem, order)
-            wc.append(c)
+        wc = _base_digits(idx, order, n)
         coset = [[sub(a, b) for a, b in zip(wc, cw)] for cw in cws]
         d = None
         for member in coset:
             d = _weight_codes(ctx, member, metric, d)
         for member in coset:
-            j = 0
-            for c in reversed(member):
-                j = j * order + c
+            j = _from_base_digits(member, order)
             if not seen[j]:
                 seen[j] = 1
                 hist[d] = hist.get(d, 0) + 1
@@ -337,6 +328,6 @@ def format_code_spec(code: GabidulinCode) -> str:
         "modulus=" + ",".join(str(c) for c in ctx.modulus),
         f"n={code.n}",
         f"k={code.k}",
-        "g=" + ",".join(str(g.code) for g in code.points),
+        "g=" + ",".join(str(c) for c in code.span.codes),
     ]
     return "\n".join(lines) + "\n"

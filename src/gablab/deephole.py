@@ -44,11 +44,12 @@ from dataclasses import dataclass
 
 from .code import (GabidulinCode, Word, _check_metric, format_code_spec,
                    parse_code_spec)
-from .field import FieldCtx, FieldElement, _solve
+from .field import (FieldCtx, FieldElement, _base_digits, _combine_rows,
+                    _from_base_digits, _solve)
 from .linpoly import (LinPoly, NEG_INF, SubspaceBasis, _moore_rows, annihilator,
                       minor_coeff)
 from .linpoly import q_lagrange  # noqa: F401  unused; bench/gabtrace.py patches it here
-from .subspaces import _combine_rows, subspace_bases
+from .subspaces import subspace_bases
 
 DEFAULT_SUBSPACE_CAP = 10 ** 6
 DEFAULT_CLASS_SCAN_CAP = 1 << 20
@@ -95,7 +96,7 @@ def _candidates(code: GabidulinCode, t: int, metric: str, cap: int):
     if count > cap:
         raise ValueError(
             f"{count} candidate subsets exceed the cap {cap}; raise the cap to proceed")
-    ctx, points = code.ctx, code.points
+    ctx, points = code.ctx, code.span.codes
     units = [[int(j == i) for j in range(n)] for i in range(n)]
     for idx in itertools.combinations(range(n), t):
         yield idx, SubspaceBasis._unchecked(ctx, [points[i] for i in idx],
@@ -134,7 +135,7 @@ def _accepting_cover(code: GabidulinCode, fvals: list[int], t: int, metric: str,
     points; f's values on U's generators are their row combinations."""
     ctx, k = code.ctx, code.k
     for wit, basis in _candidates(code, t, metric, subspace_cap):
-        rows = _moore_rows(ctx, [g.code for g in basis.gens], k)
+        rows = _moore_rows(ctx, basis.codes, k)
         if _solve(ctx, rows, _combine_rows(ctx, basis._rows, fvals)) is not None:
             return wit
     return None
@@ -215,20 +216,15 @@ class ScanResult:
 
 
 def _class_poly(code: GabidulinCode, idx: int) -> LinPoly:
-    ctx, k, n = code.ctx, code.k, code.n
-    coeffs = [0] * k
-    rem = idx
-    for _ in range(n - k):
-        rem, c = divmod(rem, ctx.order)
-        coeffs.append(c)
-    return LinPoly(ctx, coeffs)
+    k = code.k
+    return LinPoly(code.ctx, [0] * k + _base_digits(idx, code.ctx.order, code.n - k))
 
 
 def _witness_codes(wit) -> tuple[int, ...] | None:
     if wit is None:
         return None
     if isinstance(wit, SubspaceBasis):
-        return tuple(g.code for g in wit.gens)
+        return wit.codes
     return tuple(wit)
 
 
@@ -308,17 +304,13 @@ def covering_radius_scan(code: GabidulinCode, metric: str,
     if collect_rows:
         rows = []
         for idx in range(total):
-            rem, digits = idx, []
-            for _ in range(width):
-                rem, c = divmod(rem, order)
-                digits.append(c)
+            digits = _base_digits(idx, order, width)
             while digits and digits[-1] == 0:
                 digits.pop()
             unit = 0
             if digits:
                 lead_inv = ctx.inv(digits[-1])
-                for c in reversed(digits):
-                    unit = unit * order + ctx.mul(lead_inv, c)
+                unit = _from_base_digits([ctx.mul(lead_inv, c) for c in digits], order)
             dist, deep, wit = by_unit[unit]
             codes = (0,) * code.k + tuple(digits) if digits else ()
             rows.append((idx, codes, metric, dist, deep, wit))
@@ -430,7 +422,7 @@ def family_check(code: GabidulinCode, kind: str, *, a=None, b=None, c=None,
             span_codes = sorted(code.span.element_codes())
             pool = [x for x in span_codes if x]
         else:
-            pool = [g.code for g in code.points]
+            pool = list(code.span.codes)
         hit = any(_pair_quadric_value(ctx, b1, b2) == bc
                   for b1, b2 in itertools.combinations(pool, 2))
         predicted = PREDICT_NOT_DEEP if hit else PREDICT_DEEP

@@ -31,6 +31,12 @@ bit, which for q = 2**s is s squarings and no other multiply; odd
 characteristic takes Fermat's a**(order - 2) and the same q-th powers.
 Codes from different contexts must never be mixed; the element wrapper
 enforces this by reference identity of the context.
+
+Two helpers serve every module: ``_combine_rows`` forms F_q-combinations
+of a list of codes (subspace generators, coordinates, subfield members),
+and ``_base_digits`` / ``_from_base_digits`` convert between an integer
+and its least-significant-first digits in any base (element codes over
+p, class, message and word indices over the field order).
 """
 
 from __future__ import annotations
@@ -77,6 +83,28 @@ def _prime_factors(n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
+# Base-b digit vectors, least significant first: element codes over p
+# (``FieldCtx._digits``), class and message indices over the field order.
+
+
+def _base_digits(x: int, base: int, width: int) -> list[int]:
+    """The ``width`` lowest base-``base`` digits of x, least significant first."""
+    out = []
+    for _ in range(width):
+        x, d = divmod(x, base)
+        out.append(d)
+    return out
+
+
+def _from_base_digits(ds, base: int) -> int:
+    """sum(ds[i] * base**i) for a digit sequence ds; inverts _base_digits."""
+    x = 0
+    for d in reversed(ds):
+        x = x * base + d
+    return x
+
+
+# ---------------------------------------------------------------------------
 # Dense polynomials over F_p (coefficient lists, degree 0 first, trimmed).
 # Only used for modulus handling; element arithmetic works on codes.
 
@@ -85,17 +113,6 @@ def _ptrim(c: list[int]) -> list[int]:
     while c and c[-1] == 0:
         c.pop()
     return c
-
-
-def _pmul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _ptrim([c % p for c in out])
 
 
 def _pdivmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
@@ -167,11 +184,7 @@ def _poly_is_irreducible(poly: list[int], p: int) -> bool:
 def _smallest_irreducible(p: int, d: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree d over F_p."""
     for code in range(p ** d):
-        low, rem = [], code
-        for _ in range(d):
-            rem, dig = divmod(rem, p)
-            low.append(dig)
-        cand = low + [1]
+        cand = _base_digits(code, p, d) + [1]
         if _poly_is_irreducible(cand, p):
             return tuple(cand)
     raise ValueError(f"no irreducible polynomial of degree {d} over GF({p})")  # unreachable
@@ -251,6 +264,22 @@ def _solve(ctx, rows, rhs) -> list[int] | None:
     if any(col[len(pivots):]):
         return None
     return _back_substitute(ctx, red, pivots, [0] * n, col)
+
+
+def _combine_rows(ctx, rows, codes) -> list[int]:
+    """sum_j row[j] * codes[j] for each row of coefficient codes: the
+    F_q-combinations of a basis that subspace rows, coordinates and
+    subfield members denote.  A coefficient 1 costs one addition and no
+    multiplication, a coefficient 0 nothing."""
+    add, mul = ctx.add, ctx.mul
+    out = []
+    for row in rows:
+        acc = 0
+        for c, x in zip(row, codes):
+            if c:
+                acc = add(acc, x if c == 1 else mul(c, x))
+        out.append(acc)
+    return out
 
 
 def _nullspace(ctx, rows) -> list[list[int]]:
@@ -379,27 +408,16 @@ class FieldCtx:
             raise ValueError("prime field: the residue of x is not an element generator")
         return FieldElement(self, self.p)
 
-    def elements(self):
-        return (FieldElement(self, c) for c in range(self.order))
-
     def random_element(self, rng) -> "FieldElement":
         return FieldElement(self, rng.randrange(self.order))
 
     # -- digit plumbing -------------------------------------------------------
 
     def _digits(self, a: int) -> list[int]:
-        p = self.p
-        out = []
-        for _ in range(self.sm):
-            a, r = divmod(a, p)
-            out.append(r)
-        return out
+        return _base_digits(a, self.p, self.sm)
 
     def _undigits(self, ds) -> int:
-        code = 0
-        for d in reversed(list(ds)):
-            code = code * self.p + d
-        return code
+        return _from_base_digits(ds, self.p)
 
     # -- code arithmetic ------------------------------------------------------
 
@@ -616,20 +634,19 @@ class FieldCtx:
             self._sub_pbasis = tuple(codes)
         return self._sub_pbasis
 
-    def subfield_elements(self) -> tuple["FieldElement", ...]:
-        """All q elements of F_q inside the top field, ascending by code."""
+    def _subfield_codes(self) -> tuple[int, ...]:
+        """Codes of the q elements of F_q inside the top field, ascending."""
         if self._sub_codes is None:
-            basis = self._subfield_pbasis()
-            codes = set()
-            for combo in itertools.product(range(self.p), repeat=self.s):
-                acc = 0
-                for c, e in zip(combo, basis):
-                    acc = self.add(acc, self.mul(c, e))
-                codes.add(acc)
+            combos = itertools.product(range(self.p), repeat=self.s)
+            codes = set(_combine_rows(self, combos, self._subfield_pbasis()))
             if len(codes) != self.q:
                 raise AssertionError("subfield enumeration produced a wrong count")
             self._sub_codes = tuple(sorted(codes))
-        return tuple(FieldElement(self, c) for c in self._sub_codes)
+        return self._sub_codes
+
+    def subfield_elements(self) -> tuple["FieldElement", ...]:
+        """All q elements of F_q inside the top field, ascending by code."""
+        return tuple(FieldElement(self, c) for c in self._subfield_codes())
 
     # -- F_q-linear structure --------------------------------------------------
 
@@ -701,13 +718,9 @@ class FieldCtx:
         sol = _solve(_prime_field(self.p), rows, self._digits(u.code))
         if sol is None:
             raise AssertionError("full basis failed to span the field")
-        out = []
-        for i in range(self.m):
-            acc = 0
-            for j, e in enumerate(lifts):
-                acc = self.add(acc, self.mul(sol[i * self.s + j], e))
-            out.append(FieldElement(self, acc))
-        return out
+        s = self.s
+        rows = [sol[i * s:(i + 1) * s] for i in range(self.m)]
+        return [FieldElement(self, c) for c in _combine_rows(self, rows, lifts)]
 
 
 class FieldElement:

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import itertools
 
-from .field import (FieldCtx, FieldElement, _det, _eliminate, _nullspace, _prime_field,
-                    _solve)
+from .field import (FieldCtx, FieldElement, _combine_rows, _det, _eliminate, _nullspace,
+                    _prime_field, _solve)
 
 NEG_INF = float("-inf")
 
@@ -181,61 +181,59 @@ class SubspaceBasis:
 
     Construction rejects dependent generators, so a SubspaceBasis is a
     certificate of independence; the empty basis spans the zero space.
-    ``_rows``, when not None, holds the F_q coefficient rows (codes) that
-    write each generator over an ambient basis it was drawn from.
+    The generators are stored as their integer ``codes``; ``gens`` wraps
+    them in FieldElements on each read.  ``_rows``, when not None, holds
+    the F_q coefficient rows (codes) that write each generator over an
+    ambient basis it was drawn from.
     """
 
-    __slots__ = ("ctx", "gens", "_rows")
+    __slots__ = ("ctx", "codes", "_rows")
 
     def __init__(self, ctx: FieldCtx, gens=()):
-        gens = tuple(ctx.element(g) for g in gens)
-        if ctx.span_dim(gens) != len(gens):
+        codes = tuple(ctx.element(g).code for g in gens)
+        if len(ctx._greedy_codes(codes)) != len(codes):
             raise ValueError("dependent generators cannot form a subspace basis")
         self.ctx = ctx
-        self.gens = gens
+        self.codes = codes
         self._rows = None
 
     @classmethod
-    def _unchecked(cls, ctx: FieldCtx, gens, rows=None) -> "SubspaceBasis":
-        """Wrap FieldElements that are independent by construction: the
-        RREF enumeration's output, prefixes of a basis, subsets of a
-        code's points and greedy output.  Nothing is re-checked; ``rows``
-        are the generators' coefficient rows over the ambient basis."""
+    def _unchecked(cls, ctx: FieldCtx, codes, rows=None) -> "SubspaceBasis":
+        """Wrap codes that are independent by construction: the RREF
+        enumeration's output, subsets of a code's points and root spaces.
+        Nothing is re-checked; ``rows`` are the generators' coefficient
+        rows over the ambient basis."""
         self = object.__new__(cls)
         self.ctx = ctx
-        self.gens = tuple(gens)
+        self.codes = tuple(codes)
         self._rows = rows
         return self
 
     @property
-    def dim(self) -> int:
-        return len(self.gens)
+    def gens(self) -> tuple[FieldElement, ...]:
+        return tuple(FieldElement(self.ctx, c) for c in self.codes)
 
-    def elements(self):
-        """All q^dim span members, coefficient odometer order (last gen fastest)."""
-        ctx = self.ctx
-        scalars = [e.code for e in ctx.subfield_elements()]
-        gcodes = [g.code for g in self.gens]
-        for combo in itertools.product(scalars, repeat=len(gcodes)):
-            acc = 0
-            for c, g in zip(combo, gcodes):
-                acc = ctx.add(acc, ctx.mul(c, g))
-            yield FieldElement(ctx, acc)
+    @property
+    def dim(self) -> int:
+        return len(self.codes)
 
     def element_codes(self) -> frozenset[int]:
-        return frozenset(e.code for e in self.elements())
+        """Codes of all q^dim span members."""
+        ctx = self.ctx
+        combos = itertools.product(ctx._subfield_codes(), repeat=self.dim)
+        return frozenset(_combine_rows(ctx, combos, self.codes))
 
     def contains(self, u) -> bool:
-        u = self.ctx.element(u)
-        if u.code == 0:
-            return True
-        return self.ctx.span_dim(self.gens + (u,)) == self.dim
+        u = self.ctx.element(u).code
+        return u == 0 or len(self.ctx._greedy_codes(self.codes + (u,))) == self.dim
 
     def same_span(self, other: "SubspaceBasis") -> bool:
-        return self.dim == other.dim and all(self.contains(g) for g in other.gens)
+        if other.ctx is not self.ctx:
+            raise ValueError("subspaces of different field contexts")
+        return self.dim == other.dim and all(self.contains(c) for c in other.codes)
 
     def __len__(self):
-        return len(self.gens)
+        return len(self.codes)
 
     def __iter__(self):
         return iter(self.gens)
@@ -244,7 +242,7 @@ class SubspaceBasis:
         return self.gens[i]
 
     def __repr__(self):
-        return f"SubspaceBasis({[g.code for g in self.gens]})"
+        return f"SubspaceBasis({list(self.codes)})"
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +289,8 @@ class MooreMatrix:
         elems = tuple(elems)
         if not elems:
             raise ValueError("a Moore matrix needs at least one column")
+        if not all(isinstance(e, FieldElement) for e in elems):
+            raise ValueError("Moore matrix entries must be field elements")
         ctx = elems[0].ctx
         if any(e.ctx is not ctx for e in elems):
             raise ValueError("Moore matrix entries from mixed field contexts")
@@ -341,8 +341,8 @@ def annihilator(basis: SubspaceBasis) -> LinPoly:
         raise TypeError("annihilator takes a SubspaceBasis")
     ctx = basis.ctx
     a = LinPoly.x(ctx)
-    for w in basis.gens:
-        val = a._eval(w.code)
+    for w in basis.codes:
+        val = a._eval(w)
         if val == 0:
             raise ValueError("dependent generators passed to annihilator")
         c = ctx.pow(val, ctx.q - 1)
@@ -356,7 +356,7 @@ def root_space(f: LinPoly) -> SubspaceBasis:
         raise ValueError("the zero polynomial has the whole field as roots")
     ctx = f.ctx
     n = ctx.sm
-    cols = [ctx._digits(f(FieldElement(ctx, ctx.p ** j)).code) for j in range(n)]
+    cols = [ctx._digits(f._eval(ctx.p ** j)) for j in range(n)]
     rows = [[col[d] for col in cols] for d in range(n)]
     null = _nullspace(_prime_field(ctx.p), rows)
     kept = ctx._greedy_codes(sorted(ctx._undigits(v) for v in null))
@@ -365,7 +365,7 @@ def root_space(f: LinPoly) -> SubspaceBasis:
     dim = len(kept)
     if f.deg_q is not NEG_INF and dim > f.deg_q:
         raise AssertionError("root space larger than the q-degree")
-    return SubspaceBasis._unchecked(ctx, [FieldElement(ctx, c) for c in kept])
+    return SubspaceBasis._unchecked(ctx, kept)
 
 
 def q_lagrange(points: SubspaceBasis, values) -> LinPoly:
@@ -377,15 +377,13 @@ def q_lagrange(points: SubspaceBasis, values) -> LinPoly:
     if not isinstance(points, SubspaceBasis):
         raise TypeError("interpolation points must form a SubspaceBasis")
     ctx = points.ctx
-    values = [ctx.element(v) for v in values]
+    values = [ctx.element(v).code for v in values]
     n = points.dim
     if len(values) != n:
         raise ValueError("point/value count mismatch")
     if n == 0:
         raise ValueError("interpolation needs at least one point")
-    sol = _solve(ctx, _moore_rows(ctx, [g.code for g in points.gens], n),
-                 [v.code for v in values])
-    return LinPoly(ctx, sol)
+    return LinPoly(ctx, _solve(ctx, _moore_rows(ctx, points.codes, n), values))
 
 
 def q_lagrange_by_minors(points: SubspaceBasis, values) -> LinPoly:
@@ -399,20 +397,17 @@ def q_lagrange_by_minors(points: SubspaceBasis, values) -> LinPoly:
     n = points.dim
     if len(values) != n:
         raise ValueError("point/value count mismatch")
-    den = moore_det(points.gens)
+    gens = points.gens
+    den = moore_det(gens)
     if den.code == 0:
         raise ValueError("interpolation points are dependent")
     inv_den = ctx.inv(den.code)
     total = LinPoly.zero(ctx)
     for i in range(n):
-        others = points.gens[:i] + points.gens[i + 1:]
+        others = gens[:i] + gens[i + 1:]
         coeffs = []
         for t in range(n):
-            if others:
-                exps = [e for e in range(n) if e != t]
-                sub = MooreMatrix(others, exps).det().code
-            else:
-                sub = 1
+            sub = moore_det(others, deleted_row=t).code if others else 1
             if (t + n - 1) % 2:
                 sub = ctx.neg(sub)
             coeffs.append(sub)
@@ -434,6 +429,7 @@ def minor_coeff(basis: SubspaceBasis, i: int) -> FieldElement:
     t = basis.dim
     if not 1 <= i <= t:
         raise ValueError(f"coefficient index must lie in 1..{t}")
-    num = moore_det(basis.gens, deleted_row=t - i)
-    den = moore_det(basis.gens)
+    gens = basis.gens
+    num = moore_det(gens, deleted_row=t - i)
+    den = moore_det(gens)
     return num / den

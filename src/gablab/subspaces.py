@@ -6,15 +6,16 @@ yields each subspace once, in a reproducible order: pivot-column tuples
 ascend lexicographically, and for a fixed pivot tuple the free entries run
 through F_q (ascending element code) as an odometer whose last listed cell
 varies fastest.  Free cells are listed row-major.  Each yielded basis
-carries its coefficient rows, so a caller can form the same F_q-combinations
-of any other values attached to the ambient generators.
+holds its generators as integer codes (no FieldElement is built) and
+carries its coefficient rows, so a caller can form the same
+F_q-combinations of any other values attached to the ambient generators.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .field import FieldElement
+from .field import _combine_rows
 from .linpoly import SubspaceBasis
 
 
@@ -41,8 +42,7 @@ def subspace_bases(ambient: SubspaceBasis, t: int, cap: int | None = None):
     if cap is not None and count > cap:
         raise ValueError(
             f"{count} candidate subspaces exceed the cap {cap}; raise the cap to proceed")
-    scalars = [e.code for e in ctx.subfield_elements()]
-    gcodes = [g.code for g in ambient.gens]
+    scalars = ctx._subfield_codes()
     for pivots in itertools.combinations(range(n), t):
         pivot_set = set(pivots)
         free_cells = [(i, j)
@@ -55,19 +55,5 @@ def subspace_bases(ambient: SubspaceBasis, t: int, cap: int | None = None):
                 rows[i][pc] = 1
             for (i, j), c in zip(free_cells, assign):
                 rows[i][j] = c
-            gens = [FieldElement(ctx, g) for g in _combine_rows(ctx, rows, gcodes)]
-            yield SubspaceBasis._unchecked(ctx, gens, rows)
+            yield SubspaceBasis._unchecked(ctx, _combine_rows(ctx, rows, ambient.codes), rows)
 
-
-def _combine_rows(ctx, rows, codes) -> list[int]:
-    """sum_j row[j] * codes[j] for each row of F_q coefficient codes; a
-    coefficient 1 costs one addition and no multiplication."""
-    add, mul = ctx.add, ctx.mul
-    out = []
-    for row in rows:
-        acc = 0
-        for c, x in zip(row, codes):
-            if c:
-                acc = add(acc, x if c == 1 else mul(c, x))
-        out.append(acc)
-    return out

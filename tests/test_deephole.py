@@ -14,7 +14,7 @@ import random
 import pytest
 
 from gablab import deephole
-from gablab import (FieldCtx, GabidulinCode, LinPoly, annihilator,
+from gablab import (FieldCtx, FieldElement, GabidulinCode, LinPoly, annihilator,
                     classify_poly, covering_radius_scan,
                     dist_to_code_exhaustive, distance_by_search,
                     equality_witness, excluded_leading_set, family_check,
@@ -157,6 +157,26 @@ def test_search_evaluates_the_representative_at_most_n_times(monkeypatch):
     res = distance_by_search(code, words[0], "rank")  # a random word: every level
     assert res.distance == 4
     assert len(calls) <= code.n
+
+
+def test_search_builds_few_field_elements(monkeypatch):
+    # Candidates are walked on integer codes: a FieldElement is built only
+    # at the API edge (the word, the points, f's values on them), never
+    # per candidate subspace.
+    ctx = FieldCtx(2, 1, 6)
+    code = GabidulinCode(ctx, [2 ** j for j in range(6)], 1)
+    w = code.word([5, 9, 17, 33, 3, 40])
+    built = []
+    real = FieldElement.__init__
+
+    def counting(self, ctx, code):
+        built.append(1)
+        real(self, ctx, code)
+
+    monkeypatch.setattr(FieldElement, "__init__", counting)
+    res = distance_by_search(code, w, "rank")
+    assert res.witness.dim == code.n - res.distance
+    assert len(built) <= 30
 
 
 # -- equality witnesses ---------------------------------------------------------------

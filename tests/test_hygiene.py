@@ -1,0 +1,66 @@
+"""Source hygiene of the package, read with ``ast`` alone.
+
+Every name a module imports is used there, unless its import line says
+``# noqa: F401`` (a name kept so that outside tooling can patch it in
+that module); ``__init__.py`` only re-exports.  Every private function or
+method defined in the package is referenced somewhere in the package
+besides its own definition.
+"""
+
+import ast
+import collections
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "gablab"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _parse(path):
+    text = path.read_text(encoding="utf-8")
+    return text.splitlines(), ast.parse(text, filename=str(path))
+
+
+def _name_counts(tree) -> collections.Counter:
+    """Occurrences of every bare name and every attribute name in the tree."""
+    out = collections.Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+    return out
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    lines, tree = _parse(path)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if any("# noqa: F401" in ln for ln in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            name = (alias.asname or alias.name).split(".")[0]
+            if name != "annotations" and name not in used:
+                unused.append(name)
+    assert not unused, f"{path.name} imports unused names: {unused}"
+
+
+def test_every_private_function_is_referenced():
+    defined, referenced = [], collections.Counter()
+    for path in MODULES:
+        _, tree = _parse(path)
+        referenced += _name_counts(tree)
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and node.name.startswith("_") and not node.name.endswith("__")):
+                defined.append((path.name, node))
+    # A function's references to itself (recursion) do not keep it alive.
+    dead = [f"{mod}: {node.name}" for mod, node in defined
+            if referenced[node.name] <= _name_counts(node)[node.name]]
+    assert not dead, f"private functions with no reference: {dead}"

@@ -259,6 +259,10 @@ def test_moore_matrix_validation(gf16):
     assert m.det().code == moore_det(e, deleted_row=1).code
     with pytest.raises(ValueError):
         moore_det(e, deleted_row=5)
+    with pytest.raises(ValueError, match="must be field elements"):
+        MooreMatrix([1, 2])  # plain codes carry no field context
+    with pytest.raises(ValueError, match="must be field elements"):
+        moore_det([1, 2])
 
 
 def test_moore_matrix_rejects_non_integer_row_exponents(gf16):

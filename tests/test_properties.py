@@ -17,10 +17,11 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from gablab import (FieldCtx, GabidulinCode, LinPoly, covering_radius_raw,  # noqa: E402
-                    covering_radius_scan, dist_to_code_exhaustive,
-                    distance_by_search)
+from gablab import (FieldCtx, GabidulinCode, LinPoly, classify_poly,  # noqa: E402
+                    covering_radius_raw, covering_radius_scan,
+                    dist_to_code_exhaustive, distance_by_search)
 from gablab.code import _weight_codes  # noqa: E402
+from gablab.deephole import _class_poly, _witness_codes  # noqa: E402
 from gablab.field import _poly_is_irreducible  # noqa: E402
 
 WORD_LIMIT = 4096
@@ -56,9 +57,14 @@ def test_raw_histogram_is_class_histogram_times_class_size(code):
     per_class = code.ctx.order ** code.k
     for metric in ("rank", "hamming"):
         radius, hist = covering_radius_raw(code, metric)
-        scan = covering_radius_scan(code, metric)
+        scan = covering_radius_scan(code, metric, collect_rows=True)
         assert radius == scan.radius
         assert hist == {d: c * per_class for d, c in scan.histogram.items()}
+        # A class's row is its orbit unit's answer; it must be the class's own.
+        for idx, _, _, dist, deep, wit in scan.rows:
+            res = classify_poly(code, _class_poly(code, idx), metric)
+            assert (dist, deep, wit) == (res.distance, res.is_deep_hole,
+                                         _witness_codes(res.witness))
 
 
 # (p, s, m, n) for the search-vs-oracle property: p in {2, 3, 5}, n >= 2
