@@ -5,11 +5,11 @@ brute-force distance oracles, deep-hole classification in rank and Hamming
 metrics, and the structured word families, all at desk scale.
 """
 
-from .field import BasisSpec, FieldCtx, FieldElement
+from .field import BasisSpec, FieldCtx, FieldElement, gaussian_binomial
 from .linpoly import (LinPoly, MooreMatrix, NEG_INF, SubspaceBasis,
                       annihilator, matrix_rank, minor_coeff, moore_det,
                       q_lagrange, q_lagrange_by_minors, root_space)
-from .subspaces import gaussian_binomial, subspace_bases
+from .subspaces import subspace_bases
 from .code import (GabidulinCode, METRICS, Word, covering_radius_raw,
                    dist_to_code_exhaustive, format_code_spec, load_code_spec,
                    min_distance, parse_code_spec, weight)
@@ -22,11 +22,11 @@ from .deephole import (ClassifyResult, FamilyVerdict, QuadricCensus,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BasisSpec", "FieldCtx", "FieldElement",
+    "BasisSpec", "FieldCtx", "FieldElement", "gaussian_binomial",
     "LinPoly", "MooreMatrix", "NEG_INF", "SubspaceBasis",
     "annihilator", "matrix_rank", "minor_coeff", "moore_det",
     "q_lagrange", "q_lagrange_by_minors", "root_space",
-    "gaussian_binomial", "subspace_bases",
+    "subspace_bases",
     "GabidulinCode", "METRICS", "Word", "covering_radius_raw",
     "dist_to_code_exhaustive", "format_code_spec", "load_code_spec",
     "min_distance", "parse_code_spec", "weight",

@@ -11,10 +11,23 @@ The distance functions here enumerate codewords outright and are the
 ground truth the fast search paths in :mod:`gablab.deephole` are tested
 against.  Enumeration order of messages is canonical: coefficient tuples
 ascend with the degree-0 coefficient varying fastest, and reported
-witnesses are the first minimizer in that order.
+witnesses are the first minimizer in that order.  Codeword i is the
+evaluation of the message whose coefficient codes are the base-order
+digits of i, so a message is rebuilt from its index when it is needed.
+
+Codes with at most ``_CODEWORD_CACHE_LIMIT`` codewords list them on first
+use in one flat list of entry codes, n per codeword; the messages are not
+stored.  Rank weights walk the field's F_q-span automaton where it has
+one (see :mod:`gablab.field`).  The rank oracle on such a field builds,
+per word, one table of the differences w_j - x for every entry j and
+every code x, so each codeword then costs a few list lookups and no
+field operation: its walk stops once the dimension reaches the best so
+far.  Other fields reduce the differences with the F_p echelon.
 """
 
 from __future__ import annotations
+
+import itertools
 
 from .field import FieldCtx, FieldElement, _base_digits, _from_base_digits
 from .linpoly import LinPoly, SubspaceBasis, _moore_rows, q_lagrange
@@ -87,7 +100,7 @@ def _weight_codes(ctx: FieldCtx, codes, metric: str, limit: int | None = None) -
     """min(weight, limit) of an iterable of codes, drawing none past the
     point where the weight reaches limit (None: the full weight)."""
     if metric == "rank":
-        return len(ctx._greedy_codes(codes, limit))
+        return ctx._rank_codes(codes, limit)
     w = 0
     if limit != 0:
         for c in codes:
@@ -161,8 +174,17 @@ class GabidulinCode:
         return self.ctx.order ** self.k
 
     def iter_codewords(self, oracle_cap: int = DEFAULT_ORACLE_CAP):
-        """(message coefficient codes, codeword codes) pairs, canonical order;
-        up to ``_CODEWORD_CACHE_LIMIT`` of them are listed whole on first use."""
+        """(message coefficient codes, codeword codes) pairs, canonical order."""
+        order, k = self.ctx.order, self.k
+        messages = (tuple(_base_digits(i, order, k)) for i in itertools.count())
+        return zip(messages, self._codeword_rows(oracle_cap))
+
+    def _codeword_rows(self, oracle_cap: int):
+        """The codewords' entry tuples in canonical order: codeword i is the
+        evaluation of the message whose digits are those of i in base order.
+        Up to ``_CODEWORD_CACHE_LIMIT`` codewords are listed on first use in
+        one flat list of entry codes, n per codeword, and later passes are
+        served from it."""
         count = self.message_count()
         if count > oracle_cap:
             raise ValueError(
@@ -171,10 +193,11 @@ class GabidulinCode:
         if count > _CODEWORD_CACHE_LIMIT:
             return self._codewords(count)
         if self._cw_cache is None:
-            self._cw_cache = list(self._codewords(count))
-        return iter(self._cw_cache)
+            self._cw_cache = list(itertools.chain.from_iterable(self._codewords(count)))
+        return zip(*[iter(self._cw_cache)] * self.n)
 
     def _codewords(self, count: int):
+        """The first count codewords' entry tuples, evaluated one by one."""
         ctx, k, n = self.ctx, self.k, self.n
         pows = _moore_rows(ctx, self.span.codes, k)
         for idx in range(count):
@@ -186,7 +209,7 @@ class GabidulinCode:
                     if a:
                         acc = ctx.add(acc, ctx.mul(a, pj[i]))
                 wc.append(acc)
-            yield tuple(mc), tuple(wc)
+            yield tuple(wc)
 
 
 def dist_to_code_exhaustive(code: GabidulinCode, w: Word, metric: str,
@@ -194,42 +217,68 @@ def dist_to_code_exhaustive(code: GabidulinCode, w: Word, metric: str,
     """Exact distance by enumerating every codeword, plus the first-closest
     message polynomial in canonical order.  Every codeword is visited, but
     its distance is taken only up to the best so far: the entry differences
-    are drawn lazily, and none past that bound is subtracted or reduced."""
+    are drawn lazily, and none past that bound is taken.  The message is
+    rebuilt from the codeword's index only when the best improves."""
     _check_metric(metric)
     if not isinstance(w, Word) or w.ctx is not code.ctx:
         raise ValueError("word must live over the code's field context")
     if len(w) != code.n:
         raise ValueError("word length mismatch")
     ctx = code.ctx
-    wc = w.codes
-    sub = ctx.sub
-    best, best_msg = None, None
-    for mc, cw in code.iter_codewords(oracle_cap):
-        d = _weight_codes(ctx, map(sub, wc, cw), metric, best)
-        if best is None or d < best:
-            best, best_msg = d, mc
-            if d == 0:
+    rows = code._codeword_rows(oracle_cap)
+    if metric == "rank" and ctx._span_zero is not None:
+        best, best_idx = _span_walk_min(ctx, w.codes, rows)
+    else:
+        wc, sub = w.codes, ctx.sub
+        best, best_idx = None, None
+        for idx, cw in enumerate(rows):
+            d = _weight_codes(ctx, map(sub, wc, cw), metric, best)
+            if best is None or d < best:
+                best, best_idx = d, idx
+                if d == 0:
+                    break
+    return best, LinPoly(ctx, _base_digits(best_idx, ctx.order, code.k))
+
+
+def _span_walk_min(ctx: FieldCtx, wc, rows) -> tuple[int, int]:
+    """(rank distance, index) of the first codeword among rows closest to
+    the word wc, through ctx's span automaton.  One table per entry,
+    diffs[j][x] = wc[j] - x, holds every difference the walk can draw, so
+    each codeword costs list lookups only: its walk stops as soon as the
+    dimension reaches the best so far, and a walk that ends below it is
+    the new best."""
+    sub, order = ctx.sub, ctx.order
+    diffs = [[sub(a, x) for x in range(order)] for a in wc]
+    zero, step = ctx._span_zero, ctx._span_step
+    best, best_idx = None, None
+    for idx, cw in enumerate(rows):
+        state = zero
+        for dj, x in zip(diffs, cw):
+            e = dj[x]
+            state = state[e] or step(state, e)
+            if state[order] == best:
                 break
-    return best, LinPoly(ctx, best_msg)
+        else:
+            best, best_idx = state[order], idx
+            if best == 0:
+                break
+    return best, best_idx
 
 
 def min_distance(code: GabidulinCode, metric: str,
                  oracle_cap: int = DEFAULT_ORACLE_CAP) -> int:
-    """Exhaustive minimum weight over the nonzero codewords.  Every one is
-    visited; each weight is taken only up to the best so far."""
+    """Exhaustive minimum weight over the nonzero codewords (every codeword
+    but the first, the zero message's).  Every one is visited; each weight
+    is taken only up to the best so far."""
     _check_metric(metric)
     ctx = code.ctx
     best = None
-    for mc, cw in code.iter_codewords(oracle_cap):
-        if not any(mc):
-            continue
+    for cw in itertools.islice(code._codeword_rows(oracle_cap), 1, None):
         d = _weight_codes(ctx, cw, metric, best)
         if best is None or d < best:
             best = d
             if best == 1:
                 break
-    if best is None:
-        raise ValueError("code has no nonzero codewords")
     return best
 
 
@@ -253,7 +302,7 @@ def covering_radius_raw(code: GabidulinCode, metric: str,
     if total > word_cap:
         raise ValueError(
             f"{total} words exceed the scan cap {word_cap}; raise the cap to proceed")
-    cws = [cw for _, cw in code.iter_codewords(oracle_cap)]
+    cws = list(code._codeword_rows(oracle_cap))
     sub = ctx.sub
     seen = bytearray(total)
     hist: dict[int, int] = {}

@@ -13,24 +13,39 @@ irreducible of the right degree is chosen, comparing coefficient sequences
 from degree 0 upward as base-p integers, so a (p, s, m) triple always names
 the same field.
 
-A ``FieldCtx`` is immutable after construction and every operation is a
-pure function of element codes, so contexts and elements can be shared
-freely between threads and worker processes.  Fields up to the table
-limit build, once at construction, a discrete-log table pair for
-multiplication and, in odd characteristic, a Zech-logarithm table
-zech[i] = log(1 + g**i) (-1 where that sum is 0), so
+A ``FieldCtx`` is immutable after construction, apart from memos filled
+on first use (the subfield basis, the span automaton) that never change
+an answer, and every operation is a pure function of element codes, so
+contexts and elements can be shared freely between threads and worker
+processes.  Fields up to the table limit build, once at construction, a
+discrete-log table pair for multiplication and, in odd characteristic, a
+Zech-logarithm table zech[i] = log(1 + g**i) (-1 where that sum is 0), so
 a + b = g**(log a + zech[log b - log a]), -a = g**(log a + (order-1)/2)
 and a - b = a + (-b) are lookups.  Fields above the limit build no table
 and take the direct polynomial route, odd additions digit by digit; the
 tables are built with that route.  The odd-characteristic F_q-rank
-echelon (``FieldCtx._greedy_codes``) reduces codes, not digit lists, with
-``sub`` and ``mul`` on either route.  On the direct route in
-characteristic 2 (packed ints), the inverse is extended Euclid in F_2[x]
-against the modulus, and the q-power map is a**q powered from the top set
-bit, which for q = 2**s is s squarings and no other multiply; odd
-characteristic takes Fermat's a**(order - 2) and the same q-th powers.
-Codes from different contexts must never be mixed; the element wrapper
-enforces this by reference identity of the context.
+echelon (``FieldCtx._greedy_codes``) reduces codes, not digit lists: with
+``sub`` and ``mul`` on the table route, and in one digit pass per
+reduction (a - r*b for r in F_p) on the direct route.
+
+Rank weights (``FieldCtx._rank_codes``) walk a memoized F_q-span
+automaton on table-route fields whose complete automaton is small.  A
+state is an F_q-subspace of the top field, keyed by its member set; it
+carries its dimension, and its transition on a code c leads to the state
+of its span with c.  The rank of a code list is the dimension reached
+from the zero space, and the walk stops once that reaches a limit.
+States and transitions are made on first reach; every state is a true
+subspace, so no answer depends on the order of filling.  Fields above the
+table limit, and those with more than ``_SPAN_AUTOMATON_LIMIT``
+transitions in all (F_q-subspace count times order), use the echelon.
+
+On the direct route in characteristic 2 (packed ints), the inverse is
+extended Euclid in F_2[x] against the modulus, and the q-power map is
+a**q powered from the top set bit, which for q = 2**s is s squarings and
+no other multiply; odd characteristic takes Fermat's a**(order - 2) and
+the same q-th powers.  Codes from different contexts must never be
+mixed; the element wrapper enforces this by reference identity of the
+context.
 
 Two helpers serve every module: ``_combine_rows`` forms F_q-combinations
 of a list of codes (subspace generators, coordinates, subfield members),
@@ -50,6 +65,22 @@ DEFAULT_FIELD_CAP = 1 << 24
 # Above this order, multiplication falls back to direct polynomial
 # arithmetic instead of materializing exp/log tables.
 _TABLE_LIMIT = 1 << 16
+
+# A table-route field walks the F_q-span automaton for rank weights when
+# its complete automaton (every F_q-subspace, one transition per code)
+# has at most this many transitions; larger ones keep the echelon.
+_SPAN_AUTOMATON_LIMIT = 1 << 20
+
+
+def gaussian_binomial(n: int, t: int, q: int) -> int:
+    """Number of t-dimensional subspaces of an n-dimensional F_q-space."""
+    if t < 0 or t > n:
+        return 0
+    num = den = 1
+    for i in range(t):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
 
 
 def _is_prime(n: int) -> bool:
@@ -321,6 +352,7 @@ class FieldCtx:
         "p", "s", "m", "q", "sm", "order", "modulus",
         "_mod_int", "_n1", "_exp", "_log", "_frob_tab", "_zech",
         "_sub_pbasis", "_sub_codes",
+        "_span_zero", "_span_rows",
     )
 
     def __init__(self, p: int, s: int, m: int, modulus=None, cap: int = DEFAULT_FIELD_CAP):
@@ -362,6 +394,13 @@ class FieldCtx:
             self._build_tables()
         self._sub_pbasis = None
         self._sub_codes = None
+        self._span_zero = self._span_rows = None
+        subspaces = sum(gaussian_binomial(m, t, self.q) for t in range(m + 1))
+        if self._exp is not None and subspaces * order <= _SPAN_AUTOMATON_LIMIT:
+            # The zero space; the other states appear as walks reach them.
+            zero = frozenset((0,))
+            self._span_zero = [None] * order + [0, zero]
+            self._span_rows = {zero: self._span_zero}
 
     def __repr__(self):
         return f"FieldCtx(p={self.p}, s={self.s}, m={self.m})"
@@ -439,6 +478,18 @@ class FieldCtx:
             a, da = divmod(a, p)
             b, db = divmod(b, p)
             out += ((da + db) % p) * mult
+            mult *= p
+        return out
+
+    def _sub_scaled_digits(self, a: int, b: int, r: int) -> int:
+        """a - r*b for r in F_p, in one pass over the base-p digits (a
+        prime-field multiple scales each digit)."""
+        p = self.p
+        out, mult = 0, 1
+        while a or b:
+            a, da = divmod(a, p)
+            b, db = divmod(b, p)
+            out += (da - r * db) % p * mult
             mult *= p
         return out
 
@@ -658,13 +709,16 @@ class FieldCtx:
         by leading base-p position, of packed ints for p = 2 and of codes
         otherwise, an odd row kept as it comes with its leading digit's
         inverse: a code with leading digit f there loses r = f / (row's
-        digit) mod p times the row (no multiply when r = 1).  Its first lift
-        (by 1, so unmultiplied) reduces to zero exactly when the code is
-        dependent; otherwise the code is kept and its lifts by the rest of
-        the F_p-basis of F_q (none when s = 1) enter the echelon too.
+        digit) mod p times the row, through ``sub`` and ``mul`` on the table
+        route (no multiply when r = 1) and in one digit pass on the direct
+        route (``_sub_scaled_digits``).  Its first lift (by 1, so
+        unmultiplied) reduces to zero exactly when the code is dependent;
+        otherwise the code is kept and its lifts by the rest of the
+        F_p-basis of F_q (none when s = 1) enter the echelon too.
         """
         p, lifts = self.p, self._subfield_pbasis()
         (pw, inv), mul, sub = _fp_tables(p, self.sm), self.mul, self.sub
+        direct = self._exp is None
         rows: dict = {}
         kept = []
         if limit == 0:
@@ -687,7 +741,10 @@ class FieldCtx:
                             rows[lead] = (v, inv[v // pw[lead]])
                             break
                         r = v // pw[lead] * row[1] % p
-                        v = sub(v, row[0] if r == 1 else mul(r, row[0]))
+                        if direct:
+                            v = self._sub_scaled_digits(v, row[0], r)
+                        else:
+                            v = sub(v, row[0] if r == 1 else mul(r, row[0]))
                 if not v:
                     break
             else:
@@ -695,6 +752,52 @@ class FieldCtx:
                 if len(kept) == limit:
                     break
         return kept
+
+    def _span_step(self, row: list, c: int) -> list:
+        """The span automaton's state for span(row) + F_q * c, stored as
+        row[c].  A state is a list: the next state per code (None until
+        reached), then its dimension, then the frozenset of its members,
+        which keys it in ``_span_rows``.  The next state is row itself
+        when c lies in row's span, else the union of the cosets
+        x + lam * c (lam in F_q), one dimension up.  A new state is built
+        whole before ``setdefault`` publishes it, so a transition only
+        ever leads to a complete state, one per subspace."""
+        order = self.order
+        elems = row[order + 1]
+        nxt = row
+        if c not in elems:
+            add, mul = self.add, self.mul
+            span = list(elems)
+            for lam in self._subfield_codes()[1:]:
+                lc = mul(lam, c)
+                span += [add(x, lc) for x in elems]
+            span = frozenset(span)
+            nxt = self._span_rows.get(span)
+            if nxt is None:
+                nxt = self._span_rows.setdefault(
+                    span, [None] * order + [row[order] + 1, span])
+        row[c] = nxt
+        return nxt
+
+    def _rank_codes(self, codes, limit: int | None = None) -> int:
+        """min(F_q-rank, limit) of an iterable of codes, drawing none past
+        the point where the rank reaches limit (None: the full rank).
+
+        Where the span automaton exists (``_span_zero``) the rank is the
+        dimension of the state a walk from the zero space reaches, one
+        memoized transition per code; elsewhere it is the length of the
+        greedy independent sublist.
+        """
+        state = self._span_zero
+        if state is None:
+            return len(self._greedy_codes(codes, limit))
+        order = self.order
+        if limit != 0:
+            for c in codes:
+                state = state[c] or self._span_step(state, c)
+                if state[order] == limit:
+                    break
+        return state[order]
 
     def span_dim(self, elems) -> int:
         """Dimension over F_q of the span of the given elements."""

@@ -268,12 +268,21 @@ def _moore_rows(ctx: FieldCtx, codes, k: int) -> list[list[int]]:
 
 
 def matrix_rank(rows) -> int:
-    """Rank over the field of a matrix of FieldElements."""
+    """Rank over the field of a matrix of FieldElements (no rows: 0)."""
     rows = [list(r) for r in rows]
     if not rows:
         return 0
+    if not all(rows):
+        raise ValueError("matrix rows must not be empty")
+    if len({len(r) for r in rows}) != 1:
+        raise ValueError("matrix rows must have equal lengths")
+    if not all(isinstance(e, FieldElement) for r in rows for e in r):
+        raise ValueError("matrix entries must be field elements")
+    ctx = rows[0][0].ctx
+    if any(e.ctx is not ctx for r in rows for e in r):
+        raise ValueError("matrix entries from mixed field contexts")
     codes = [[e.code for e in r] for r in rows]
-    return len(_eliminate(rows[0][0].ctx, codes, len(codes[0]))[1])
+    return len(_eliminate(ctx, codes, len(codes[0]))[1])
 
 
 class MooreMatrix:

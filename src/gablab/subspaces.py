@@ -15,19 +15,8 @@ from __future__ import annotations
 
 import itertools
 
-from .field import _combine_rows
+from .field import _combine_rows, gaussian_binomial
 from .linpoly import SubspaceBasis
-
-
-def gaussian_binomial(n: int, t: int, q: int) -> int:
-    """Number of t-dimensional subspaces of an n-dimensional F_q-space."""
-    if t < 0 or t > n:
-        return 0
-    num = den = 1
-    for i in range(t):
-        num *= q ** (n - i) - 1
-        den *= q ** (i + 1) - 1
-    return num // den
 
 
 def subspace_bases(ambient: SubspaceBasis, t: int, cap: int | None = None):

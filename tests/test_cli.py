@@ -209,6 +209,19 @@ def test_selftest_subset_passes(capsys):
     assert out.startswith("criterion 9: PASS")
 
 
+# sha256 of the whole ``gab selftest`` stdout, pinned so that every
+# criterion line stays identical.  The lines report counts, not the seeded
+# draws, so both seeds print the same text.
+SELFTEST_DIGEST = "541da218f3d282748b9873a8a063e0391cbbf9fa061587956803dff67ad04162"
+
+
+@pytest.mark.parametrize("extra", [[], ["--seed", "1"]], ids=["seed0", "seed1"])
+def test_selftest_output_matches_pinned_digest(capsys, extra):
+    status, out, _ = run(capsys, "selftest", *extra)
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SELFTEST_DIGEST
+
+
 def test_selftest_unknown_number(capsys):
     status, out, err = run(capsys, "selftest", "99")
     assert status == 1

@@ -211,15 +211,17 @@ def test_bounded_oracles_match_full_weight_reference(ctx_args, n, k, greedy_refe
 
 def test_codeword_cache_survives_an_early_stop():
     # The first oracle call meets a codeword and stops at distance 0; the
-    # enumeration it started must still fill the cache.
+    # enumeration it started must still fill the cache, which holds every
+    # codeword's n entries in one flat list, in canonical order.
     ctx = FieldCtx(3, 1, 3)
     code = GabidulinCode(ctx, (1, 3, 9), 2)
     cw = code.encode(LinPoly(ctx, (5, 7)))
     d, msg = dist_to_code_exhaustive(code, cw, "rank")
     assert (d, msg.codes) == (0, (5, 7))
-    assert code._cw_cache is not None and len(code._cw_cache) == 729
+    assert code._cw_cache is not None and len(code._cw_cache) == 729 * 3
     fresh = GabidulinCode(ctx, (1, 3, 9), 2)
-    assert code._cw_cache == list(fresh.iter_codewords())
+    msgs = [(c0, c1) for c1 in range(27) for c0 in range(27)]
+    assert code._cw_cache == [x for mc in msgs for x in fresh.encode(LinPoly(ctx, mc)).codes]
     rng = random.Random(71)
     for metric in ("rank", "hamming"):
         for _ in range(4):

@@ -12,7 +12,7 @@ import random
 import pytest
 
 from gablab import (LinPoly, MooreMatrix, NEG_INF, SubspaceBasis, annihilator,
-                    minor_coeff, moore_det, q_lagrange, q_lagrange_by_minors,
+                    matrix_rank, minor_coeff, moore_det, q_lagrange, q_lagrange_by_minors,
                     root_space, subspace_bases)
 
 
@@ -263,6 +263,30 @@ def test_moore_matrix_validation(gf16):
         MooreMatrix([1, 2])  # plain codes carry no field context
     with pytest.raises(ValueError, match="must be field elements"):
         moore_det([1, 2])
+
+
+def test_matrix_rank_of_field_elements(gf16):
+    e = gf16.element
+    assert matrix_rank([]) == 0
+    assert matrix_rank([[e(1), e(2)], [e(2), e(4)]]) == 1  # row 2 = 2 * row 1
+    assert matrix_rank([[e(1), e(0)], [e(0), e(3)]]) == 2
+
+
+@pytest.mark.parametrize("rows,match", [
+    ([[1, 2], [3, 4]], "must be field elements"),  # plain codes carry no context
+    ([[]], "must not be empty"),
+    ([[1], []], "must not be empty"),
+])
+def test_matrix_rank_rejects_malformed_input(rows, match):
+    with pytest.raises(ValueError, match=match):
+        matrix_rank(rows)
+
+
+def test_matrix_rank_rejects_ragged_and_mixed_rows(gf16, gf8):
+    with pytest.raises(ValueError, match="equal lengths"):
+        matrix_rank([[gf16.element(1), gf16.element(2)], [gf16.element(3)]])
+    with pytest.raises(ValueError, match="mixed field contexts"):
+        matrix_rank([[gf16.element(1)], [gf8.element(1)]])
 
 
 def test_moore_matrix_rejects_non_integer_row_exponents(gf16):

@@ -5,7 +5,8 @@ The raw word scan (coset walk over all order**n words) and the class scan
 beyond field arithmetic, so agreement on random codes checks both.  The
 same holds for the single-word search and the codeword-enumerating
 oracle, checked on towers with random irreducible moduli.  The rank
-echelon is checked against an elimination over the prime field.
+echelon and the span automaton are checked against an elimination over
+the prime field, and the class scan's rows against a two-worker pool.
 """
 
 import random
@@ -22,7 +23,8 @@ from gablab import (FieldCtx, GabidulinCode, LinPoly, classify_poly,  # noqa: E4
                     dist_to_code_exhaustive, distance_by_search)
 from gablab.code import _weight_codes  # noqa: E402
 from gablab.deephole import _class_poly, _witness_codes  # noqa: E402
-from gablab.field import _poly_is_irreducible  # noqa: E402
+from gablab.field import (_SPAN_AUTOMATON_LIMIT, _TABLE_LIMIT,  # noqa: E402
+                          _poly_is_irreducible, gaussian_binomial)
 
 WORD_LIMIT = 4096
 
@@ -49,6 +51,32 @@ def small_codes(draw):
     assume(ctx.span_dim(points) == n)
     k = draw(st.integers(1, n))
     return GabidulinCode(ctx, points, k)
+
+
+# (p, s, m, n) with n >= 3 and at most 4096 classes at k = 1, for the
+# pool property: k <= n - 2 gives order + 2 units or more, so both
+# workers get a chunk of several units.
+SCAN_SHAPES = [(p, s, m, n) for p in (2, 3) for s in (1, 2) for m in range(3, 5)
+               for n in range(3, m + 1) if (p ** (s * m)) ** (n - 1) <= 4096]
+
+
+@st.composite
+def pool_codes(draw):
+    p, s, m, n = draw(st.sampled_from(SCAN_SHAPES))
+    ctx = _ctx(p, s, m)
+    points = draw(st.lists(st.integers(1, ctx.order - 1), min_size=n, max_size=n))
+    assume(ctx.span_dim(points) == n)
+    return GabidulinCode(ctx, points, draw(st.integers(1, n - 2)))
+
+
+@settings(max_examples=4, derandomize=True, deadline=None)
+@given(code=pool_codes())
+def test_scan_rows_are_the_same_with_two_workers(code):
+    # Each example starts two pools, so there are few of them.
+    for metric in ("rank", "hamming"):
+        one = covering_radius_scan(code, metric, jobs=1, collect_rows=True)
+        two = covering_radius_scan(code, metric, jobs=2, collect_rows=True)
+        assert (two.radius, two.histogram, two.rows) == (one.radius, one.histogram, one.rows)
 
 
 @settings(max_examples=50, derandomize=True, deadline=None)
@@ -205,3 +233,58 @@ def test_greedy_codes_on_the_direct_route(p, s, m, greedy_reference):
         perm = rng.sample(range(len(base) + len(combos)), len(base) + len(combos))
         _check_greedy(ctx, _dependent_codes(ctx, base, combos, perm), greedy_reference)
     assert ctx._exp is None
+
+
+def _automaton_fits(p: int, s: int, m: int) -> bool:
+    """The span automaton's size rule: a table-route field whose
+    F_q-subspace count times order is at most the limit."""
+    order = p ** (s * m)
+    count = sum(gaussian_binomial(m, t, p ** s) for t in range(m + 1))
+    return order <= _TABLE_LIMIT and count * order <= _SPAN_AUTOMATON_LIMIT
+
+
+# (p, s, m) towers with p in {2, 3, 5}, s in {1, 2}, order <= 729 and a
+# span automaton.
+SPAN_TOWERS = [(p, s, m) for p in (2, 3, 5) for s in (1, 2) for m in range(1, 7)
+               if p ** (s * m) <= 729 and _automaton_fits(p, s, m)]
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(tower=st.sampled_from(SPAN_TOWERS), data=st.data())
+def test_span_automaton_rank_matches_the_echelon(tower, data, greedy_reference):
+    ctx = _ctx(*tower)
+    assert ctx._span_zero is not None
+    base = data.draw(st.lists(st.integers(0, ctx.order - 1), max_size=4))
+    combos = data.draw(st.lists(st.lists(st.integers(0, ctx.q - 1), min_size=len(base),
+                                         max_size=len(base)), max_size=3))
+    perm = data.draw(st.permutations(range(len(base) + len(combos))))
+    codes = _dependent_codes(ctx, base, combos, perm)
+    ref = greedy_reference(ctx, codes)
+    for limit in [None] + list(range(len(codes) + 1)):
+        rank = ctx._rank_codes(codes, limit)
+        assert rank == len(ctx._greedy_codes(codes, limit)) == len(ref[:limit])
+
+
+def test_span_automaton_size_rule():
+    for tower, fits in (((3, 1, 4), True), ((2, 1, 6), True), ((3, 1, 5), True),
+                        ((2, 1, 7), False), ((3, 1, 11), False)):
+        assert _automaton_fits(*tower) == fits
+        assert (_ctx(*tower)._span_zero is not None) == fits
+
+
+def test_complete_span_walk_of_gf81_has_one_state_per_subspace():
+    ctx = FieldCtx(3, 1, 4)
+    todo, seen = [ctx._span_zero], {id(ctx._span_zero)}
+    while todo:
+        row = todo.pop()
+        for c in range(ctx.order):
+            nxt = ctx._span_step(row, c)
+            assert nxt is row[c]
+            if id(nxt) not in seen:
+                seen.add(id(nxt))
+                todo.append(nxt)
+    assert len(seen) == len(ctx._span_rows) == 212
+    assert 212 == sum(gaussian_binomial(4, t, 3) for t in range(5))
+    for members, row in ctx._span_rows.items():
+        assert len(members) == 3 ** row[ctx.order]
+        assert all(ctx.add(a, b) in members for a in members for b in members)
