@@ -18,11 +18,11 @@ digits of i, so a message is rebuilt from its index when it is needed.
 Codes with at most ``_CODEWORD_CACHE_LIMIT`` codewords list them on first
 use in one flat list of entry codes, n per codeword; the messages are not
 stored.  Rank weights walk the field's F_q-span automaton where it has
-one (see :mod:`gablab.field`).  The rank oracle on such a field builds,
-per word, one table of the differences w_j - x for every entry j and
-every code x, so each codeword then costs a few list lookups and no
-field operation: its walk stops once the dimension reaches the best so
-far.  Other fields reduce the differences with the F_p echelon.
+one (see :mod:`gablab.field`), and reduce with the F_p echelon
+elsewhere.  On the table route the oracle builds, per word, one table of
+the differences w_j - x for every entry j and every code x, so a
+codeword then costs a few list lookups and, with the automaton, no field
+operation: its walk stops once the weight reaches the best so far.
 """
 
 from __future__ import annotations
@@ -96,11 +96,9 @@ class Word:
         return f"Word({list(self.codes)})"
 
 
-def _weight_codes(ctx: FieldCtx, codes, metric: str, limit: int | None = None) -> int:
-    """min(weight, limit) of an iterable of codes, drawing none past the
-    point where the weight reaches limit (None: the full weight)."""
-    if metric == "rank":
-        return ctx._rank_codes(codes, limit)
+def _hamming_codes(codes, limit: int | None = None) -> int:
+    """min(number of nonzero codes, limit), drawing none past the point
+    where the count reaches limit (None: the full count)."""
     w = 0
     if limit != 0:
         for c in codes:
@@ -111,10 +109,17 @@ def _weight_codes(ctx: FieldCtx, codes, metric: str, limit: int | None = None) -
     return w
 
 
+def _weigher(ctx: FieldCtx, metric: str):
+    """The function (codes, limit=None) -> min(weight, limit) of the metric
+    over ctx; it draws no code past the point where the weight reaches
+    limit.  Loops pick it once and call it per codeword."""
+    return ctx._rank_codes if metric == "rank" else _hamming_codes
+
+
 def weight(w: Word, metric: str) -> int:
     """Rank weight (span dimension over F_q) or Hamming weight of a word."""
     _check_metric(metric)
-    return _weight_codes(w.ctx, w.codes, metric)
+    return _weigher(w.ctx, metric)(w.codes)
 
 
 class GabidulinCode:
@@ -217,8 +222,10 @@ def dist_to_code_exhaustive(code: GabidulinCode, w: Word, metric: str,
     """Exact distance by enumerating every codeword, plus the first-closest
     message polynomial in canonical order.  Every codeword is visited, but
     its distance is taken only up to the best so far: the entry differences
-    are drawn lazily, and none past that bound is taken.  The message is
-    rebuilt from the codeword's index only when the best improves."""
+    are drawn lazily, and none past that bound is taken.  On the table
+    route the differences w_j - x are looked up in one table per entry,
+    built once per word.  The message is rebuilt from the index of the
+    first closest codeword."""
     _check_metric(metric)
     if not isinstance(w, Word) or w.ctx is not code.ctx:
         raise ValueError("word must live over the code's field context")
@@ -226,43 +233,20 @@ def dist_to_code_exhaustive(code: GabidulinCode, w: Word, metric: str,
         raise ValueError("word length mismatch")
     ctx = code.ctx
     rows = code._codeword_rows(oracle_cap)
-    if metric == "rank" and ctx._span_zero is not None:
-        best, best_idx = _span_walk_min(ctx, w.codes, rows)
+    if ctx._exp is None:
+        diff, firsts = ctx.sub, w.codes
     else:
-        wc, sub = w.codes, ctx.sub
-        best, best_idx = None, None
-        for idx, cw in enumerate(rows):
-            d = _weight_codes(ctx, map(sub, wc, cw), metric, best)
-            if best is None or d < best:
-                best, best_idx = d, idx
-                if d == 0:
-                    break
-    return best, LinPoly(ctx, _base_digits(best_idx, ctx.order, code.k))
-
-
-def _span_walk_min(ctx: FieldCtx, wc, rows) -> tuple[int, int]:
-    """(rank distance, index) of the first codeword among rows closest to
-    the word wc, through ctx's span automaton.  One table per entry,
-    diffs[j][x] = wc[j] - x, holds every difference the walk can draw, so
-    each codeword costs list lookups only: its walk stops as soon as the
-    dimension reaches the best so far, and a walk that ends below it is
-    the new best."""
-    sub, order = ctx.sub, ctx.order
-    diffs = [[sub(a, x) for x in range(order)] for a in wc]
-    zero, step = ctx._span_zero, ctx._span_step
+        diff = list.__getitem__
+        firsts = [[ctx.sub(a, x) for x in range(ctx.order)] for a in w.codes]
+    weigh = _weigher(ctx, metric)
     best, best_idx = None, None
     for idx, cw in enumerate(rows):
-        state = zero
-        for dj, x in zip(diffs, cw):
-            e = dj[x]
-            state = state[e] or step(state, e)
-            if state[order] == best:
+        d = weigh(map(diff, firsts, cw), best)
+        if best is None or d < best:
+            best, best_idx = d, idx
+            if d == 0:
                 break
-        else:
-            best, best_idx = state[order], idx
-            if best == 0:
-                break
-    return best, best_idx
+    return best, LinPoly(ctx, _base_digits(best_idx, ctx.order, code.k))
 
 
 def min_distance(code: GabidulinCode, metric: str,
@@ -271,10 +255,10 @@ def min_distance(code: GabidulinCode, metric: str,
     but the first, the zero message's).  Every one is visited; each weight
     is taken only up to the best so far."""
     _check_metric(metric)
-    ctx = code.ctx
+    weigh = _weigher(code.ctx, metric)
     best = None
     for cw in itertools.islice(code._codeword_rows(oracle_cap), 1, None):
-        d = _weight_codes(ctx, cw, metric, best)
+        d = weigh(cw, best)
         if best is None or d < best:
             best = d
             if best == 1:
@@ -303,7 +287,7 @@ def covering_radius_raw(code: GabidulinCode, metric: str,
         raise ValueError(
             f"{total} words exceed the scan cap {word_cap}; raise the cap to proceed")
     cws = list(code._codeword_rows(oracle_cap))
-    sub = ctx.sub
+    sub, weigh = ctx.sub, _weigher(ctx, metric)
     seen = bytearray(total)
     hist: dict[int, int] = {}
     for idx in range(total):
@@ -313,7 +297,7 @@ def covering_radius_raw(code: GabidulinCode, metric: str,
         coset = [[sub(a, b) for a, b in zip(wc, cw)] for cw in cws]
         d = None
         for member in coset:
-            d = _weight_codes(ctx, member, metric, d)
+            d = weigh(member, d)
         for member in coset:
             j = _from_base_digits(member, order)
             if not seen[j]:

@@ -6,6 +6,8 @@ check: plain trial division against every lower-degree monic polynomial.
 
 import itertools
 import random
+import sys
+import threading
 
 import pytest
 
@@ -204,8 +206,10 @@ def test_span_dim_and_greedy_independent(gf16, tower16):
 
 @pytest.mark.parametrize("field", ["gf16", "gf27", "tower16", "gf3_4"])
 def test_span_dim_is_log_q_of_the_span_size(request, field):
-    # The incremental echelon against the span built by closure over F_q.
+    # The incremental echelon and the span automaton against the span
+    # built by closure over F_q.
     ctx = FieldCtx(3, 1, 4) if field == "gf3_4" else request.getfixturevalue(field)
+    assert ctx._span_zero is not None
     scalars = [e.code for e in ctx.subfield_elements()]
     rng = random.Random(43)
     for _ in range(300):
@@ -215,9 +219,42 @@ def test_span_dim_is_log_q_of_the_span_size(request, field):
             span = {ctx.add(u, ctx.mul(a, c)) for u in span for a in scalars}
         kept = [e.code for e in ctx.greedy_independent(codes)]
         assert ctx.q ** ctx.span_dim(codes) == len(span)
+        assert ctx.q ** ctx._rank_codes(codes) == len(span)
         assert ctx.q ** len(kept) == len(span)
         rest = iter(codes)
         assert all(c in rest for c in kept)  # a sublist, in input order
+
+
+def test_span_automaton_shared_between_threads():
+    # Threads fill one context's automaton at once.  Every transition must
+    # lead to the one published state of its subspace, and every rank must
+    # equal the echelon's.
+    ctx = FieldCtx(3, 1, 4)
+    rng = random.Random(47)
+    lists = [[rng.randrange(ctx.order) for _ in range(rng.randrange(6))]
+             for _ in range(300)]
+    expect = [len(ctx._greedy_codes(c)) for c in lists]
+    results = {}
+
+    def work(t):
+        results[t] = [ctx._rank_codes(c) for c in lists]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert all(results[t] == expect for t in range(4))
+    published = {id(row) for row in ctx._span_rows.values()}
+    for members, row in ctx._span_rows.items():
+        assert len(members) == ctx.q ** row[ctx.order]
+        assert all(nxt is None or id(nxt) in published for nxt in row[:ctx.order])
 
 
 def test_coords_reconstruct_the_element(gf16, tower16):

@@ -21,7 +21,7 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 from gablab import (FieldCtx, GabidulinCode, LinPoly, classify_poly,  # noqa: E402
                     covering_radius_raw, covering_radius_scan,
                     dist_to_code_exhaustive, distance_by_search)
-from gablab.code import _weight_codes  # noqa: E402
+from gablab.code import _weigher  # noqa: E402
 from gablab.deephole import _class_poly, _witness_codes  # noqa: E402
 from gablab.field import (_SPAN_AUTOMATON_LIMIT, _TABLE_LIMIT,  # noqa: E402
                           _poly_is_irreducible, gaussian_binomial)
@@ -175,15 +175,16 @@ def test_bounded_weight_is_the_full_weight_capped(tower, data):
     ctx = _ctx(*tower)
     codes = data.draw(st.lists(st.integers(0, ctx.order - 1), max_size=6))
     for metric in ("rank", "hamming"):
-        full = _weight_codes(ctx, codes, metric)
+        weigh = _weigher(ctx, metric)
+        full = weigh(codes)
         for limit in range(len(codes) + 2):
             it = iter(codes)
-            assert _weight_codes(ctx, it, metric, limit) == min(full, limit)
+            assert weigh(it, limit) == min(full, limit)
             # Codes are drawn only up to the shortest prefix whose weight
             # reaches the limit.
             drawn = len(codes) - len(list(it))
             assert drawn == next((j for j in range(len(codes) + 1)
-                                  if _weight_codes(ctx, codes[:j], metric) >= limit),
+                                  if weigh(codes[:j]) >= limit),
                                  len(codes))
 
 
