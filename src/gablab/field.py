@@ -34,8 +34,10 @@ state is an F_q-subspace of the top field, keyed by its member set; it
 carries its dimension, and its transition on a code c leads to the state
 of its span with c.  The rank of a code list is the dimension reached
 from the zero space, and the walk stops once that reaches a limit.
-States and transitions are made on first reach; every state is a true
-subspace, so no answer depends on the order of filling.  Fields above the
+States are made on first reach, with their members' transitions to
+themselves; a transition out of a state is made on first reach for all
+codes leading to the same next state.  Every state is a true subspace,
+so no answer depends on the order of filling.  Fields above the
 table limit, and those with more than ``_SPAN_AUTOMATON_LIMIT``
 transitions in all (F_q-subspace count times order), use the echelon.
 
@@ -68,8 +70,12 @@ _TABLE_LIMIT = 1 << 16
 
 # A table-route field walks the F_q-span automaton for rank weights when
 # its complete automaton (every F_q-subspace, one transition per code)
-# has at most this many transitions; larger ones keep the echelon.
-_SPAN_AUTOMATON_LIMIT = 1 << 20
+# has at most this many transitions; larger ones keep the echelon.  The
+# limit takes GF(3^4) (212 subspaces x 81) and keeps a filled automaton
+# under ~0.4 MB and its first fill to a few ms; bigger automata (GF(2^6),
+# GF(3^5), GF(5^4): 3.6-10 MB filled) made one-shot oracle calls slower
+# than the echelon.
+_SPAN_AUTOMATON_LIMIT = 1 << 15
 
 
 def gaussian_binomial(n: int, t: int, q: int) -> int:
@@ -398,9 +404,8 @@ class FieldCtx:
         subspaces = sum(gaussian_binomial(m, t, self.q) for t in range(m + 1))
         if self._exp is not None and subspaces * order <= _SPAN_AUTOMATON_LIMIT:
             # The zero space; the other states appear as walks reach them.
-            zero = frozenset((0,))
-            self._span_zero = [None] * order + [0, zero]
-            self._span_rows = {zero: self._span_zero}
+            self._span_rows = {}
+            self._span_zero = self._span_state(0, frozenset((0,)))
 
     def __repr__(self):
         return f"FieldCtx(p={self.p}, s={self.s}, m={self.m})"
@@ -753,30 +758,41 @@ class FieldCtx:
                     break
         return kept
 
+    def _span_state(self, dim: int, members: frozenset) -> list:
+        """The span automaton's state for a subspace.  A state is a list:
+        the next state per code (None until reached), then its dimension,
+        then the frozenset of its members, which keys it in
+        ``_span_rows``.  Its members' slots lead to itself from the start.
+        A new state is built whole before ``setdefault`` publishes it, so
+        a transition only ever leads to a complete state, one per
+        subspace."""
+        row = self._span_rows.get(members)
+        if row is None:
+            row = [None] * self.order + [dim, members]
+            for x in members:
+                row[x] = row
+            row = self._span_rows.setdefault(members, row)
+        return row
+
     def _span_step(self, row: list, c: int) -> list:
         """The span automaton's state for span(row) + F_q * c, stored as
-        row[c].  A state is a list: the next state per code (None until
-        reached), then its dimension, then the frozenset of its members,
-        which keys it in ``_span_rows``.  The next state is row itself
-        when c lies in row's span, else the union of the cosets
-        x + lam * c (lam in F_q), one dimension up.  A new state is built
-        whole before ``setdefault`` publishes it, so a transition only
-        ever leads to a complete state, one per subspace."""
+        row[c].  It is row itself when c lies in row's span, else the
+        union of the cosets x + lam * c (lam in F_q), one dimension up;
+        every member of that union outside row's span has the same next
+        state, so all their slots are filled at once."""
         order = self.order
         elems = row[order + 1]
-        nxt = row
-        if c not in elems:
-            add, mul = self.add, self.mul
-            span = list(elems)
-            for lam in self._subfield_codes()[1:]:
-                lc = mul(lam, c)
-                span += [add(x, lc) for x in elems]
-            span = frozenset(span)
-            nxt = self._span_rows.get(span)
-            if nxt is None:
-                nxt = self._span_rows.setdefault(
-                    span, [None] * order + [row[order] + 1, span])
-        row[c] = nxt
+        if c in elems:
+            return row
+        add, mul = self.add, self.mul
+        span = list(elems)
+        for lam in self._subfield_codes()[1:]:
+            lc = mul(lam, c)
+            span += [add(x, lc) for x in elems]
+        span = frozenset(span)
+        nxt = self._span_state(row[order] + 1, span)
+        for x in span - elems:
+            row[x] = nxt
         return nxt
 
     def _rank_codes(self, codes, limit: int | None = None) -> int:

@@ -267,8 +267,9 @@ def test_span_automaton_rank_matches_the_echelon(tower, data, greedy_reference):
 
 
 def test_span_automaton_size_rule():
-    for tower, fits in (((3, 1, 4), True), ((2, 1, 6), True), ((3, 1, 5), True),
-                        ((2, 1, 7), False), ((3, 1, 11), False)):
+    for tower, fits in (((3, 1, 4), True), ((2, 1, 5), True), ((5, 2, 2), True),
+                        ((2, 1, 6), False), ((3, 1, 5), False), ((2, 5, 2), False),
+                        ((3, 1, 11), False)):
         assert _automaton_fits(*tower) == fits
         assert (_ctx(*tower)._span_zero is not None) == fits
 
