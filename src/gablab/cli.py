@@ -2,12 +2,11 @@
 
 Codes come from plain key=value spec files (see ``parse_code_spec``);
 words and polynomials are comma-separated canonical element codes.  All
-enumeration orders are fixed, and parallel scans merge chunk results in
-index order, so identical inputs give byte-identical output at any
-``--jobs`` count.  Exit status: 0 success, 1 domain error (message on
-stderr), 2 usage error, 3 internal error (a broken invariant such as
-"level t = k must always accept"; ``internal error: <message>`` on
-stderr, no traceback).
+enumeration orders are fixed and scans run in one process, so identical
+inputs give byte-identical output at any ``--jobs`` count.  Exit status:
+0 success, 1 domain error (message on stderr), 2 usage error, 3 internal
+error (a broken invariant such as "level t = k must always accept";
+``internal error: <message>`` on stderr, no traceback).
 """
 
 from __future__ import annotations
@@ -234,7 +233,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="override the enumeration cap")
         if jobs:
             p.add_argument("--jobs", type=_positive_int, default=1,
-                           help="parallel workers (output is identical at any count)")
+                           help="validated only: scans run in one process")
         if out:
             p.add_argument("--out", default=None, help="write output to a file")
         return p

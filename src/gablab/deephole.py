@@ -32,17 +32,32 @@ when the t x k Moore system sum_i v_i u_j^(q^i) = f(u_j) is consistent:
 one elimination on codes, with no polynomial built or evaluated.  Its
 rank is k (t >= k independent generators), so a solution is unique and
 is the interpolant through u_1..u_k, which then agrees with f on all of U.
+
+Class scans run no descent per class; an annihilator sieve classifies
+every unit (the zero class and the monic classes) in one pass over the
+candidates.  A unit f accepts a t-dimensional candidate U when f - v
+vanishes on U for some v of q-degree < k, that is (Ore 1933) when
+f - v = g o A_U with A_U the monic annihilator of U, of q-degree t.  The
+coefficients of g o A_U at q-degrees k..n-1 are F_{q^m}-linear in g, and
+its top coefficient is g's, so for t > k the units that accept U are
+exactly the class parts of g o A_U over monic g of q-degree <= n-1-t.
+The sieve walks t = n-1 down to k+1 and, within a level, the candidates
+in canonical order; the first hit on a unit fixes its distance n - t and
+its witness U.  A nonzero unit is never hit above its own q-degree, so
+that is its highest accepting level and, within it, its first accepting
+candidate: the descent's answer.  Units never hit take n - k and the
+first k-dimensional candidate, which always accepts.  The cost is one
+annihilator per candidate and (order**(n-t) - 1)/(order - 1) short
+vector sums per candidate at level t, once per code.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 
-from .code import (GabidulinCode, Word, _check_metric, format_code_spec,
-                   parse_code_spec)
+from .code import GabidulinCode, Word, _check_metric
 from .field import (FieldCtx, FieldElement, _base_digits, _combine_rows,
                     _from_base_digits, _solve)
 from .linpoly import (LinPoly, NEG_INF, SubspaceBasis, _moore_rows, annihilator,
@@ -201,9 +216,8 @@ def ratio_lemma_check(code: GabidulinCode, f: LinPoly, metric: str,
 # Class scans.  A class is the coefficient tuple (a_k, ..., a_{n-1}); its
 # representative has zeros below q-degree k.  The unit of work is the zero
 # class or a monic class (top nonzero coefficient 1), one per scalar orbit;
-# the parent expands unit results to every class.  Workers rebuild their
-# code from primitives so results merge deterministically regardless of
-# order.
+# the sieve classifies every unit in one pass and the scan expands unit
+# results to every class.
 
 
 @dataclass
@@ -212,11 +226,6 @@ class ScanResult:
     histogram: dict[int, int]
     classes: int
     rows: list[tuple] | None = None
-
-
-def _class_poly(code: GabidulinCode, idx: int) -> LinPoly:
-    k = code.k
-    return LinPoly(code.ctx, [0] * k + _base_digits(idx, code.ctx.order, code.n - k))
 
 
 def _witness_codes(wit) -> tuple[int, ...] | None:
@@ -241,26 +250,50 @@ def _monic_units(code: GabidulinCode) -> list[int]:
     return units
 
 
-def _pool_size(jobs: int, units: int) -> int:
-    """Worker processes for a scan of ``units`` units: never more than
-    requested, than CPUs, or than units."""
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    return min(jobs, os.cpu_count() or 1, units)
-
-
-def _classify_units(code: GabidulinCode, metric: str, units: list[int],
-                    subspace_cap: int) -> list[tuple]:
-    out = []
-    for idx in units:
-        res = classify_poly(code, _class_poly(code, idx), metric, subspace_cap)
-        out.append((res.distance, res.is_deep_hole, _witness_codes(res.witness)))
-    return out
-
-
-def _scan_worker(args):
-    spec_text, metric, units, subspace_cap = args
-    return _classify_units(parse_code_spec(spec_text), metric, units, subspace_cap)
+def _sieve_units(code: GabidulinCode, metric: str, subspace_cap: int) -> list[tuple]:
+    """(distance, deep flag, witness codes) for each unit of
+    ``_monic_units``, in that order, by the annihilator sieve of the module
+    docstring."""
+    ctx, n, k = code.ctx, code.n, code.k
+    order, width = ctx.order, n - k
+    add, mul, frob = ctx.add, ctx.mul, ctx.frob
+    # Units with top coefficient at a_{k+j} sit at start[j] onward.
+    start = [(order ** j - 1) // (order - 1) + 1 for j in range(width + 1)]
+    found = [None] * start[width]
+    found[0] = (0, n == k, None)
+    # Every unit but the zero class and x^(q^k) can be hit above level k.
+    todo = start[width] - 2
+    for t in range(n - 1, k, -1):
+        for wit, basis in _candidates(code, t, metric, subspace_cap):
+            a = annihilator(basis).codes
+            hit = (n - t, False, _witness_codes(wit))
+            # twists[i]: the class part (q-degrees k..n-1) of x^(q^i) o A_U.
+            twists = [([0] * i + [frob(c, i) for c in a] + [0] * (n - 1 - t - i))[k:]
+                      for i in range(n - t)]
+            scaled = [[[mul(c, x) for x in tw] for c in range(order)]
+                      for tw in twists[:-1]]
+            for d in range(n - t):
+                # g = x^(q^d) + sum_{i<d} g_i x^(q^i): g o A_U has its
+                # leading 1 at class position top, the digits below vary.
+                top = d + t - k
+                vecs = [twists[d][:top]]
+                for i in range(d):
+                    vecs = [[add(x, y) for x, y in zip(v, s)]
+                            for v in vecs for s in scaled[i]]
+                for v in vecs:
+                    pos = start[top] + _from_base_digits(v, order)
+                    if found[pos] is None:
+                        found[pos] = hit
+                        todo -= 1
+            if not todo:
+                break
+        if not todo:
+            break
+    if None in found:
+        # Level k accepts every candidate, so the first one witnesses.
+        deep = (n - k, True, _witness_codes(next(_candidates(code, k, metric, subspace_cap))[0]))
+        found = [deep if res is None else res for res in found]
+    return found
 
 
 def covering_radius_scan(code: GabidulinCode, metric: str,
@@ -270,35 +303,22 @@ def covering_radius_scan(code: GabidulinCode, metric: str,
                          collect_rows: bool = False) -> ScanResult:
     """Max distance over all order**(n-k) translation classes.
 
-    Only the zero class and the monic classes are classified; each monic
+    The sieve classifies the zero class and the monic classes; each monic
     result stands for its order - 1 scalar multiples (see the module
-    docstring).  With several workers the unit list is split into
-    contiguous chunks merged in order, and rows are expanded in class-index
-    order, so output is identical for every worker count.
+    docstring).  Rows are expanded in class-index order.  The scan runs in
+    one process: ``jobs`` is validated (>= 1) and does not change the
+    output.
     """
     _check_metric(metric)
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     ctx = code.ctx
     order, width = ctx.order, code.n - code.k
     total = order ** width
     if total > scan_cap:
         raise ValueError(
             f"{total} classes exceed the scan cap {scan_cap}; raise the cap to proceed")
-    units = _monic_units(code)
-    workers = _pool_size(jobs, len(units))
-    if workers == 1:
-        results = _classify_units(code, metric, units, subspace_cap)
-    else:
-        spec_text = format_code_spec(code)
-        bounds = [len(units) * i // workers for i in range(workers + 1)]
-        tasks = [(spec_text, metric, units[bounds[i]:bounds[i + 1]], subspace_cap)
-                 for i in range(workers)]
-        # Imported here: it adds ~0.8 MB to every process that never
-        # starts a pool.
-        import multiprocessing
-        with multiprocessing.Pool(workers) as pool:
-            parts = pool.map(_scan_worker, tasks)
-        results = [res for part in parts for res in part]
-    by_unit = dict(zip(units, results))
+    by_unit = dict(zip(_monic_units(code), _sieve_units(code, metric, subspace_cap)))
     hist: dict[int, int] = {}
     for idx, (dist, _, _) in by_unit.items():
         hist[dist] = hist.get(dist, 0) + (order - 1 if idx else 1)

@@ -20,7 +20,14 @@ from gablab import (FieldCtx, FieldElement, GabidulinCode, LinPoly, annihilator,
                     equality_witness, excluded_leading_set, family_check,
                     minor_coeff, quadric_census, quadric_v, ratio_lemma_check,
                     subspace_bases)
-from gablab.deephole import _class_poly, _witness_codes
+from gablab.deephole import _witness_codes
+from gablab.field import _base_digits
+
+
+def _class_poly(code, idx):
+    """The representative of class idx: digits of idx over the field order
+    as the coefficients a_k..a_{n-1}, zeros below."""
+    return LinPoly(code.ctx, [0] * code.k + _base_digits(idx, code.ctx.order, code.n - code.k))
 
 
 # -- search == oracle, exhaustively ------------------------------------------------
@@ -332,20 +339,29 @@ def test_orbit_scan_equals_per_class_reference(request, field_fixture, points, k
         assert scan.classes == len(rows)
 
 
-def test_scan_classifies_one_class_per_scalar_orbit(gf8_code, monkeypatch):
-    calls = []
-    real = deephole.classify_poly
+def test_scan_makes_no_descent_and_one_annihilator_per_candidate(gf8_code, monkeypatch):
+    descents, annihilators = [], []
+    real_classify, real_annihilator = deephole.classify_poly, deephole.annihilator
 
-    def counting(code, f, *args, **kwargs):
-        calls.append(f.codes)
-        return real(code, f, *args, **kwargs)
+    def counting_classify(code, f, *args, **kwargs):
+        descents.append(f.codes)
+        return real_classify(code, f, *args, **kwargs)
 
-    monkeypatch.setattr(deephole, "classify_poly", counting)
-    scan = covering_radius_scan(gf8_code, "rank", collect_rows=True)
-    # The zero class plus (8^2 - 1)/(8 - 1) = 9 monic classes, not all 64.
-    assert len(calls) == 10
-    assert len(scan.rows) == 64
-    assert all(codes == () or codes[-1] == 1 for codes in calls)
+    def counting_annihilator(basis):
+        annihilators.append(basis.codes)
+        return real_annihilator(basis)
+
+    monkeypatch.setattr(deephole, "classify_poly", counting_classify)
+    monkeypatch.setattr(deephole, "annihilator", counting_annihilator)
+    for metric in ("rank", "hamming"):
+        annihilators.clear()
+        scan = covering_radius_scan(gf8_code, metric, collect_rows=True)
+        assert len(scan.rows) == 64
+        # At most one per candidate of the sieve levels t = k+1..n-1: the
+        # 7 planes of GF(2)^3, or the 3 point pairs.
+        assert len(annihilators) <= (7 if metric == "rank" else 3)
+        assert len(set(annihilators)) == len(annihilators)
+    assert descents == []
 
 
 def test_monic_units_count_and_shape(gf8_code, gf16):
@@ -356,26 +372,22 @@ def test_monic_units_count_and_shape(gf8_code, gf16):
     assert deephole._monic_units(full) == [0]
 
 
-def test_pool_size_is_bounded(monkeypatch):
-    monkeypatch.setattr(deephole.os, "cpu_count", lambda: 2)
-    assert deephole._pool_size(1, 274) == 1
-    assert deephole._pool_size(100000, 274) == 2
-    assert deephole._pool_size(10 ** 9, 10 ** 9) == 2
-    assert deephole._pool_size(100000, 1) == 1
-    monkeypatch.setattr(deephole.os, "cpu_count", lambda: None)
-    assert deephole._pool_size(100000, 274) == 1
-    monkeypatch.setattr(deephole.os, "cpu_count", lambda: 64)
-    assert deephole._pool_size(100000, 10) == 10
-    assert deephole._pool_size(3, 10) == 3
-    for bad in (0, -1, -100000):
-        with pytest.raises(ValueError):
-            deephole._pool_size(bad, 274)
-
-
 def test_scan_radius_equals_n_minus_k_on_small_mrd_codes(gf16):
     for k in (1, 2, 3):
         code = GabidulinCode(gf16, (1, 2, 4, 8), k)
         assert covering_radius_scan(code, "rank").radius == 4 - k
+
+
+def test_scan_histograms_at_the_default_cap():
+    # GF(2^5), n = m = 5, k = 1: 2^20 classes, 33,826 units.  Both
+    # histograms were checked unit by unit against classify_poly.
+    ctx = FieldCtx(2, 1, 5, modulus=(1, 0, 1, 0, 0, 1))
+    code = GabidulinCode(ctx, (1, 2, 4, 8, 16), 1)
+    rank = covering_radius_scan(code, "rank")
+    assert rank.classes == 1 << 20
+    assert rank.histogram == {0: 1, 1: 961, 2: 144150, 3: 903340, 4: 124}
+    hamming = covering_radius_scan(code, "hamming")
+    assert hamming.histogram == {0: 1, 1: 155, 2: 9610, 3: 283650, 4: 755160}
 
 
 # -- excluded leading set --------------------------------------------------------------------

@@ -1,12 +1,13 @@
 """Property tests over random small towers, codes and message bounds.
 
 The raw word scan (coset walk over all order**n words) and the class scan
-(witness descent over one monic class per scalar orbit) share no code
-beyond field arithmetic, so agreement on random codes checks both.  The
+(annihilator sieve over the candidate subspaces) share no code beyond
+field arithmetic, so agreement on random codes checks both.  The
 same holds for the single-word search and the codeword-enumerating
 oracle, checked on towers with random irreducible moduli.  The rank
 echelon and the span automaton are checked against an elimination over
-the prime field, and the class scan's rows against a two-worker pool.
+the prime field, and the class scan's rows against the per-class
+witness descent.
 """
 
 import random
@@ -16,13 +17,13 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 from gablab import (FieldCtx, GabidulinCode, LinPoly, classify_poly,  # noqa: E402
                     covering_radius_raw, covering_radius_scan,
                     dist_to_code_exhaustive, distance_by_search)
 from gablab.code import _weigher  # noqa: E402
-from gablab.deephole import _class_poly, _witness_codes  # noqa: E402
+from gablab.deephole import _monic_units, _witness_codes  # noqa: E402
 from gablab.field import (_SPAN_AUTOMATON_LIMIT, _TABLE_LIMIT,  # noqa: E402
                           _poly_is_irreducible, gaussian_binomial)
 
@@ -53,30 +54,49 @@ def small_codes(draw):
     return GabidulinCode(ctx, points, k)
 
 
-# (p, s, m, n) with n >= 3 and at most 4096 classes at k = 1, for the
-# pool property: k <= n - 2 gives order + 2 units or more, so both
-# workers get a chunk of several units.
-SCAN_SHAPES = [(p, s, m, n) for p in (2, 3) for s in (1, 2) for m in range(3, 5)
-               for n in range(3, m + 1) if (p ** (s * m)) ** (n - 1) <= 4096]
+# (p, s, m, n) for the sieve property: p in {2, 3, 5}, fields of order at
+# most 1024 and every 3 <= n <= m (n = 2 leaves no sieve level at any k).
+# k is drawn so that the descent that checks the scan tries at most
+# DESCENT_BUDGET candidates: units times the candidates of levels k..n-1.
+DESCENT_BUDGET = 10_000
+SIEVE_SHAPES = [(p, s, m, n) for p in (2, 3, 5) for s in (1, 2) for m in range(2, 7)
+                for n in range(3, m + 1) if p ** (s * m) <= 1024]
+
+
+def _descent_cost(ctx: FieldCtx, n: int, k: int) -> int:
+    units = 1 + (ctx.order ** (n - k) - 1) // (ctx.order - 1)
+    return units * sum(gaussian_binomial(n, t, ctx.q) for t in range(k, n))
 
 
 @st.composite
-def pool_codes(draw):
-    p, s, m, n = draw(st.sampled_from(SCAN_SHAPES))
+def sieve_codes(draw):
+    """A tower with p in {2, 3, 5}, s in {1, 2}, n random independent
+    points, and k in 1..n within the descent budget; k = n - 1 and k = n,
+    which leave the sieve no level, are included."""
+    p, s, m, n = draw(st.sampled_from(SIEVE_SHAPES))
     ctx = _ctx(p, s, m)
     points = draw(st.lists(st.integers(1, ctx.order - 1), min_size=n, max_size=n))
     assume(ctx.span_dim(points) == n)
-    return GabidulinCode(ctx, points, draw(st.integers(1, n - 2)))
+    low = next(k for k in range(1, n + 1) if _descent_cost(ctx, n, k) <= DESCENT_BUDGET)
+    return GabidulinCode(ctx, points, draw(st.integers(low, n)))
 
 
-@settings(max_examples=4, derandomize=True, deadline=None)
-@given(code=pool_codes())
-def test_scan_rows_are_the_same_with_two_workers(code):
-    # Each example starts two pools, so there are few of them.
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(code=sieve_codes())
+@example(code=GabidulinCode(_ctx(5, 1, 3), (1, 5, 25), 1))
+def test_sieve_rows_equal_the_descent_per_class(code):
+    # Every unit's own class, and 64 other classes that take a unit's
+    # answer through a scalar.
+    classes = code.ctx.order ** (code.n - code.k)
+    checked = (set(_monic_units(code))
+               | set(random.Random(classes).sample(range(classes), min(classes, 64))))
     for metric in ("rank", "hamming"):
-        one = covering_radius_scan(code, metric, jobs=1, collect_rows=True)
-        two = covering_radius_scan(code, metric, jobs=2, collect_rows=True)
-        assert (two.radius, two.histogram, two.rows) == (one.radius, one.histogram, one.rows)
+        rows = covering_radius_scan(code, metric, collect_rows=True).rows
+        for idx in sorted(checked):
+            _, codes, _, dist, deep, wit = rows[idx]
+            res = classify_poly(code, LinPoly(code.ctx, codes), metric)
+            assert (dist, deep, wit) == (res.distance, res.is_deep_hole,
+                                         _witness_codes(res.witness))
 
 
 @settings(max_examples=50, derandomize=True, deadline=None)
@@ -89,8 +109,8 @@ def test_raw_histogram_is_class_histogram_times_class_size(code):
         assert radius == scan.radius
         assert hist == {d: c * per_class for d, c in scan.histogram.items()}
         # A class's row is its orbit unit's answer; it must be the class's own.
-        for idx, _, _, dist, deep, wit in scan.rows:
-            res = classify_poly(code, _class_poly(code, idx), metric)
+        for _, codes, _, dist, deep, wit in scan.rows:
+            res = classify_poly(code, LinPoly(code.ctx, codes), metric)
             assert (dist, deep, wit) == (res.distance, res.is_deep_hole,
                                          _witness_codes(res.witness))
 
