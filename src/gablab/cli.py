@@ -134,7 +134,7 @@ def _cmd_mindist(args) -> int:
 
 def _cmd_radius(args) -> int:
     code = _load(args)
-    scan = covering_radius_scan(code, args.metric, jobs=args.jobs,
+    scan = covering_radius_scan(code, args.metric,
                                 scan_cap=_cap(args, DEFAULT_CLASS_SCAN_CAP))
     _emit(args, f"{scan.radius}\n")
     return 0
@@ -142,7 +142,7 @@ def _cmd_radius(args) -> int:
 
 def _cmd_census(args) -> int:
     code = _load(args)
-    scan = covering_radius_scan(code, args.metric, jobs=args.jobs,
+    scan = covering_radius_scan(code, args.metric,
                                 scan_cap=_cap(args, DEFAULT_CLASS_SCAN_CAP),
                                 collect_rows=True)
     buf = io.StringIO()

@@ -34,21 +34,21 @@ rank is k (t >= k independent generators), so a solution is unique and
 is the interpolant through u_1..u_k, which then agrees with f on all of U.
 
 Class scans run no descent per class; an annihilator sieve classifies
-every unit (the zero class and the monic classes) in one pass over the
-candidates.  A unit f accepts a t-dimensional candidate U when f - v
-vanishes on U for some v of q-degree < k, that is (Ore 1933) when
-f - v = g o A_U with A_U the monic annihilator of U, of q-degree t.  The
-coefficients of g o A_U at q-degrees k..n-1 are F_{q^m}-linear in g, and
-its top coefficient is g's, so for t > k the units that accept U are
-exactly the class parts of g o A_U over monic g of q-degree <= n-1-t.
-The sieve walks t = n-1 down to k+1 and, within a level, the candidates
-in canonical order; the first hit on a unit fixes its distance n - t and
-its witness U.  A nonzero unit is never hit above its own q-degree, so
-that is its highest accepting level and, within it, its first accepting
-candidate: the descent's answer.  Units never hit take n - k and the
-first k-dimensional candidate, which always accepts.  The cost is one
-annihilator per candidate and (order**(n-t) - 1)/(order - 1) short
-vector sums per candidate at level t, once per code.
+every unit (a monic class, one per scalar orbit of nonzero classes) in
+one pass over the candidates.  A unit f accepts a t-dimensional
+candidate U when f - v vanishes on U for some v of q-degree < k, that is
+(Ore 1933) when f - v = g o A_U with A_U the monic annihilator of U, of
+q-degree t.  The coefficients of g o A_U at q-degrees k..n-1 are
+F_{q^m}-linear in g, and its top coefficient is g's, so for t > k the
+units that accept U are exactly the class parts of g o A_U over monic g
+of q-degree <= n-1-t.  The sieve walks t = n-1 down to k+1 and, within a
+level, the candidates in canonical order; the first hit on a unit fixes
+its distance n - t and its witness U.  A unit is never hit above its own
+q-degree, so that is its highest accepting level and, within it, its
+first accepting candidate: the descent's answer.  Units never hit take
+n - k and the first k-dimensional candidate, which always accepts.  The
+cost is one annihilator per candidate and (order**(n-t) - 1)/(order - 1)
+short vector sums per candidate at level t, once per code.
 """
 
 from __future__ import annotations
@@ -58,8 +58,7 @@ import math
 from dataclasses import dataclass
 
 from .code import GabidulinCode, Word, _check_metric
-from .field import (FieldCtx, FieldElement, _base_digits, _combine_rows,
-                    _from_base_digits, _solve)
+from .field import FieldCtx, FieldElement, _combine_rows, _from_base_digits, _solve
 from .linpoly import (LinPoly, NEG_INF, SubspaceBasis, _moore_rows, annihilator,
                       minor_coeff)
 from .linpoly import q_lagrange  # noqa: F401  unused; bench/gabtrace.py patches it here
@@ -214,14 +213,24 @@ def ratio_lemma_check(code: GabidulinCode, f: LinPoly, metric: str,
 
 # ---------------------------------------------------------------------------
 # Class scans.  A class is the coefficient tuple (a_k, ..., a_{n-1}); its
-# representative has zeros below q-degree k.  The unit of work is the zero
-# class or a monic class (top nonzero coefficient 1), one per scalar orbit;
-# the sieve classifies every unit in one pass and the scan expands unit
-# results to every class.
+# representative has zeros below q-degree k.  Every nonzero class is a
+# scalar multiple of one monic class (top nonzero coefficient 1); the sieve
+# classifies every monic class in one pass and the scan reads each class's
+# result from its monic class.
 
 
 @dataclass
 class ScanResult:
+    """Outcome of a class scan.
+
+    ``histogram`` maps each distance to its number of classes.  With
+    ``collect_rows``, ``rows`` holds one tuple per class in index order:
+    (class index, codes, metric, distance, deep flag, witness codes).  The
+    codes are the representative's coefficients from q-degree 0, trimmed
+    above the top nonzero coefficient (empty for the zero class); the
+    witness codes are those of ``_witness_codes``, None for the zero class.
+    """
+
     radius: int
     histogram: dict[int, int]
     classes: int
@@ -236,33 +245,17 @@ def _witness_codes(wit) -> tuple[int, ...] | None:
     return tuple(wit)
 
 
-def _monic_units(code: GabidulinCode) -> list[int]:
-    """Indices of the zero class and every monic class, ascending.
+def _sieve_units(code: GabidulinCode, metric: str, subspace_cap: int) -> list[list[tuple]]:
+    """(distance, deep flag, witness codes) of every monic class, by the
+    annihilator sieve of the module docstring.
 
-    A monic class with its top coefficient at a_{k+j} has an index in
-    order**j .. 2*order**j - 1, so there are (order**(n-k) - 1)/(order - 1)
-    of them.
+    ``blocks[j][i]`` is the monic class whose top coefficient a_{k+j} is 1
+    and whose lower class digits are those of i: class index order**j + i.
     """
-    order = code.ctx.order
-    units = [0]
-    for j in range(code.n - code.k):
-        units.extend(range(order ** j, 2 * order ** j))
-    return units
-
-
-def _sieve_units(code: GabidulinCode, metric: str, subspace_cap: int) -> list[tuple]:
-    """(distance, deep flag, witness codes) for each unit of
-    ``_monic_units``, in that order, by the annihilator sieve of the module
-    docstring."""
     ctx, n, k = code.ctx, code.n, code.k
-    order, width = ctx.order, n - k
+    order = ctx.order
     add, mul, frob = ctx.add, ctx.mul, ctx.frob
-    # Units with top coefficient at a_{k+j} sit at start[j] onward.
-    start = [(order ** j - 1) // (order - 1) + 1 for j in range(width + 1)]
-    found = [None] * start[width]
-    found[0] = (0, n == k, None)
-    # Every unit but the zero class and x^(q^k) can be hit above level k.
-    todo = start[width] - 2
+    blocks = [[None] * order ** j for j in range(n - k)]
     for t in range(n - 1, k, -1):
         for wit, basis in _candidates(code, t, metric, subspace_cap):
             a = annihilator(basis).codes
@@ -280,62 +273,58 @@ def _sieve_units(code: GabidulinCode, metric: str, subspace_cap: int) -> list[tu
                 for i in range(d):
                     vecs = [[add(x, y) for x, y in zip(v, s)]
                             for v in vecs for s in scaled[i]]
+                block = blocks[top]
                 for v in vecs:
-                    pos = start[top] + _from_base_digits(v, order)
-                    if found[pos] is None:
-                        found[pos] = hit
-                        todo -= 1
-            if not todo:
-                break
-        if not todo:
-            break
-    if None in found:
+                    i = _from_base_digits(v, order)
+                    if block[i] is None:
+                        block[i] = hit
+    if any(None in block for block in blocks):
         # Level k accepts every candidate, so the first one witnesses.
         deep = (n - k, True, _witness_codes(next(_candidates(code, k, metric, subspace_cap))[0]))
-        found = [deep if res is None else res for res in found]
-    return found
+        blocks = [[deep if res is None else res for res in block] for block in blocks]
+    return blocks
 
 
 def covering_radius_scan(code: GabidulinCode, metric: str,
                          scan_cap: int = DEFAULT_CLASS_SCAN_CAP,
                          subspace_cap: int = DEFAULT_SUBSPACE_CAP,
-                         jobs: int = 1,
                          collect_rows: bool = False) -> ScanResult:
     """Max distance over all order**(n-k) translation classes.
 
-    The sieve classifies the zero class and the monic classes; each monic
-    result stands for its order - 1 scalar multiples (see the module
-    docstring).  Rows are expanded in class-index order.  The scan runs in
-    one process: ``jobs`` is validated (>= 1) and does not change the
-    output.
+    The sieve classifies the monic classes; each result stands for its
+    order - 1 scalar multiples (see the module docstring).  Class
+    lam*order**j + i takes the result of the monic class whose lower
+    digits are lam^-1 times those of i.
     """
     _check_metric(metric)
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    ctx = code.ctx
-    order, width = ctx.order, code.n - code.k
-    total = order ** width
+    ctx, n, k = code.ctx, code.n, code.k
+    order = ctx.order
+    total = order ** (n - k)
     if total > scan_cap:
         raise ValueError(
             f"{total} classes exceed the scan cap {scan_cap}; raise the cap to proceed")
-    by_unit = dict(zip(_monic_units(code), _sieve_units(code, metric, subspace_cap)))
-    hist: dict[int, int] = {}
-    for idx, (dist, _, _) in by_unit.items():
-        hist[dist] = hist.get(dist, 0) + (order - 1 if idx else 1)
+    blocks = _sieve_units(code, metric, subspace_cap)
+    hist = {0: 1}
+    for block in blocks:
+        for dist, _, _ in block:
+            hist[dist] = hist.get(dist, 0) + order - 1
     rows = None
     if collect_rows:
-        rows = []
-        for idx in range(total):
-            digits = _base_digits(idx, order, width)
-            while digits and digits[-1] == 0:
-                digits.pop()
-            unit = 0
-            if digits:
-                lead_inv = ctx.inv(digits[-1])
-                unit = _from_base_digits([ctx.mul(lead_inv, c) for c in digits], order)
-            dist, deep, wit = by_unit[unit]
-            codes = (0,) * code.k + tuple(digits) if digits else ()
-            rows.append((idx, codes, metric, dist, deep, wit))
+        rows = [(0, (), metric, 0, n == k, None)]
+        pre, lows = (0,) * k, [()]
+        for j, block in enumerate(blocks):
+            if j:
+                lows = [(c,) + low for low in lows for c in range(order)]
+            for lam in range(1, order):
+                # offs[i]: block index of lam^-1 times the digits of i.
+                lam_inv = ctx.inv(lam)
+                scale = [ctx.mul(lam_inv, c) for c in range(order)]
+                offs = [0]
+                for _ in range(j):
+                    offs = [scale[c] + order * o for o in offs for c in range(order)]
+                base = lam * order ** j
+                rows.extend((base + i, pre + low + (lam,), metric) + block[o]
+                            for i, (low, o) in enumerate(zip(lows, offs)))
     return ScanResult(radius=max(hist), histogram=dict(sorted(hist.items())),
                       classes=total, rows=rows)
 

@@ -154,6 +154,11 @@ GOLDEN_CENSUS = {
                {"rank": "43d757f07e919952", "hamming": "aabe49b351f7eaca"}),
     "tower64k2": ("p=2\ns=2\nm=3\nn=3\nk=2\ng=1,4,16\n",
                   {"rank": "2eb4adddc674cf39", "hamming": "eb73f8c81f684e7b"}),
+    # Three class digits (n - k = 3), with n = m and with n < m.
+    "gf16k1": ("p=2\ns=1\nm=4\nn=4\nk=1\ng=1,2,4,8\n",
+               {"rank": "622004fc7dcb3f41", "hamming": "1c2143094688a642"}),
+    "gf32n4k1": ("p=2\ns=1\nm=5\nn=4\nk=1\ng=1,2,4,8\n",
+                 {"rank": "4fd1f6445e8387b2", "hamming": "c1b52f9c0a64e2a4"}),
 }
 
 

@@ -289,24 +289,11 @@ def test_scan_frozen_gf8_and_row_content(gf8_code):
     assert all(r[3] == 2 for r in deg_k)
 
 
-def test_scan_matches_across_worker_counts(gf8_code):
-    one = covering_radius_scan(gf8_code, "rank", jobs=1, collect_rows=True)
-    two = covering_radius_scan(gf8_code, "rank", jobs=2, collect_rows=True)
-    three = covering_radius_scan(gf8_code, "hamming", jobs=3, collect_rows=True)
-    serial_h = covering_radius_scan(gf8_code, "hamming", jobs=1, collect_rows=True)
-    assert one.histogram == two.histogram
-    assert one.rows == two.rows
-    assert serial_h.histogram == three.histogram
-    assert serial_h.rows == three.rows
-
-
 def test_scan_without_rows_and_caps(gf8_code):
     scan = covering_radius_scan(gf8_code, "rank")
     assert scan.rows is None
     with pytest.raises(ValueError):
         covering_radius_scan(gf8_code, "rank", scan_cap=63)
-    with pytest.raises(ValueError):
-        covering_radius_scan(gf8_code, "rank", jobs=0)
 
 
 def _per_class_scan(code, metric):
@@ -326,13 +313,14 @@ def _per_class_scan(code, metric):
     ("gf16", (1, 2, 4, 8), 2),
     ("gf27", (1, 3, 9), 1),
     ("tower16", (1, 4), 1),
+    # Three class digits: rows two digits below the top coefficient.
+    ("gf16", (1, 2, 4, 8), 1),
 ])
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_orbit_scan_equals_per_class_reference(request, field_fixture, points, k, jobs):
+def test_orbit_scan_equals_per_class_reference(request, field_fixture, points, k):
     code = GabidulinCode(request.getfixturevalue(field_fixture), points, k)
     for metric in ("rank", "hamming"):
         hist, rows = _per_class_scan(code, metric)
-        scan = covering_radius_scan(code, metric, jobs=jobs, collect_rows=True)
+        scan = covering_radius_scan(code, metric, collect_rows=True)
         assert scan.histogram == hist
         assert scan.rows == rows
         assert scan.radius == max(hist)
@@ -362,14 +350,6 @@ def test_scan_makes_no_descent_and_one_annihilator_per_candidate(gf8_code, monke
         assert len(annihilators) <= (7 if metric == "rank" else 3)
         assert len(set(annihilators)) == len(annihilators)
     assert descents == []
-
-
-def test_monic_units_count_and_shape(gf8_code, gf16):
-    assert deephole._monic_units(gf8_code) == [0, 1, 8, 9, 10, 11, 12, 13, 14, 15]
-    code = GabidulinCode(gf16, (1, 2, 4, 8), 1)
-    assert len(deephole._monic_units(code)) == 1 + (16 ** 3 - 1) // 15  # 274
-    full = GabidulinCode(gf16, (1, 2, 4, 8), 4)
-    assert deephole._monic_units(full) == [0]
 
 
 def test_scan_radius_equals_n_minus_k_on_small_mrd_codes(gf16):
