@@ -5,7 +5,7 @@ words and polynomials are comma-separated canonical element codes.  All
 enumeration orders are fixed and scans run in one process, so identical
 inputs give byte-identical output at any ``--jobs`` count.  Exit status:
 0 success, 1 domain error (message on stderr), 2 usage error, 3 internal
-error (a broken invariant such as "level t = k must always accept";
+error (a broken invariant such as "no multiplicative generator found";
 ``internal error: <message>`` on stderr, no traceback).
 """
 
@@ -243,7 +243,7 @@ def _build_parser() -> argparse.ArgumentParser:
         poly=True, out=True)
     add("dist", _cmd_dist, "exhaustive distance of a word to the code",
         metric=True, word=True, cap=True, out=True)
-    add("search", _cmd_search, "distance by the descending witness search",
+    add("search", _cmd_search, "distance by the ascending witness search",
         metric=True, word=True, cap=True, out=True)
     add("classify", _cmd_search, "deep-hole status of a word",
         metric=True, word=True, cap=True, out=True)

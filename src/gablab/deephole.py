@@ -4,24 +4,31 @@ Words correspond to linearized polynomials of q-degree < n; translation by
 codewords only changes coefficients below k, so distance is a function of
 the coefficients a_k..a_{n-1} alone and scans can run over those classes
 (the reduction itself is oracle-tested, not assumed).  For a representative
-f with k <= deg_q f < n the distance is at least n - deg_q f, and it equals
-n - t exactly when some v of q-degree < k agrees with f on a t-dimensional
-subspace of the span of the evaluation points (Hamming: on a t-subset of
-the points themselves).  The searches below walk t downward from deg_q f;
-at t = k an interpolant through any k independent points always exists, so
-every word sits within n - k of the code and ``is_deep_hole`` means
-distance == n - k in both metrics.
+f with k <= deg_q f < n the distance is n - t*, where t* is the largest t
+such that some v of q-degree < k agrees with f on a t-dimensional subspace
+of the span of the evaluation points (Hamming: on a t-subset of the points
+themselves).  f - v is nonzero of q-degree deg_q f, so its roots form a
+space of dimension at most deg_q f: t* <= deg_q f, and the distance is at
+least n - deg_q f.  At t = k an interpolant through any k independent
+points always exists, so every word sits within n - k of the code and
+``is_deep_hole`` means distance == n - k in both metrics.
+
+Acceptance is monotone: a v that agrees with f on U agrees with it on
+every subspace (subset) of U, so the accepting levels are exactly k..t*.
+The word search therefore walks t upward from k+1 and stops at the first
+level with no accepting candidate; a deep hole is settled by one rejected
+level k+1, where a walk down from deg_q f would reject every level above.
 
 Scaling f by a nonzero field scalar lam scales the word and permutes the
 code (the code is F_{q^m}-linear), and both weights are invariant under
 entry scaling, so distance is constant on scalar orbits.  The witness is
 too: a candidate's Moore system with right side lam*f's values has the
 solutions lam*v of the one with f's values, so it is consistent for lam*f
-exactly when it is for f, in both metrics.  The descent therefore
-accepts at the same level with the same first witness in canonical order,
+exactly when it is for f, in both metrics.  The search therefore
+accepts at the same levels with the same first witness in canonical order,
 which is why class scans classify one monic class per orbit.
 
-The descent never evaluates f on a candidate.  Every candidate generator
+The search never evaluates f on a candidate.  Every candidate generator
 is an F_q-combination u = sum_j c_j g_j of the points (an RREF row of
 ``subspace_bases`` in the rank metric, a unit row in Hamming), and f is
 F_q-linear, so f(u) = sum_j c_j f(g_j): the same combination of f's values
@@ -33,7 +40,7 @@ one elimination on codes, with no polynomial built or evaluated.  Its
 rank is k (t >= k independent generators), so a solution is unique and
 is the interpolant through u_1..u_k, which then agrees with f on all of U.
 
-Class scans run no descent per class; an annihilator sieve classifies
+Class scans run no search per class; an annihilator sieve classifies
 every unit (a monic class, one per scalar orbit of nonzero classes) in
 one pass over the candidates.  A unit f accepts a t-dimensional
 candidate U when f - v vanishes on U for some v of q-degree < k, that is
@@ -45,7 +52,7 @@ of q-degree <= n-1-t.  The sieve walks t = n-1 down to k+1 and, within a
 level, the candidates in canonical order; the first hit on a unit fixes
 its distance n - t and its witness U.  A unit is never hit above its own
 q-degree, so that is its highest accepting level and, within it, its
-first accepting candidate: the descent's answer.  Units never hit take
+first accepting candidate: the word search's answer.  Units never hit take
 n - k and the first k-dimensional candidate, which always accepts.  The
 cost is one annihilator per candidate and (order**(n-t) - 1)/(order - 1)
 short vector sums per candidate at level t, once per code.
@@ -156,7 +163,14 @@ def _accepting_cover(code: GabidulinCode, fvals: list[int], t: int, metric: str,
 
 def classify_poly(code: GabidulinCode, f: LinPoly, metric: str,
                   subspace_cap: int = DEFAULT_SUBSPACE_CAP) -> ClassifyResult:
-    """Distance of the word represented by f, by descending witness search."""
+    """Distance of the word represented by f, by ascending witness search.
+
+    Acceptance is monotone in t, so the accepting levels are k..t*: walk
+    t = k+1 up to deg_q f and stop at the first level with no accepting
+    candidate.  t* is the last level that accepted and its witness is that
+    level's first accepting candidate; when level k+1 rejects, the first
+    k-dimensional candidate witnesses, since level k accepts them all.
+    """
     _check_metric(metric)
     if f.ctx is not code.ctx:
         raise ValueError("polynomial must live over the code's field context")
@@ -167,16 +181,18 @@ def classify_poly(code: GabidulinCode, f: LinPoly, metric: str,
     if d is NEG_INF or d < k:
         return ClassifyResult(distance=0, bound=0, is_deep_hole=(n == k),
                               metric=metric, witness=None)
-    bound = n - d
     fvals = [f(g).code for g in code.points]
-    for t in range(d, k - 1, -1):
-        wit = _accepting_cover(code, fvals, t, metric, subspace_cap)
-        if wit is not None:
-            dist = n - t
-            return ClassifyResult(distance=dist, bound=bound,
-                                  is_deep_hole=(dist == n - k),
-                                  metric=metric, witness=wit)
-    raise AssertionError("level t = k must always accept")
+    t, wit = k, None
+    while t < d:
+        above = _accepting_cover(code, fvals, t + 1, metric, subspace_cap)
+        if above is None:
+            break
+        t, wit = t + 1, above
+    if wit is None:
+        wit = next(_candidates(code, k, metric, subspace_cap))[0]
+    dist = n - t
+    return ClassifyResult(distance=dist, bound=n - d, is_deep_hole=(dist == n - k),
+                          metric=metric, witness=wit)
 
 
 def distance_by_search(code: GabidulinCode, w: Word, metric: str,

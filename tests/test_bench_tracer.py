@@ -34,8 +34,8 @@ def test_tracer_installs_and_restores_every_patched_name():
         assert all(owner.__dict__[attr] is not before[(owner, attr)]
                    for owner, attr in sites)
         assert distance_by_search(code, code.word((1, 3, 5, 7)), "rank").distance == 2
-        # One interpolation, the word's sigma_inverse; the descent walks the
-        # traced subspace enumeration.
+        # One interpolation, the word's sigma_inverse; the witness search
+        # walks the traced subspace enumeration.
         assert tr.calls["linpoly.q_lagrange"] == 1
         assert tr.counts["subspaces.yielded"] > 0
     finally:

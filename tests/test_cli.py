@@ -294,13 +294,13 @@ def test_jobs_below_one_is_a_usage_error(capsys, spec24, command, jobs):
 
 def test_internal_error_exits_3(capsys, monkeypatch, spec23):
     def broken(*args, **kwargs):
-        raise AssertionError("level t = k must always accept")
+        raise AssertionError("no multiplicative generator found")
 
     monkeypatch.setattr("gablab.cli.distance_by_search", broken)
     status, out, err = run(capsys, "search", "--spec", spec23, "--word", "1,2,3")
     assert status == 3
     assert out == ""
-    assert err == "internal error: level t = k must always accept\n"
+    assert err == "internal error: no multiplicative generator found\n"
     assert "Traceback" not in err
 
 

@@ -1,7 +1,7 @@
 """Deep-hole classification against the exhaustive codeword oracle.
 
 The central property: for every translation class over the small binary
-fields, the descending witness search must report exactly the distance the
+fields, the witness search must report exactly the distance the
 brute-force oracle computes, in both metrics.  Everything else here pins
 invariances (translation, scaling), the two independent witness routes at
 q-degree k+1, scan determinism across worker counts, and the structured
@@ -161,9 +161,31 @@ def test_search_evaluates_the_representative_at_most_n_times(monkeypatch):
         return real(self, u)
 
     monkeypatch.setattr(LinPoly, "__call__", counting)
-    res = distance_by_search(code, words[0], "rank")  # a random word: every level
+    res = distance_by_search(code, words[0], "rank")  # a random word: deep
     assert res.distance == 4
     assert len(calls) <= code.n
+
+
+def test_deep_word_search_walks_level_k_plus_1_only(monkeypatch):
+    # A deep hole is settled by one rejected level k+1 plus the first
+    # k-dimensional candidate: [5,2]_2 + 1 = 156 candidates in rank and
+    # C(5,2) + 1 = 11 in Hamming.  Walking down from deg_q f = 4 would
+    # take 31 + 155 + 155 + 1 = 342 in rank.
+    code, words = _bigfield_words()
+    walked = []
+    real = deephole._candidates
+
+    def counting(*args):
+        for cand in real(*args):
+            walked.append(1)
+            yield cand
+
+    monkeypatch.setattr(deephole, "_candidates", counting)
+    for metric, most in (("rank", 156), ("hamming", 11)):
+        walked.clear()
+        res = distance_by_search(code, words[0], metric)
+        assert res.is_deep_hole
+        assert len(walked) <= most
 
 
 def test_search_builds_few_field_elements(monkeypatch):

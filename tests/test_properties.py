@@ -6,8 +6,9 @@ field arithmetic, so agreement on random codes checks both.  The
 same holds for the single-word search and the codeword-enumerating
 oracle, checked on towers with random irreducible moduli.  The rank
 echelon and the span automaton are checked against an elimination over
-the prime field, and the class scan's rows against the per-class
-witness descent.
+the prime field, the class scan's rows against the per-class witness
+search, and that search, which walks the levels upward, against a
+top-down reference descent.
 """
 
 import random
@@ -19,11 +20,12 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
-from gablab import (FieldCtx, GabidulinCode, LinPoly, classify_poly,  # noqa: E402
+from gablab import (NEG_INF, FieldCtx, GabidulinCode, LinPoly, classify_poly,  # noqa: E402
                     covering_radius_raw, covering_radius_scan,
                     dist_to_code_exhaustive, distance_by_search)
 from gablab.code import _weigher  # noqa: E402
-from gablab.deephole import _witness_codes  # noqa: E402
+from gablab.deephole import (DEFAULT_SUBSPACE_CAP, _accepting_cover,  # noqa: E402
+                             _witness_codes)
 from gablab.field import (_SPAN_AUTOMATON_LIMIT, _TABLE_LIMIT,  # noqa: E402
                           _poly_is_irreducible, gaussian_binomial)
 
@@ -56,8 +58,9 @@ def small_codes(draw):
 
 # (p, s, m, n) for the sieve property: p in {2, 3, 5}, fields of order at
 # most 1024 and every 3 <= n <= m (n = 2 leaves no sieve level at any k).
-# k is drawn so that the descent that checks the scan tries at most
-# DESCENT_BUDGET candidates: units times the candidates of levels k..n-1.
+# k is drawn so that the per-class search that checks the scan tries at
+# most DESCENT_BUDGET candidates: units times the candidates of levels
+# k..n-1.
 DESCENT_BUDGET = 10_000
 SIEVE_SHAPES = [(p, s, m, n) for p in (2, 3, 5) for s in (1, 2) for m in range(2, 7)
                 for n in range(3, m + 1) if p ** (s * m) <= 1024]
@@ -183,6 +186,52 @@ def test_search_distance_equals_oracle(case):
             res = distance_by_search(code, w, metric)
             assert res.distance == dist_to_code_exhaustive(code, w, metric)[0]
             assert res.is_deep_hole == (res.distance == code.n - code.k)
+
+
+def _descent(code, f, metric):
+    """Reference for classify_poly: (distance, deep flag, witness codes)
+    from the top-down walk t = deg_q f, ..., k that stops at the first
+    level with an accepting candidate.  Level k always accepts."""
+    n, k, d = code.n, code.k, f.deg_q
+    if d is NEG_INF or d < k:
+        return 0, n == k, None
+    fvals = [f(g).code for g in code.points]
+    for t in range(d, k - 1, -1):
+        wit = _accepting_cover(code, fvals, t, metric, DEFAULT_SUBSPACE_CAP)
+        if wit is not None:
+            return n - t, t == k, _witness_codes(wit)
+    raise AssertionError("level t = k must always accept")
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(case=small_codes_and_words())
+def test_ascent_equals_the_reference_descent(case):
+    code, words = case
+    for w in words:
+        f = code.sigma_inverse(w)
+        for metric in ("rank", "hamming"):
+            res = classify_poly(code, f, metric)
+            assert (res.distance, res.is_deep_hole,
+                    _witness_codes(res.witness)) == _descent(code, f, metric)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(case=small_codes_and_words())
+def test_accepting_levels_form_a_prefix(case):
+    # If v agrees with f on U it agrees on every subspace (subset) of U,
+    # so the accepting levels are k..t*, and t* = n - distance.
+    code, words = case
+    for w in words:
+        f = code.sigma_inverse(w)
+        if f.deg_q is NEG_INF or f.deg_q < code.k:
+            continue
+        fvals = [f(g).code for g in code.points]
+        for metric in ("rank", "hamming"):
+            accepting = [t for t in range(code.k, f.deg_q + 1)
+                         if _accepting_cover(code, fvals, t, metric,
+                                             DEFAULT_SUBSPACE_CAP) is not None]
+            assert accepting == list(range(code.k, code.k + len(accepting)))
+            assert accepting[-1] == code.n - classify_poly(code, f, metric).distance
 
 
 # (p, s, m) towers with p in {2, 3, 5} and s in {1, 2}, order <= 5**4.
