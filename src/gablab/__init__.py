@@ -6,9 +6,9 @@ metrics, and the structured word families, all at desk scale.
 """
 
 from .field import BasisSpec, FieldCtx, FieldElement, gaussian_binomial
-from .linpoly import (LinPoly, MooreMatrix, NEG_INF, SubspaceBasis,
-                      annihilator, matrix_rank, minor_coeff, moore_det,
-                      q_lagrange, q_lagrange_by_minors, root_space)
+from .linpoly import (LinPoly, NEG_INF, SubspaceBasis, annihilator,
+                      matrix_rank, minor_coeff, moore_det, q_lagrange,
+                      q_lagrange_by_minors, root_space)
 from .subspaces import subspace_bases
 from .code import (GabidulinCode, METRICS, Word, covering_radius_raw,
                    dist_to_code_exhaustive, format_code_spec, load_code_spec,
@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BasisSpec", "FieldCtx", "FieldElement", "gaussian_binomial",
-    "LinPoly", "MooreMatrix", "NEG_INF", "SubspaceBasis",
+    "LinPoly", "NEG_INF", "SubspaceBasis",
     "annihilator", "matrix_rank", "minor_coeff", "moore_det",
     "q_lagrange", "q_lagrange_by_minors", "root_space",
     "subspace_bases",

@@ -23,7 +23,7 @@ from .deephole import (classify_poly, covering_radius_scan, equality_witness,
                        _pair_quadric_value, quadric_census, quadric_v,
                        ratio_lemma_check)
 from .field import BasisSpec, FieldCtx, FieldElement
-from .linpoly import (LinPoly, MooreMatrix, annihilator, matrix_rank, minor_coeff,
+from .linpoly import (LinPoly, annihilator, matrix_rank, minor_coeff, moore_det,
                       root_space)
 from .subspaces import subspace_bases
 
@@ -270,7 +270,7 @@ def criterion_10(rng: random.Random) -> str:
     for t in range(1, 5):
         for combo in itertools.combinations(range(ctx.order), t):
             elems = [FieldElement(ctx, c) for c in combo]
-            det = MooreMatrix(elems).det()
+            det = moore_det(elems)
             indep = ctx.span_dim(elems) == t
             assert (det.code != 0) == indep, \
                 f"Moore determinant disagrees with independence on {combo}"

@@ -129,8 +129,8 @@ class GabidulinCode:
         self.ctx = ctx
         self.span = SubspaceBasis(ctx, points)  # rejects dependent points
         n = self.span.dim
-        if not 1 <= k <= n:
-            raise ValueError(f"message degree bound k must lie in 1..{n}, got {k}")
+        if type(k) is not int or not 1 <= k <= n:
+            raise ValueError(f"message degree bound k must be an integer in 1..{n}, got {k!r}")
         self.k = k
         self._cw_cache = None
 
@@ -151,7 +151,7 @@ class GabidulinCode:
             raise ValueError("message must be a LinPoly over the code's field context")
         if msg.deg_q >= self.k:
             raise ValueError(f"message q-degree must be < {self.k}")
-        return Word(self.ctx, [msg(g).code for g in self.points])
+        return self.evaluate(msg)
 
     def evaluate(self, f: LinPoly) -> Word:
         """Word of f's values on the points, for any f of q-degree < n."""

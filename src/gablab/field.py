@@ -22,11 +22,13 @@ discrete-log table pair for multiplication and, in odd characteristic, a
 Zech-logarithm table zech[i] = log(1 + g**i) (-1 where that sum is 0), so
 a + b = g**(log a + zech[log b - log a]), -a = g**(log a + (order-1)/2)
 and a - b = a + (-b) are lookups.  Fields above the limit build no table
-and take the direct polynomial route, odd additions digit by digit; the
-tables are built with that route.  The odd-characteristic F_q-rank
-echelon (``FieldCtx._greedy_codes``) reduces codes, not digit lists: with
-``sub`` and ``mul`` on the table route, and in one digit pass per
-reduction (a - r*b for r in F_p) on the direct route.
+and take the direct polynomial route, where odd characteristic has one
+digit kernel, a - r*b for r in F_p in one pass over the base-p digits
+(``FieldCtx._sub_scaled_digits``), for addition, subtraction, negation
+and each reduction of the F_q-rank echelon; the tables are built with
+that route.  The odd-characteristic echelon (``FieldCtx._greedy_codes``)
+reduces codes, not digit lists: with ``sub`` and ``mul`` on the table
+route, and with the digit kernel on the direct route.
 
 Rank weights (``FieldCtx._rank_codes``) walk a memoized F_q-span
 automaton on table-route fields whose complete automaton is small.  A
@@ -90,18 +92,7 @@ def gaussian_binomial(n: int, t: int, q: int) -> int:
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n >= 2 and _prime_factors(n) == [n]
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -362,6 +353,8 @@ class FieldCtx:
     )
 
     def __init__(self, p: int, s: int, m: int, modulus=None, cap: int = DEFAULT_FIELD_CAP):
+        if any(type(x) is not int for x in (p, s, m)):
+            raise ValueError(f"p, s and m must be integers, got {(p, s, m)!r}")
         if not _is_prime(p):
             raise ValueError(f"p must be prime, got {p}")
         if s < 1 or m < 1:
@@ -425,19 +418,14 @@ class FieldCtx:
                 raise ValueError(f"code {value} out of range for {self!r}")
             return FieldElement(self, value)
         try:
-            iter(value)
+            coeffs = list(value)
         except TypeError:
             raise ValueError(f"{value!r} is not a code or coefficient sequence "
                              f"of {self!r}") from None
-        return self.from_coeffs(value)
-
-    def from_coeffs(self, coeffs) -> "FieldElement":
-        coeffs = list(coeffs)
         if len(coeffs) > self.sm:
             raise ValueError("too many coefficients for this field")
         if any(type(c) is not int or not 0 <= c < self.p for c in coeffs):
             raise ValueError("coefficients must be integers in [0, p)")
-        coeffs += [0] * (self.sm - len(coeffs))
         return FieldElement(self, self._undigits(coeffs))
 
     def zero(self) -> "FieldElement":
@@ -451,9 +439,6 @@ class FieldCtx:
         if self.sm == 1:
             raise ValueError("prime field: the residue of x is not an element generator")
         return FieldElement(self, self.p)
-
-    def random_element(self, rng) -> "FieldElement":
-        return FieldElement(self, rng.randrange(self.order))
 
     # -- digit plumbing -------------------------------------------------------
 
@@ -469,26 +454,17 @@ class FieldCtx:
         if self.p == 2:
             return a ^ b
         if self._exp is None:
-            return self._add_digits(a, b)
+            return self._sub_scaled_digits(a, b, self.p - 1)
         if a == 0 or b == 0:
             return a or b
         log, n1 = self._log, self._n1
         z = self._zech[(log[b] - log[a]) % n1]
         return self._exp[(log[a] + z) % n1] if z >= 0 else 0
 
-    def _add_digits(self, a: int, b: int) -> int:
-        p = self.p
-        out, mult = 0, 1
-        for _ in range(self.sm):
-            a, da = divmod(a, p)
-            b, db = divmod(b, p)
-            out += ((da + db) % p) * mult
-            mult *= p
-        return out
-
     def _sub_scaled_digits(self, a: int, b: int, r: int) -> int:
         """a - r*b for r in F_p, in one pass over the base-p digits (a
-        prime-field multiple scales each digit)."""
+        prime-field multiple scales each digit): the direct route's odd
+        add (r = p - 1), sub (r = 1) and neg (a = 0, r = 1)."""
         p = self.p
         out, mult = 0, 1
         while a or b:
@@ -503,20 +479,16 @@ class FieldCtx:
             return a
         if self._exp is not None:
             return self._exp[(self._log[a] + (self._n1 >> 1)) % self._n1] if a else 0
-        p = self.p
-        out, mult = 0, 1
-        for _ in range(self.sm):
-            a, da = divmod(a, p)
-            out += (-da % p) * mult
-            mult *= p
-        return out
+        return self._sub_scaled_digits(0, a, 1)
 
     def sub(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
-        if b and self._exp is not None:
+        if self._exp is None:
+            return self._sub_scaled_digits(a, b, 1)
+        if b:
             return self.add(a, self._exp[(self._log[b] + (self._n1 >> 1)) % self._n1])
-        return self.add(a, self.neg(b))
+        return a
 
     def _mul_direct(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -603,7 +575,8 @@ class FieldCtx:
             frob[a] = exp[(log[a] * qr) % n1] if n1 > 1 else a
         zech = None
         if self.p != 2:
-            zech = [log[t] if t else -1 for t in (self._add_digits(1, e) for e in exp)]
+            zech = [log[t] if t else -1
+                    for t in (self._sub_scaled_digits(1, e, self.p - 1) for e in exp)]
         self._log, self._frob_tab, self._zech, self._exp = log, frob, zech, exp
 
     def mul(self, a: int, b: int) -> int:
@@ -651,26 +624,6 @@ class FieldCtx:
         for _ in range(i):
             a = self.pow(a, self.q)
         return a
-
-    # -- traces ---------------------------------------------------------------
-
-    def trace_to_subfield(self, u: "FieldElement") -> "FieldElement":
-        """Trace of the top field down to F_q (sum of q-power conjugates)."""
-        u = self.element(u)
-        acc, cur = 0, u.code
-        for i in range(self.m):
-            acc = self.add(acc, cur)
-            cur = self.frob(cur)
-        return FieldElement(self, acc)
-
-    def trace_to_prime(self, u: "FieldElement") -> "FieldElement":
-        """Absolute trace down to F_p (sum of p-power conjugates)."""
-        u = self.element(u)
-        acc, cur = 0, u.code
-        for i in range(self.sm):
-            acc = self.add(acc, cur)
-            cur = self.pow(cur, self.p)
-        return FieldElement(self, acc)
 
     # -- the middle field -----------------------------------------------------
 
@@ -818,11 +771,6 @@ class FieldCtx:
     def span_dim(self, elems) -> int:
         """Dimension over F_q of the span of the given elements."""
         return len(self._greedy_codes([self.element(e).code for e in elems]))
-
-    def greedy_independent(self, elems) -> list["FieldElement"]:
-        """First maximal F_q-independent sublist, scanning in input order."""
-        codes = self._greedy_codes([self.element(e).code for e in elems])
-        return [FieldElement(self, c) for c in codes]
 
     def coords(self, u: "FieldElement", basis: "BasisSpec") -> list["FieldElement"]:
         """Coordinates of u over F_q in the given full basis (exact)."""

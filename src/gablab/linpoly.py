@@ -51,8 +51,8 @@ class LinPoly:
     @classmethod
     def monomial(cls, ctx: FieldCtx, i: int, coeff=1) -> "LinPoly":
         """coeff * x^(q^i)"""
-        if i < 0:
-            raise ValueError("monomial q-degree must be nonnegative")
+        if type(i) is not int or i < 0:
+            raise ValueError(f"monomial q-degree must be a nonnegative integer, got {i!r}")
         return cls(ctx, (0,) * i + (coeff,))
 
     @property
@@ -285,59 +285,35 @@ def matrix_rank(rows) -> int:
     return len(_eliminate(ctx, codes, len(codes[0]))[1])
 
 
-class MooreMatrix:
-    """Matrix whose rows are successive q-power images of a fixed tuple.
-
-    Entry (i, j) is elems[j] ** (q ** row_exps[i]); the exponent list is
-    strictly increasing and defaults to 0..len(elems)-1.
-    """
-
-    __slots__ = ("ctx", "elems", "row_exps", "entries")
-
-    def __init__(self, elems, row_exps=None):
-        elems = tuple(elems)
-        if not elems:
-            raise ValueError("a Moore matrix needs at least one column")
-        if not all(isinstance(e, FieldElement) for e in elems):
-            raise ValueError("Moore matrix entries must be field elements")
-        ctx = elems[0].ctx
-        if any(e.ctx is not ctx for e in elems):
-            raise ValueError("Moore matrix entries from mixed field contexts")
-        if row_exps is None:
-            row_exps = tuple(range(len(elems)))
-        else:
-            row_exps = tuple(row_exps)
-            if not row_exps:
-                raise ValueError("a Moore matrix needs at least one row")
-            if any(type(e) is not int for e in row_exps):
-                raise ValueError(f"row exponents must be integers, got {row_exps!r}")
-            if any(e < 0 for e in row_exps):
-                raise ValueError("row exponents must be nonnegative")
-            if any(a >= b for a, b in zip(row_exps, row_exps[1:])):
-                raise ValueError("row exponents must be strictly increasing")
-        self.ctx = ctx
-        self.elems = elems
-        self.row_exps = row_exps
-        powers = _moore_rows(ctx, [e.code for e in elems], row_exps[-1] + 1)
-        self.entries = [[r[e] for r in powers] for e in row_exps]
-
-    def det(self) -> FieldElement:
-        if len(self.row_exps) != len(self.elems):
-            raise ValueError("determinant of a non-square Moore matrix")
-        return FieldElement(self.ctx, _det(self.ctx, self.entries))
+def _moore_det(ctx: FieldCtx, codes, deleted_row: int | None = None) -> int:
+    """det of the Moore matrix of the codes (row i their q^i-th powers,
+    i < n), or with deleted_row = j of the (n+1)-row tall one without its
+    q^j row, taken on the transpose from ``_moore_rows``.  No codes: the
+    empty determinant 1."""
+    n = len(codes)
+    if deleted_row is None:
+        return _det(ctx, _moore_rows(ctx, codes, n))
+    return _det(ctx, [r[:deleted_row] + r[deleted_row + 1:]
+                      for r in _moore_rows(ctx, codes, n + 1)])
 
 
 def moore_det(elems, deleted_row=None) -> FieldElement:
     """det of the Moore matrix of elems; optionally with one q-power row
     deleted from the (n+1)-row tall version, keeping it square."""
     elems = tuple(elems)
+    if not elems:
+        raise ValueError("a Moore matrix needs at least one column")
+    if not all(isinstance(e, FieldElement) for e in elems):
+        raise ValueError("Moore matrix entries must be field elements")
+    ctx = elems[0].ctx
+    if any(e.ctx is not ctx for e in elems):
+        raise ValueError("Moore matrix entries from mixed field contexts")
     n = len(elems)
-    if deleted_row is None:
-        return MooreMatrix(elems).det()
-    if not 0 <= deleted_row <= n:
-        raise ValueError(f"deleted row exponent must lie in 0..{n}")
-    exps = [e for e in range(n + 1) if e != deleted_row]
-    return MooreMatrix(elems, exps).det()
+    if deleted_row is not None and (type(deleted_row) is not int
+                                    or not 0 <= deleted_row <= n):
+        raise ValueError(f"deleted row exponent must be an integer in 0..{n}, "
+                         f"got {deleted_row!r}")
+    return FieldElement(ctx, _moore_det(ctx, [e.code for e in elems], deleted_row))
 
 
 def annihilator(basis: SubspaceBasis) -> LinPoly:
@@ -402,26 +378,26 @@ def q_lagrange_by_minors(points: SubspaceBasis, values) -> LinPoly:
     for small n only.
     """
     ctx = points.ctx
-    values = [ctx.element(v) for v in values]
+    values = [ctx.element(v).code for v in values]
     n = points.dim
     if len(values) != n:
         raise ValueError("point/value count mismatch")
-    gens = points.gens
-    den = moore_det(gens)
-    if den.code == 0:
+    codes = points.codes
+    den = _moore_det(ctx, codes)
+    if den == 0:
         raise ValueError("interpolation points are dependent")
-    inv_den = ctx.inv(den.code)
+    inv_den = ctx.inv(den)
     total = LinPoly.zero(ctx)
     for i in range(n):
-        others = gens[:i] + gens[i + 1:]
+        others = codes[:i] + codes[i + 1:]
         coeffs = []
         for t in range(n):
-            sub = moore_det(others, deleted_row=t).code if others else 1
+            sub = _moore_det(ctx, others, t)
             if (t + n - 1) % 2:
                 sub = ctx.neg(sub)
             coeffs.append(sub)
         term = LinPoly(ctx, coeffs)
-        scale = ctx.mul(values[i].code, inv_den)
+        scale = ctx.mul(values[i], inv_den)
         if (n - 1 - i) % 2:
             scale = ctx.neg(scale)
         total = total + term * scale
@@ -436,9 +412,7 @@ def minor_coeff(basis: SubspaceBasis, i: int) -> FieldElement:
     det(tall Moore matrix with the q^(t-i) row deleted) / det(square Moore).
     """
     t = basis.dim
-    if not 1 <= i <= t:
-        raise ValueError(f"coefficient index must lie in 1..{t}")
-    gens = basis.gens
-    num = moore_det(gens, deleted_row=t - i)
-    den = moore_det(gens)
-    return num / den
+    if type(i) is not int or not 1 <= i <= t:
+        raise ValueError(f"coefficient index must be an integer in 1..{t}, got {i!r}")
+    ctx, codes = basis.ctx, basis.codes
+    return FieldElement(ctx, ctx.div(_moore_det(ctx, codes, t - i), _moore_det(ctx, codes)))

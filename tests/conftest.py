@@ -1,9 +1,13 @@
 """Shared fixtures: small field contexts and codes reused across the suite,
-and an F_q-rank reference that shares no code with the rank echelon.
+and references that share no code with what they check: an F_q-rank
+reference independent of the rank echelon, a Leibniz-formula determinant
+and traces as sums of conjugates.
 
 Everything here is deterministic and cheap to build; session scope just
 avoids rebuilding the same field tables in every test module.
 """
+
+import itertools
 
 import pytest
 
@@ -25,9 +29,42 @@ def _greedy_reference(ctx: FieldCtx, codes) -> list[int]:
     return kept
 
 
+def _leibniz_det(ctx: FieldCtx, rows) -> int:
+    """Sum over permutations of sign * product of entries; no elimination."""
+    n, det = len(rows), 0
+    for perm in itertools.permutations(range(n)):
+        term = 1
+        for i, j in enumerate(perm):
+            term = ctx.mul(term, rows[i][j])
+        inversions = sum(1 for a, b in itertools.combinations(perm, 2) if a > b)
+        det = ctx.sub(det, term) if inversions % 2 else ctx.add(det, term)
+    return det
+
+
+def _trace(ctx: FieldCtx, c: int, to_prime: bool = False) -> int:
+    """Trace of the code c to F_q, the sum of c^(q^i) for i < m, or with
+    to_prime to F_p, the sum of c^(p^i) for i < s*m; powers by ``pow``."""
+    e, terms = (ctx.p, ctx.sm) if to_prime else (ctx.q, ctx.m)
+    acc = 0
+    for _ in range(terms):
+        acc = ctx.add(acc, c)
+        c = ctx.pow(c, e)
+    return acc
+
+
 @pytest.fixture(scope="session")
 def greedy_reference():
     return _greedy_reference
+
+
+@pytest.fixture(scope="session")
+def leibniz_det():
+    return _leibniz_det
+
+
+@pytest.fixture(scope="session")
+def trace():
+    return _trace
 
 
 @pytest.fixture(scope="session")

@@ -74,6 +74,13 @@ def test_code_requires_independent_points_and_valid_k(gf16):
     assert code.message_count() == 16**3
 
 
+@pytest.mark.parametrize("k", [2.0, True, "2", None])
+def test_code_rejects_non_integer_k(gf16, k):
+    # k = 2.0 passes the range check and makes message_count() a float.
+    with pytest.raises(ValueError, match="must be an integer"):
+        GabidulinCode(gf16, (1, 2, 4), k)
+
+
 def test_frozen_gf4_encode_and_distances(gf4, gf4_code):
     w = gf4_code.encode(LinPoly(gf4, (2,)))
     assert w.codes == (2, 3)

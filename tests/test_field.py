@@ -5,6 +5,7 @@ check: plain trial division against every lower-degree monic polynomial.
 """
 
 import itertools
+import operator
 import random
 import sys
 import threading
@@ -12,8 +13,8 @@ import threading
 import pytest
 
 from gablab import BasisSpec, FieldCtx
-from gablab.field import (_det, _eliminate, _nullspace, _pdivmod, _poly_is_irreducible,
-                          _prime_field, _solve)
+from gablab.field import (_base_digits, _det, _eliminate, _from_base_digits, _nullspace,
+                          _pdivmod, _poly_is_irreducible, _prime_field, _solve)
 
 
 def _irreducible_by_trial_division(poly: list[int], p: int) -> bool:
@@ -64,12 +65,12 @@ def test_rabin_matches_trial_division_for_gf2_cubics():
 # -- frozen hand values -------------------------------------------------------
 
 
-def test_gf4_hand_values(gf4):
+def test_gf4_hand_values(gf4, trace):
     w = gf4.element(2)
     assert (w * w).code == 3
     assert (1 / w).code == 3
     assert gf4.frob(2) == 3
-    assert gf4.trace_to_prime(w).code == 1
+    assert trace(gf4, 2, to_prime=True) == 1
 
 
 def test_gf27_hand_values(gf27):
@@ -163,28 +164,29 @@ def test_subfield_is_fixed_field_of_frobenius(gf16, tower16):
 
 
 # -- traces ---------------------------------------------------------------------
+# Sums of conjugates: they land in the fixed fields and are additive only if
+# the q- and p-power maps are additive automorphisms of the right orders.
 
 
-def test_traces_are_additive_and_land_in_the_right_field(gf16, tower16):
+def test_traces_are_additive_and_land_in_the_right_field(gf16, tower16, trace):
     for ctx in (gf16, tower16):
         rng = random.Random(3)
         for _ in range(100):
-            a, b = ctx.random_element(rng), ctx.random_element(rng)
-            ta, tb = ctx.trace_to_subfield(a), ctx.trace_to_subfield(b)
-            assert ta.in_subfield()
-            assert ctx.trace_to_subfield(a + b) == ta + tb
-            tp = ctx.trace_to_prime(a)
-            assert tp.code in range(ctx.p)  # prime subfield codes are 0..p-1
-            assert ctx.trace_to_prime(a.frob()) == tp
+            a, b = rng.randrange(ctx.order), rng.randrange(ctx.order)
+            ta, tb = trace(ctx, a), trace(ctx, b)
+            assert ctx.frob(ta) == ta
+            assert trace(ctx, ctx.add(a, b)) == ctx.add(ta, tb)
+            tp = trace(ctx, a, to_prime=True)
+            assert tp in range(ctx.p)  # prime subfield codes are 0..p-1
+            assert trace(ctx, ctx.frob(a), to_prime=True) == tp
 
 
-def test_trace_to_prime_composes_through_the_middle_field(tower16):
+def test_trace_to_prime_composes_through_the_middle_field(tower16, trace):
     # Absolute trace = (trace to F_4) then (p-power trace of F_4 to F_2).
     for c in range(tower16.order):
-        u = tower16.element(c)
-        mid = tower16.trace_to_subfield(u).code
+        mid = trace(tower16, c)
         down = tower16.add(mid, tower16.pow(mid, tower16.p))
-        assert down == tower16.trace_to_prime(u).code
+        assert down == trace(tower16, c, to_prime=True)
 
 
 # -- linear structure -----------------------------------------------------------
@@ -194,8 +196,7 @@ def test_span_dim_and_greedy_independent(gf16, tower16):
     assert gf16.span_dim([1, 2, 4, 8]) == 4
     assert gf16.span_dim([1, 2, 3]) == 2  # 3 = 1 + 2
     assert gf16.span_dim([0]) == 0
-    kept = gf16.greedy_independent([1, 2, 3, 4, 0, 8])
-    assert [e.code for e in kept] == [1, 2, 4, 8]
+    assert gf16._greedy_codes([1, 2, 3, 4, 0, 8]) == [1, 2, 4, 8]
     # q = 4: scalar multiples from the middle field collapse to one line.
     sub = [e.code for e in tower16.subfield_elements() if e.code]
     one_dim = [tower16.mul(c, 5) for c in sub]
@@ -217,7 +218,7 @@ def test_span_dim_is_log_q_of_the_span_size(request, field):
         span = {0}
         for c in codes:
             span = {ctx.add(u, ctx.mul(a, c)) for u in span for a in scalars}
-        kept = [e.code for e in ctx.greedy_independent(codes)]
+        kept = ctx._greedy_codes(codes)
         assert ctx.q ** ctx.span_dim(codes) == len(span)
         assert ctx.q ** ctx._rank_codes(codes) == len(span)
         assert ctx.q ** len(kept) == len(span)
@@ -263,7 +264,7 @@ def test_coords_reconstruct_the_element(gf16, tower16):
                              (tower16, (1, 4)), (tower16, (7, 9))):
         basis = BasisSpec([ctx.element(c) for c in basis_codes])
         for _ in range(50):
-            u = ctx.random_element(rng)
+            u = ctx.element(rng.randrange(ctx.order))
             cs = ctx.coords(u, basis)
             acc = ctx.zero()
             for coef, beta in zip(cs, basis):
@@ -291,6 +292,14 @@ def test_ctx_validation_errors():
     alt = FieldCtx(2, 1, 3, modulus=(1, 0, 1, 1))
     assert alt.modulus == (1, 0, 1, 1)
     assert alt.mul(2, 2) == 4  # x * x = x^2, still below the modulus
+
+
+@pytest.mark.parametrize("args", [(2, True, 3), (2, 1, 3.0), (2.0, 1, 3), (True, 1, 1),
+                                  (2, 1, "3")])
+def test_ctx_rejects_non_integer_parameters(args):
+    # A bool is an int: FieldCtx(2, True, 3) would build GF(2^3).
+    with pytest.raises(ValueError, match="p, s and m must be integers"):
+        FieldCtx(*args)
 
 
 def test_modulus_rejects_non_integer_coefficients():
@@ -332,10 +341,10 @@ def test_element_wrapping_and_context_separation(gf4, gf8):
     assert a.coeffs == (1, 1)
     assert a == 3  # int comparison means code equality
     assert gf4.one() + 0 == 1
-    with pytest.raises(ValueError):
-        gf4.from_coeffs((1, 1, 1))
-    with pytest.raises(ValueError):
-        gf4.from_coeffs((2, 0))
+    with pytest.raises(ValueError, match="too many coefficients"):
+        gf4.element((1, 1, 1))
+    with pytest.raises(ValueError, match="coefficients must be integers"):
+        gf4.element((2, 0))
 
 
 def test_basis_spec_validation(gf16, gf4):
@@ -366,18 +375,6 @@ def test_gen_is_the_residue_of_x(gf8):
 # -- the shared elimination against independent references ----------------------
 
 
-def _leibniz_det(ctx, rows) -> int:
-    """Sum over permutations of sign * product of entries; no elimination."""
-    n, det = len(rows), 0
-    for perm in itertools.permutations(range(n)):
-        term = 1
-        for i, j in enumerate(perm):
-            term = ctx.mul(term, rows[i][j])
-        inversions = sum(1 for a, b in itertools.combinations(perm, 2) if a > b)
-        det = ctx.sub(det, term) if inversions % 2 else ctx.add(det, term)
-    return det
-
-
 def _mat_vec(ctx, rows, x) -> list[int]:
     out = []
     for row in rows:
@@ -389,7 +386,7 @@ def _mat_vec(ctx, rows, x) -> list[int]:
 
 
 @pytest.mark.parametrize("field", ["gf16", "gf27", "tower16", "F3"])
-def test_elimination_against_independent_references(request, field):
+def test_elimination_against_independent_references(request, field, leibniz_det):
     ctx = _prime_field(3) if field == "F3" else request.getfixturevalue(field)
     rng = random.Random(41)
     rand = lambda r, c: [[rng.randrange(ctx.order) for _ in range(c)] for _ in range(r)]
@@ -403,7 +400,7 @@ def test_elimination_against_independent_references(request, field):
                     row[0] = 0                    # zero column
             elif trial % 4 == 3:
                 rows[0][0] = 0                    # forces a row swap
-            assert _det(ctx, rows) == _leibniz_det(ctx, rows)
+            assert _det(ctx, rows) == leibniz_det(ctx, rows)
     for nr, nc in ((3, 3), (4, 4), (2, 4), (4, 2), (3, 5)):
         for _ in range(15):
             rows = rand(nr, nc)
@@ -421,18 +418,39 @@ def test_elimination_against_independent_references(request, field):
                 assert any(v) and not any(_mat_vec(ctx, rows, v))
 
 
+def _digitwise(ctx, op, a: int, b: int) -> int:
+    """op(a_i, b_i) mod p on each pair of base-p digits: the reference for
+    add (operator.add), sub and neg (operator.sub, with a = 0 for neg)."""
+    pairs = zip(_base_digits(a, ctx.p, ctx.sm), _base_digits(b, ctx.p, ctx.sm))
+    return _from_base_digits([op(x, y) % ctx.p for x, y in pairs], ctx.p)
+
+
 @pytest.mark.parametrize("p,s,m", [(3, 1, 2), (5, 1, 2), (3, 1, 3), (3, 1, 4), (3, 2, 2)])
 def test_zech_route_matches_the_digit_route(p, s, m):
     # GF(9), GF(25), GF(27), GF(81) and GF(9^2): every pair, table route
-    # against the digit loop.
+    # against digit lists.
     ctx = FieldCtx(p, s, m)
     for a in range(ctx.order):
-        neg_a = ctx._undigits([-d % p for d in ctx._digits(a)])
-        assert ctx.neg(a) == neg_a
+        assert ctx.neg(a) == _digitwise(ctx, operator.sub, 0, a)
         for b in range(ctx.order):
-            assert ctx.add(a, b) == ctx._add_digits(a, b)
-            assert ctx.sub(b, a) == ctx.add(b, neg_a)
+            assert ctx.add(a, b) == _digitwise(ctx, operator.add, a, b)
+            assert ctx.sub(a, b) == _digitwise(ctx, operator.sub, a, b)
     assert ctx._zech is not None
+
+
+@pytest.mark.parametrize("p,s,m", [(3, 1, 11), (5, 1, 7), (3, 2, 6)])
+def test_direct_route_add_sub_neg_match_the_digit_lists(p, s, m):
+    # Above the table limit all three run the one digit kernel a - r*b.
+    ctx = FieldCtx(p, s, m)
+    assert ctx._exp is None
+    rng = random.Random(67)
+    top = ctx.order - 1
+    pairs = [(0, 0), (0, top), (top, 0), (top, top), (1, top)]
+    pairs += [(rng.randrange(ctx.order), rng.randrange(ctx.order)) for _ in range(300)]
+    for a, b in pairs:
+        assert ctx.add(a, b) == _digitwise(ctx, operator.add, a, b)
+        assert ctx.sub(a, b) == _digitwise(ctx, operator.sub, a, b)
+        assert ctx.neg(b) == _digitwise(ctx, operator.sub, 0, b)
 
 
 @pytest.mark.parametrize("p,m", [(2, 17), (3, 11)])

@@ -11,9 +11,9 @@ import random
 
 import pytest
 
-from gablab import (LinPoly, MooreMatrix, NEG_INF, SubspaceBasis, annihilator,
-                    matrix_rank, minor_coeff, moore_det, q_lagrange, q_lagrange_by_minors,
-                    root_space, subspace_bases)
+from gablab import (LinPoly, NEG_INF, SubspaceBasis, annihilator, matrix_rank, minor_coeff,
+                    moore_det, q_lagrange, q_lagrange_by_minors, root_space,
+                    subspace_bases)
 
 
 def _ordinary_product_of_linear_factors(ctx, codes):
@@ -93,6 +93,13 @@ def test_linpoly_basics(gf8):
         LinPoly.monomial(gf8, -1)
 
 
+@pytest.mark.parametrize("i", [True, False, 1.0, 1.9, "1", None])
+def test_monomial_rejects_non_integer_degrees(gf8, i):
+    # A bool is an int: True would read as q-degree 1.
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        LinPoly.monomial(gf8, i)
+
+
 @pytest.mark.parametrize("coeffs", [(1.9, 2.5), (1, 2.0), ("3",), (True,), (8,), (-1,), (None,)])
 def test_linpoly_rejects_non_codes(gf8, coeffs):
     with pytest.raises(ValueError):
@@ -106,7 +113,7 @@ def test_evaluation_is_q_linear(gf16, tower16):
         sub = ctx.subfield_elements()
         for _ in range(60):
             f = LinPoly(ctx, tuple(rng.randrange(ctx.order) for _ in range(3)))
-            u, v = ctx.random_element(rng), ctx.random_element(rng)
+            u, v = (ctx.element(rng.randrange(ctx.order)) for _ in range(2))
             a, b = rng.choice(sub), rng.choice(sub)
             assert f(a * u + b * v) == a * f(u) + b * f(v)
 
@@ -130,7 +137,7 @@ def test_compose_laws(gf16):
                    for _ in range(3))
         assert f.compose(g.compose(h)) == f.compose(g).compose(h)
         assert (f + g).compose(h) == f.compose(h) + g.compose(h)
-        u = gf16.random_element(rng)
+        u = gf16.element(rng.randrange(16))
         assert f.compose(g)(u) == f(g(u))
 
 
@@ -175,8 +182,8 @@ def test_monic_normalization(gf27):
                                              ("gf27", 1), ("gf27", 2), ("tower16", 1)])
 def test_annihilator_equals_product_of_linear_factors(request, field_fixture, t):
     ctx = request.getfixturevalue(field_fixture)
-    gens = [ctx.element(ctx.p**j) for j in range(ctx.sm)][: ctx.m]
-    ambient = SubspaceBasis(ctx, ctx.greedy_independent(gens))
+    gens = [ctx.p**j for j in range(ctx.sm)][: ctx.m]
+    ambient = SubspaceBasis(ctx, ctx._greedy_codes(gens))
     for sub in subspace_bases(ambient, t, 10**5):
         a = annihilator(sub)
         assert a.deg_q == t
@@ -212,11 +219,11 @@ def test_root_space_of_nonvanishing_polynomial(gf8):
 def test_q_lagrange_agrees_with_minor_formula(request, field_fixture):
     ctx = request.getfixturevalue(field_fixture)
     rng = random.Random(41)
-    gens = ctx.greedy_independent([ctx.element(ctx.p**j) for j in range(ctx.sm)])
+    gens = ctx._greedy_codes([ctx.p**j for j in range(ctx.sm)])
     for t in range(1, min(len(gens), 3) + 1):
         pts = SubspaceBasis(ctx, gens[:t])
         for _ in range(20):
-            vals = [ctx.random_element(rng) for _ in range(t)]
+            vals = [ctx.element(rng.randrange(ctx.order)) for _ in range(t)]
             f1 = q_lagrange(pts, vals)
             f2 = q_lagrange_by_minors(pts, vals)
             assert f1 == f2
@@ -238,31 +245,40 @@ def test_moore_det_vanishes_exactly_on_dependence(gf16):
     rng = random.Random(13)
     for _ in range(200):
         size = rng.randint(1, 4)
-        elems = [gf16.random_element(rng) for _ in range(size)]
+        elems = [gf16.element(rng.randrange(16)) for _ in range(size)]
         d = moore_det(elems)
         assert (d.code != 0) == (gf16.span_dim(elems) == size)
 
 
-def test_moore_matrix_validation(gf16):
+@pytest.mark.parametrize("field_fixture", ["gf16", "gf27", "tower16"])
+def test_moore_det_against_the_leibniz_formula(request, field_fixture, leibniz_det):
+    # Entries c^(q^i) by pow, determinants by permutations: no Frobenius
+    # table and no elimination.  Dependent and repeated elements included.
+    ctx = request.getfixturevalue(field_fixture)
+    rng = random.Random(71)
+    for _ in range(40):
+        codes = [rng.randrange(ctx.order) for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.25:
+            codes[-1] = codes[0]
+        n, elems = len(codes), [ctx.element(c) for c in codes]
+        tall = [[ctx.pow(c, ctx.q ** i) for c in codes] for i in range(n + 1)]
+        assert moore_det(elems).code == leibniz_det(ctx, tall[:n])
+        for j in range(n + 1):
+            expect = leibniz_det(ctx, tall[:j] + tall[j + 1:])
+            assert moore_det(elems, deleted_row=j).code == expect
+
+
+def test_moore_matrix_validation(gf16, gf8):
     e = [gf16.element(1), gf16.element(2)]
-    with pytest.raises(ValueError):
-        MooreMatrix([])
-    with pytest.raises(ValueError):
-        MooreMatrix(e, row_exps=(2, 0))  # must increase strictly
-    with pytest.raises(ValueError):
-        MooreMatrix(e, row_exps=(-1, 0))
-    with pytest.raises(ValueError):
-        MooreMatrix(e, row_exps=())  # no rows, as no columns
-    with pytest.raises(ValueError):
-        MooreMatrix(e, row_exps=(0,)).det()  # rectangular slice has no det
-    m = MooreMatrix(e, row_exps=(0, 2))
-    assert m.det().code == moore_det(e, deleted_row=1).code
-    with pytest.raises(ValueError):
-        moore_det(e, deleted_row=5)
+    with pytest.raises(ValueError, match="at least one column"):
+        moore_det([])
+    for j in (-1, 3):
+        with pytest.raises(ValueError, match="in 0..2"):
+            moore_det(e, deleted_row=j)
     with pytest.raises(ValueError, match="must be field elements"):
-        MooreMatrix([1, 2])  # plain codes carry no field context
-    with pytest.raises(ValueError, match="must be field elements"):
-        moore_det([1, 2])
+        moore_det([1, 2])  # plain codes carry no field context
+    with pytest.raises(ValueError, match="mixed field contexts"):
+        moore_det([gf16.element(1), gf8.element(2)])
 
 
 def test_matrix_rank_of_field_elements(gf16):
@@ -290,10 +306,11 @@ def test_matrix_rank_rejects_ragged_and_mixed_rows(gf16, gf8):
 
 
 def test_moore_matrix_rejects_non_integer_row_exponents(gf16):
-    # int() would truncate (0, 1.9) to (0, 1).
+    # Each of these would read as row 1.
     e = [gf16.element(1), gf16.element(2)]
-    with pytest.raises(ValueError, match="row exponents must be integers"):
-        MooreMatrix(e, [0, 1.9])
+    for j in (1.9, 1.0, True):
+        with pytest.raises(ValueError, match="must be an integer"):
+            moore_det(e, deleted_row=j)
 
 
 def test_minor_coeff_signs_in_odd_characteristic(gf27):
@@ -307,17 +324,18 @@ def test_minor_coeff_signs_in_odd_characteristic(gf27):
                 h = minor_coeff(sub, i)
                 expect = h if i % 2 == 0 else -h
                 assert a.coeff(t - i) == expect
-    with pytest.raises(ValueError):
-        minor_coeff(SubspaceBasis(gf27, (gf27.element(1),)), 2)
+    one = SubspaceBasis(gf27, (gf27.element(1),))
+    for i in (2, True, 1.0):  # True and 1.0 would read as index 1
+        with pytest.raises(ValueError):
+            minor_coeff(one, i)
 
 
-def test_hyperplane_annihilator_matches_trace_kernel(gf27):
+def test_hyperplane_annihilator_matches_trace_kernel(gf27, trace):
     # The 2-dim subspace killing x -> Tr(bx) has annihilator
     # sum_i b^(q^i - q^2) x^(q^i); checks the normalization end to end.
     for b in range(1, 27):
-        kernel = [c for c in range(27)
-                  if gf27.trace_to_subfield(gf27.element(gf27.mul(b, c))).code == 0]
-        gens = gf27.greedy_independent(kernel)
+        kernel = [c for c in range(27) if trace(gf27, gf27.mul(b, c)) == 0]
+        gens = gf27._greedy_codes(kernel)
         assert len(gens) == 2
         sub = SubspaceBasis(gf27, gens)
         a = annihilator(sub)

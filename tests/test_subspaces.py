@@ -31,8 +31,7 @@ def test_gaussian_binomial_symmetry_and_pascal():
 
 
 def _full_ambient(ctx) -> SubspaceBasis:
-    gens = ctx.greedy_independent([ctx.element(ctx.p**j) for j in range(ctx.sm)])
-    return SubspaceBasis(ctx, gens)
+    return SubspaceBasis(ctx, ctx._greedy_codes([ctx.p**j for j in range(ctx.sm)]))
 
 
 @pytest.mark.parametrize("field_fixture", ["gf8", "tower16"])
