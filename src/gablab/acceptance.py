@@ -115,13 +115,13 @@ def criterion_3(rng: random.Random) -> str:
 def criterion_4(rng: random.Random) -> str:
     code = _code23()
     ctx = code.ctx
-    scan = covering_radius_scan(code, "rank", collect_rows=True)
+    scan = covering_radius_scan(code, "rank")
     assert scan.radius == 2
     assert scan.histogram == {0: 1, 1: 49, 2: 14}, \
         f"unexpected class histogram {scan.histogram}"
-    deg_k = [row for row in scan.rows if len(row[1]) == code.k + 1]
+    deg_k = [row for row in scan.rows() if 0 < row[0] < ctx.order]
     assert len(deg_k) == ctx.order - 1 == 7
-    for idx, codes, _metric, dist, deep, _wit in deg_k:
+    for idx, codes, dist, deep, _wit in deg_k:
         assert dist == 2 and deep, f"degree-k class {codes} is not a deep hole"
         hres = classify_poly(code, LinPoly(ctx, codes), "hamming")
         assert hres.is_deep_hole, f"degree-k class {codes} not deep in hamming"

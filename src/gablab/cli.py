@@ -12,8 +12,8 @@ error (a broken invariant such as "no multiplicative generator found";
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import sys
 
 from . import acceptance
@@ -53,12 +53,22 @@ def _bool(flag: bool) -> str:
     return "true" if flag else "false"
 
 
-def _emit(args, text: str) -> None:
+def _out(args):
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        return open(args.out, "w", encoding="utf-8", newline="")
+    return contextlib.nullcontext(sys.stdout)
+
+
+def _emit(args, text: str) -> None:
+    with _out(args) as fh:
+        fh.write(text)
+
+
+def _emit_csv(args, header: list[str], rows) -> None:
+    with _out(args) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _load(args):
@@ -143,44 +153,25 @@ def _cmd_radius(args) -> int:
 def _cmd_census(args) -> int:
     code = _load(args)
     scan = covering_radius_scan(code, args.metric,
-                                scan_cap=_cap(args, DEFAULT_CLASS_SCAN_CAP),
-                                collect_rows=True)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["class_id", "coeffs", "metric", "distance", "is_deep_hole", "witness"])
-    n = code.n
-    for idx, codes, metric, dist, deep, wit in scan.rows:
-        coeffs = list(codes) + [0] * (n - len(codes))
-        writer.writerow([idx, ",".join(str(c) for c in coeffs), metric, dist,
-                         _bool(deep), "" if wit is None else ",".join(str(c) for c in wit)])
-    _emit(args, buf.getvalue())
+                                scan_cap=_cap(args, DEFAULT_CLASS_SCAN_CAP))
+    _emit_csv(args, ["class_id", "coeffs", "metric", "distance", "is_deep_hole", "witness"],
+              ((idx, ",".join(str(c) for c in coeffs), args.metric, dist, _bool(deep),
+                "" if wit is None else ",".join(str(c) for c in wit))
+               for idx, coeffs, dist, deep, wit in scan.rows()))
     return 0
 
 
 def _cmd_family(args) -> int:
     code = _load(args)
-    kwargs = {}
-    if args.a is not None:
-        kwargs["a"] = args.a
-    if args.b is not None:
-        kwargs["b"] = args.b
-    if args.c is not None:
-        kwargs["c"] = args.c
-    if args.low is not None:
-        kwargs["low"] = LinPoly(code.ctx, _parse_codes(args.low))
-    verdict = family_check(code, args.kind, metric=args.metric,
-                           subspace_cap=_cap(args, DEFAULT_SUBSPACE_CAP), **kwargs)
-    parts = []
-    for key, val in verdict.params.items():
-        parts.append(f"{key}=" + (",".join(str(v) for v in val)
-                                  if isinstance(val, (list, tuple)) else str(val)))
+    low = None if args.low is None else LinPoly(code.ctx, _parse_codes(args.low))
+    verdict = family_check(code, args.kind, a=args.a, b=args.b, c=args.c, low=low,
+                           metric=args.metric, subspace_cap=_cap(args, DEFAULT_SUBSPACE_CAP))
+    parts = [f"{key}=" + (",".join(str(v) for v in val) if isinstance(val, (list, tuple))
+                          else str(val)) for key, val in verdict.params.items()]
     observed = "deep_hole" if verdict.observed.is_deep_hole else "not_deep_hole"
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["family", "params", "predicted", "observed", "agree"])
-    writer.writerow([verdict.kind, ";".join(parts), verdict.predicted, observed,
-                     _bool(verdict.agree)])
-    _emit(args, buf.getvalue())
+    _emit_csv(args, ["family", "params", "predicted", "observed", "agree"],
+              [[verdict.kind, ";".join(parts), verdict.predicted, observed,
+                _bool(verdict.agree)]])
     return 0
 
 

@@ -313,7 +313,7 @@ def covering_radius_raw(code: GabidulinCode, metric: str,
 SPEC_KEYS = ("p", "s", "m", "n", "k", "g", "modulus")
 
 
-def parse_code_spec(text: str, cap: int | None = None) -> GabidulinCode:
+def parse_code_spec(text: str) -> GabidulinCode:
     kv = {}
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -340,16 +340,15 @@ def parse_code_spec(text: str, cap: int | None = None) -> GabidulinCode:
                    if kv.get("modulus") else None)
     except ValueError as exc:
         raise ValueError(f"malformed number in code spec: {exc}") from None
-    kwargs = {"cap": cap} if cap is not None else {}
-    ctx = FieldCtx(p, s, m, modulus, **kwargs)
+    ctx = FieldCtx(p, s, m, modulus)
     if len(gcodes) != n:
         raise ValueError(f"code spec declares n={n} but lists {len(gcodes)} points")
     return GabidulinCode(ctx, [ctx.element(c) for c in gcodes], k)
 
 
-def load_code_spec(path, cap: int | None = None) -> GabidulinCode:
+def load_code_spec(path) -> GabidulinCode:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_code_spec(fh.read(), cap)
+        return parse_code_spec(fh.read())
 
 
 def format_code_spec(code: GabidulinCode) -> str:

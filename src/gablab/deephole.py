@@ -62,7 +62,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .code import GabidulinCode, Word, _check_metric
 from .field import FieldCtx, FieldElement, _combine_rows, _from_base_digits, _solve
@@ -239,18 +239,40 @@ def ratio_lemma_check(code: GabidulinCode, f: LinPoly, metric: str,
 class ScanResult:
     """Outcome of a class scan.
 
-    ``histogram`` maps each distance to its number of classes.  With
-    ``collect_rows``, ``rows`` holds one tuple per class in index order:
-    (class index, codes, metric, distance, deep flag, witness codes).  The
-    codes are the representative's coefficients from q-degree 0, trimmed
-    above the top nonzero coefficient (empty for the zero class); the
-    witness codes are those of ``_witness_codes``, None for the zero class.
+    ``histogram`` maps each distance to its number of classes.  ``rows()``
+    yields one tuple per class in index order, expanded from the sieve's
+    blocks on each call: (class index, coefficient codes a_0..a_{n-1},
+    distance, deep flag, witness codes).  The witness codes are those of
+    ``_witness_codes``, None for the zero class.
     """
 
     radius: int
     histogram: dict[int, int]
     classes: int
-    rows: list[tuple] | None = None
+    code: GabidulinCode = field(repr=False)
+    blocks: list[list[tuple]] = field(repr=False)
+
+    def rows(self):
+        """Class lam*order**j + i takes the entry of block j whose digits
+        are lam^-1 times those of i; the entry indices are built a digit
+        at a time, so each (j, lam) costs one inversion."""
+        ctx, n, k = self.code.ctx, self.code.n, self.code.k
+        order = ctx.order
+        yield (0, (0,) * n, 0, n == k, None)
+        pre, lows = (0,) * k, [()]
+        for j, block in enumerate(self.blocks):
+            if j:
+                lows = [(c,) + low for low in lows for c in range(order)]
+            for lam in range(1, order):
+                # offs[i]: block index of lam^-1 times the digits of i.
+                lam_inv = ctx.inv(lam)
+                scale = [ctx.mul(lam_inv, c) for c in range(order)]
+                offs = [0]
+                for _ in range(j):
+                    offs = [scale[c] + order * o for o in offs for c in range(order)]
+                base, top = lam * order ** j, (lam,) + (0,) * (n - k - 1 - j)
+                yield from ((base + i, pre + low + top) + block[o]
+                            for i, (low, o) in enumerate(zip(lows, offs)))
 
 
 def _witness_codes(wit) -> tuple[int, ...] | None:
@@ -303,19 +325,15 @@ def _sieve_units(code: GabidulinCode, metric: str, subspace_cap: int) -> list[li
 
 def covering_radius_scan(code: GabidulinCode, metric: str,
                          scan_cap: int = DEFAULT_CLASS_SCAN_CAP,
-                         subspace_cap: int = DEFAULT_SUBSPACE_CAP,
-                         collect_rows: bool = False) -> ScanResult:
+                         subspace_cap: int = DEFAULT_SUBSPACE_CAP) -> ScanResult:
     """Max distance over all order**(n-k) translation classes.
 
     The sieve classifies the monic classes; each result stands for its
-    order - 1 scalar multiples (see the module docstring).  Class
-    lam*order**j + i takes the result of the monic class whose lower
-    digits are lam^-1 times those of i.
+    order - 1 scalar multiples (see the module docstring).
     """
     _check_metric(metric)
-    ctx, n, k = code.ctx, code.n, code.k
-    order = ctx.order
-    total = order ** (n - k)
+    order = code.ctx.order
+    total = order ** (code.n - code.k)
     if total > scan_cap:
         raise ValueError(
             f"{total} classes exceed the scan cap {scan_cap}; raise the cap to proceed")
@@ -324,25 +342,8 @@ def covering_radius_scan(code: GabidulinCode, metric: str,
     for block in blocks:
         for dist, _, _ in block:
             hist[dist] = hist.get(dist, 0) + order - 1
-    rows = None
-    if collect_rows:
-        rows = [(0, (), metric, 0, n == k, None)]
-        pre, lows = (0,) * k, [()]
-        for j, block in enumerate(blocks):
-            if j:
-                lows = [(c,) + low for low in lows for c in range(order)]
-            for lam in range(1, order):
-                # offs[i]: block index of lam^-1 times the digits of i.
-                lam_inv = ctx.inv(lam)
-                scale = [ctx.mul(lam_inv, c) for c in range(order)]
-                offs = [0]
-                for _ in range(j):
-                    offs = [scale[c] + order * o for o in offs for c in range(order)]
-                base = lam * order ** j
-                rows.extend((base + i, pre + low + (lam,), metric) + block[o]
-                            for i, (low, o) in enumerate(zip(lows, offs)))
     return ScanResult(radius=max(hist), histogram=dict(sorted(hist.items())),
-                      classes=total, rows=rows)
+                      classes=total, code=code, blocks=blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -858,9 +858,13 @@ class FieldElement:
         return FieldElement(self.ctx, self.ctx.neg(self.code))
 
     def __pow__(self, e: int):
+        if type(e) is not int:
+            raise ValueError(f"exponent must be an integer, got {e!r}")
         return FieldElement(self.ctx, self.ctx.pow(self.code, e))
 
     def frob(self, i: int = 1) -> "FieldElement":
+        if type(i) is not int:
+            raise ValueError(f"frobenius power must be an integer, got {i!r}")
         return FieldElement(self.ctx, self.ctx.frob(self.code, i))
 
     def in_subfield(self) -> bool:

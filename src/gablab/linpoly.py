@@ -63,6 +63,8 @@ class LinPoly:
         return not self.codes
 
     def coeff(self, i: int) -> FieldElement:
+        if type(i) is not int:
+            raise ValueError(f"coefficient index must be an integer, got {i!r}")
         code = self.codes[i] if 0 <= i < len(self.codes) else 0
         return FieldElement(self.ctx, code)
 

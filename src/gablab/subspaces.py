@@ -25,8 +25,10 @@ def subspace_bases(ambient: SubspaceBasis, t: int, cap: int | None = None):
         raise TypeError("ambient space must be a SubspaceBasis")
     ctx = ambient.ctx
     n = ambient.dim
-    if t < 0 or t > n:
-        raise ValueError(f"subspace dimension must lie in 0..{n}")
+    if type(t) is not int or not 0 <= t <= n:
+        raise ValueError(f"subspace dimension must be an integer in 0..{n}, got {t!r}")
+    if cap is not None and type(cap) is not int:
+        raise ValueError(f"subspace cap must be an integer, got {cap!r}")
     count = gaussian_binomial(n, t, ctx.q)
     if cap is not None and count > cap:
         raise ValueError(

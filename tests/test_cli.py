@@ -1,6 +1,7 @@
 """Command-line behavior: output formats, determinism, exit codes."""
 
 import hashlib
+import tracemalloc
 
 import pytest
 
@@ -171,6 +172,24 @@ def test_census_matches_golden_digest(capsys, tmp_path, name, metric):
     status, out, _ = run(capsys, "census", "--spec", str(path), "--metric", metric)
     assert status == 0
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digests[metric]
+
+
+def test_census_out_keeps_no_whole_output(tmp_path):
+    # 32,768 classes from 1,057 units: rows go to the file as they are
+    # expanded from the sieve's blocks, so the peak must not grow with the
+    # class count (a list of the rows alone would exceed the bound).
+    path = tmp_path / "gf32n4k1.txt"
+    path.write_text(GOLDEN_CENSUS["gf32n4k1"][0])
+    target = tmp_path / "census.csv"
+    tracemalloc.start()
+    try:
+        status = main(["census", "--spec", str(path), "--out", str(target)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == 0
+    assert target.read_text().count("\n") == 1 + 32 ** 3
+    assert peak < 2 << 20
 
 
 # -- family / quadric -------------------------------------------------------------------

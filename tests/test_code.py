@@ -17,6 +17,7 @@ import pytest
 from gablab import (FieldCtx, GabidulinCode, LinPoly, Word, covering_radius_raw,
                     covering_radius_scan, dist_to_code_exhaustive,
                     format_code_spec, min_distance, parse_code_spec, weight)
+from gablab.cli import main
 
 
 @pytest.fixture(scope="module")
@@ -399,8 +400,12 @@ def test_parse_code_spec_rejects_unknown_and_duplicate_keys():
         parse_code_spec(base + "modulus=1,1,0,1\nmodulus=1,0,1,1\n")
 
 
-def test_parse_respects_field_cap():
-    text = "p=2\ns=1\nm=3\nn=3\nk=1\ng=1,2,4"
-    parse_code_spec(text, cap=8)
-    with pytest.raises(ValueError):
-        parse_code_spec(text, cap=7)
+def test_parse_respects_field_cap(tmp_path, capsys):
+    # GF(2^25) is above the default field cap of 2^24.
+    text = "p=2\ns=1\nm=25\nn=1\nk=1\ng=1\n"
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        parse_code_spec(text)
+    spec = tmp_path / "big.txt"
+    spec.write_text(text)
+    assert main(["field", "--spec", str(spec)]) == 1
+    assert "exceeds the cap" in capsys.readouterr().err

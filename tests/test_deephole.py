@@ -295,25 +295,25 @@ def test_ratio_lemma_check_degree_guards(code24, gf8):
 
 
 def test_scan_frozen_gf8_and_row_content(gf8_code):
-    scan = covering_radius_scan(gf8_code, "rank", collect_rows=True)
+    scan = covering_radius_scan(gf8_code, "rank")
     assert scan.radius == 2
     assert scan.classes == 64
     assert scan.histogram == {0: 1, 1: 49, 2: 14}
-    assert len(scan.rows) == 64
-    for idx, codes, metric, dist, deep, wit in scan.rows:
-        assert metric == "rank"
+    rows = list(scan.rows())
+    assert list(scan.rows()) == rows  # every call expands the blocks afresh
+    assert [r[0] for r in rows] == list(range(64))
+    for idx, codes, dist, deep, wit in rows:
+        assert len(codes) == 3 and codes[0] == 0  # a_0..a_2, zero below k
         assert deep == (dist == 2)
         f = LinPoly(gf8_code.ctx, codes)
         assert classify_poly(gf8_code, f, "rank").distance == dist
     # degree-k classes: leading coefficient at q-degree 1, zero above
-    deg_k = [r for r in scan.rows if len(r[1]) == 2]
-    assert len(deg_k) == 7
-    assert all(r[3] == 2 for r in deg_k)
+    deg_k = [r for r in rows if r[1][2] == 0 and r[1][1]]
+    assert [r[0] for r in deg_k] == list(range(1, 8))
+    assert all(r[2] == 2 for r in deg_k)
 
 
 def test_scan_without_rows_and_caps(gf8_code):
-    scan = covering_radius_scan(gf8_code, "rank")
-    assert scan.rows is None
     with pytest.raises(ValueError):
         covering_radius_scan(gf8_code, "rank", scan_cap=63)
 
@@ -325,7 +325,8 @@ def _per_class_scan(code, metric):
         f = _class_poly(code, idx)
         res = classify_poly(code, f, metric)
         hist[res.distance] = hist.get(res.distance, 0) + 1
-        rows.append((idx, f.codes, metric, res.distance, res.is_deep_hole,
+        coeffs = f.codes + (0,) * (code.n - len(f.codes))
+        rows.append((idx, coeffs, res.distance, res.is_deep_hole,
                      _witness_codes(res.witness)))
     return dict(sorted(hist.items())), rows
 
@@ -342,9 +343,9 @@ def test_orbit_scan_equals_per_class_reference(request, field_fixture, points, k
     code = GabidulinCode(request.getfixturevalue(field_fixture), points, k)
     for metric in ("rank", "hamming"):
         hist, rows = _per_class_scan(code, metric)
-        scan = covering_radius_scan(code, metric, collect_rows=True)
+        scan = covering_radius_scan(code, metric)
         assert scan.histogram == hist
-        assert scan.rows == rows
+        assert list(scan.rows()) == rows
         assert scan.radius == max(hist)
         assert scan.classes == len(rows)
 
@@ -365,8 +366,8 @@ def test_scan_makes_no_descent_and_one_annihilator_per_candidate(gf8_code, monke
     monkeypatch.setattr(deephole, "annihilator", counting_annihilator)
     for metric in ("rank", "hamming"):
         annihilators.clear()
-        scan = covering_radius_scan(gf8_code, metric, collect_rows=True)
-        assert len(scan.rows) == 64
+        scan = covering_radius_scan(gf8_code, metric)
+        assert sum(1 for _ in scan.rows()) == 64
         # At most one per candidate of the sieve levels t = k+1..n-1: the
         # 7 planes of GF(2)^3, or the 3 point pairs.
         assert len(annihilators) <= (7 if metric == "rank" else 3)

@@ -308,6 +308,17 @@ def test_modulus_rejects_non_integer_coefficients():
         FieldCtx(2, 1, 3, modulus=[1.7, 1, 0, 1.2])
 
 
+@pytest.mark.parametrize("call", [
+    lambda e: e.frob(True), lambda e: e.frob(1.0), lambda e: e.frob(None),
+    lambda e: e ** True, lambda e: e ** 2.0, lambda e: e ** "2",
+], ids=["frob-True", "frob-1.0", "frob-None", "pow-True", "pow-2.0", "pow-str"])
+def test_element_frob_and_pow_reject_non_integer_exponents(gf8, call):
+    # A bool is an int, so True would read as 1; a float would escape as
+    # TypeError ("list indices must be integers") on the table route.
+    with pytest.raises(ValueError, match="must be an integer"):
+        call(gf8.element(3))
+
+
 @pytest.mark.parametrize("value", [True, False])
 def test_element_rejects_bools(gf8, value):
     with pytest.raises(ValueError, match="is not a code"):

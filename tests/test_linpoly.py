@@ -100,6 +100,14 @@ def test_monomial_rejects_non_integer_degrees(gf8, i):
         LinPoly.monomial(gf8, i)
 
 
+@pytest.mark.parametrize("i", [True, False, 1.0, "1", None])
+def test_coeff_rejects_non_integer_indices(gf8, i):
+    # A bool is an int, so True would read index 1; 1.0 would escape as
+    # TypeError.
+    with pytest.raises(ValueError, match="coefficient index must be an integer"):
+        LinPoly(gf8, (1, 2, 3)).coeff(i)
+
+
 @pytest.mark.parametrize("coeffs", [(1.9, 2.5), (1, 2.0), ("3",), (True,), (8,), (-1,), (None,)])
 def test_linpoly_rejects_non_codes(gf8, coeffs):
     with pytest.raises(ValueError):

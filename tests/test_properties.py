@@ -95,9 +95,9 @@ def test_sieve_rows_equal_the_descent_per_class(code):
     units = {0}.union(*(range(order ** j, 2 * order ** j) for j in range(width)))
     checked = units | set(random.Random(classes).sample(range(classes), min(classes, 64)))
     for metric in ("rank", "hamming"):
-        rows = covering_radius_scan(code, metric, collect_rows=True).rows
+        rows = list(covering_radius_scan(code, metric).rows())
         for idx in sorted(checked):
-            _, codes, _, dist, deep, wit = rows[idx]
+            _, codes, dist, deep, wit = rows[idx]
             res = classify_poly(code, LinPoly(code.ctx, codes), metric)
             assert (dist, deep, wit) == (res.distance, res.is_deep_hole,
                                          _witness_codes(res.witness))
@@ -109,11 +109,11 @@ def test_raw_histogram_is_class_histogram_times_class_size(code):
     per_class = code.ctx.order ** code.k
     for metric in ("rank", "hamming"):
         radius, hist = covering_radius_raw(code, metric)
-        scan = covering_radius_scan(code, metric, collect_rows=True)
+        scan = covering_radius_scan(code, metric)
         assert radius == scan.radius
         assert hist == {d: c * per_class for d, c in scan.histogram.items()}
         # A class's row is its orbit unit's answer; it must be the class's own.
-        for _, codes, _, dist, deep, wit in scan.rows:
+        for _, codes, dist, deep, wit in scan.rows():
             res = classify_poly(code, LinPoly(code.ctx, codes), metric)
             assert (dist, deep, wit) == (res.distance, res.is_deep_hole,
                                          _witness_codes(res.witness))

@@ -86,6 +86,18 @@ def test_cap_enforcement(gf16):
     assert len(list(subspace_bases(ambient, 2, 35))) == 35
 
 
+@pytest.mark.parametrize("kwargs,match", [
+    ({"t": True}, "subspace dimension"), ({"t": 1.0}, "subspace dimension"),
+    ({"t": None}, "subspace dimension"), ({"t": 1, "cap": True}, "subspace cap"),
+    ({"t": 1, "cap": 15.0}, "subspace cap"),
+])
+def test_rejects_non_integer_dimension_and_cap(gf16, kwargs, match):
+    # A bool is an int, so t=True would list the 1-dimensional subspaces
+    # and cap=True would read as 1; t=1.0 would escape as TypeError.
+    with pytest.raises(ValueError, match=match):
+        list(subspace_bases(_full_ambient(gf16), **kwargs))
+
+
 def test_dimension_bounds_and_types(gf16):
     ambient = _full_ambient(gf16)
     with pytest.raises(ValueError):
