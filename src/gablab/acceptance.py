@@ -324,8 +324,12 @@ CRITERIA: tuple[tuple[int, str, object], ...] = (
 
 def run_all(numbers=None, seed: int = 0) -> list[CriterionResult]:
     """Run the selected criteria (all by default), catching assertion
-    failures into results instead of raising."""
+    failures into results instead of raising.  A number that names no
+    criterion is an error."""
     wanted = set(numbers) if numbers else None
+    unknown = sorted(wanted - {num for num, _, _ in CRITERIA}) if wanted else []
+    if unknown:
+        raise ValueError(f"no matching criteria: {', '.join(map(str, unknown))}")
     results = []
     for num, title, fn in CRITERIA:
         if wanted is not None and num not in wanted:

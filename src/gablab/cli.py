@@ -45,16 +45,12 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _cap(args, default: int) -> int:
-    return default if args.cap is None else args.cap
-
-
 def _bool(flag: bool) -> str:
     return "true" if flag else "false"
 
 
 def _out(args):
-    if getattr(args, "out", None):
+    if args.out:
         return open(args.out, "w", encoding="utf-8", newline="")
     return contextlib.nullcontext(sys.stdout)
 
@@ -71,10 +67,6 @@ def _emit_csv(args, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def _load(args):
-    return load_code_spec(args.spec)
-
-
 def _word(args, code):
     return code.word(_parse_codes(args.word))
 
@@ -88,7 +80,7 @@ def _witness_str(wit) -> str:
 
 
 def _cmd_field(args) -> int:
-    code = _load(args)
+    code = load_code_spec(args.spec)
     ctx = code.ctx
     lines = [
         f"p={ctx.p}",
@@ -106,7 +98,7 @@ def _cmd_field(args) -> int:
 
 
 def _cmd_encode(args) -> int:
-    code = _load(args)
+    code = load_code_spec(args.spec)
     msg = LinPoly(code.ctx, _parse_codes(args.poly))
     word = code.encode(msg)
     _emit(args, ",".join(str(c) for c in word.codes) + "\n")
@@ -114,10 +106,9 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_dist(args) -> int:
-    code = _load(args)
+    code = load_code_spec(args.spec)
     w = _word(args, code)
-    d, msg = dist_to_code_exhaustive(code, w, args.metric,
-                                     oracle_cap=_cap(args, DEFAULT_ORACLE_CAP))
+    d, msg = dist_to_code_exhaustive(code, w, args.metric, oracle_cap=args.cap)
     padded = list(msg.codes) + [0] * (code.k - len(msg.codes))
     _emit(args, f"distance={d} witness={','.join(str(c) for c in padded)}\n")
     return 0
@@ -125,9 +116,8 @@ def _cmd_dist(args) -> int:
 
 def _cmd_search(args) -> int:
     """``search`` and ``classify``; the latter omits the bound and witness."""
-    code = _load(args)
-    res = distance_by_search(code, _word(args, code), args.metric,
-                             subspace_cap=_cap(args, DEFAULT_SUBSPACE_CAP))
+    code = load_code_spec(args.spec)
+    res = distance_by_search(code, _word(args, code), args.metric, subspace_cap=args.cap)
     if args.command == "search":
         _emit(args, f"distance={res.distance} bound={res.bound} "
                     f"deep_hole={_bool(res.is_deep_hole)} witness={_witness_str(res.witness)}\n")
@@ -137,23 +127,21 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_mindist(args) -> int:
-    code = _load(args)
-    _emit(args, f"{min_distance(code, args.metric, oracle_cap=_cap(args, DEFAULT_ORACLE_CAP))}\n")
+    code = load_code_spec(args.spec)
+    _emit(args, f"{min_distance(code, args.metric, oracle_cap=args.cap)}\n")
     return 0
 
 
 def _cmd_radius(args) -> int:
-    code = _load(args)
-    scan = covering_radius_scan(code, args.metric,
-                                scan_cap=_cap(args, DEFAULT_CLASS_SCAN_CAP))
+    code = load_code_spec(args.spec)
+    scan = covering_radius_scan(code, args.metric, scan_cap=args.cap)
     _emit(args, f"{scan.radius}\n")
     return 0
 
 
 def _cmd_census(args) -> int:
-    code = _load(args)
-    scan = covering_radius_scan(code, args.metric,
-                                scan_cap=_cap(args, DEFAULT_CLASS_SCAN_CAP))
+    code = load_code_spec(args.spec)
+    scan = covering_radius_scan(code, args.metric, scan_cap=args.cap)
     _emit_csv(args, ["class_id", "coeffs", "metric", "distance", "is_deep_hole", "witness"],
               ((idx, ",".join(str(c) for c in coeffs), args.metric, dist, _bool(deep),
                 "" if wit is None else ",".join(str(c) for c in wit))
@@ -162,10 +150,10 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_family(args) -> int:
-    code = _load(args)
+    code = load_code_spec(args.spec)
     low = None if args.low is None else LinPoly(code.ctx, _parse_codes(args.low))
     verdict = family_check(code, args.kind, a=args.a, b=args.b, c=args.c, low=low,
-                           metric=args.metric, subspace_cap=_cap(args, DEFAULT_SUBSPACE_CAP))
+                           metric=args.metric, subspace_cap=args.cap)
     parts = [f"{key}=" + (",".join(str(v) for v in val) if isinstance(val, (list, tuple))
                           else str(val)) for key, val in verdict.params.items()]
     observed = "deep_hole" if verdict.observed.is_deep_hole else "not_deep_hole"
@@ -176,7 +164,7 @@ def _cmd_family(args) -> int:
 
 
 def _cmd_quadric(args) -> int:
-    code = _load(args)
+    code = load_code_spec(args.spec)
     census = quadric_census(code.ctx, args.b, materialize=args.solutions)
     lines = [str(census.count)]
     if args.solutions:
@@ -190,9 +178,6 @@ def _cmd_selftest(args) -> int:
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         print(f"criterion {r.number}: {status} - {r.title}: {r.detail}")
-    if not results:
-        print("no matching criteria", file=sys.stderr)
-        return 1
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -205,12 +190,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="distance and deep-hole laboratory for rank-metric evaluation codes")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_, *, spec=True, metric=False, word=False, poly=False,
-            cap=False, jobs=False, out=False):
+    def add(name, fn, help_, *, metric=False, word=False, poly=False,
+            cap=None, jobs=False):
+        """A subcommand with --spec and --out; ``cap`` is the default of
+        its --cap, None for a command with no enumeration guard."""
         p = sub.add_parser(name, help=help_)
         p.set_defaults(func=fn)
-        if spec:
-            p.add_argument("--spec", required=True, help="path to the code spec file")
+        p.add_argument("--spec", required=True, help="path to the code spec file")
         if metric:
             p.add_argument("--metric", choices=METRICS, default="rank")
         if word:
@@ -219,41 +205,38 @@ def _build_parser() -> argparse.ArgumentParser:
         if poly:
             p.add_argument("--poly", required=True,
                            help="comma-separated coefficient codes, degree 0 first")
-        if cap:
-            p.add_argument("--cap", type=_positive_int, default=None,
-                           help="override the enumeration cap")
+        if cap is not None:
+            p.add_argument("--cap", type=_positive_int, default=cap,
+                           help="enumeration cap (default: %(default)s)")
         if jobs:
             p.add_argument("--jobs", type=_positive_int, default=1,
                            help="validated only: scans run in one process")
-        if out:
-            p.add_argument("--out", default=None, help="write output to a file")
+        p.add_argument("--out", default=None, help="write output to a file")
         return p
 
-    add("field", _cmd_field, "print the field and code parameters", out=True)
-    add("encode", _cmd_encode, "evaluate a message polynomial at the points",
-        poly=True, out=True)
+    add("field", _cmd_field, "print the field and code parameters")
+    add("encode", _cmd_encode, "evaluate a message polynomial at the points", poly=True)
     add("dist", _cmd_dist, "exhaustive distance of a word to the code",
-        metric=True, word=True, cap=True, out=True)
+        metric=True, word=True, cap=DEFAULT_ORACLE_CAP)
     add("search", _cmd_search, "distance by the ascending witness search",
-        metric=True, word=True, cap=True, out=True)
+        metric=True, word=True, cap=DEFAULT_SUBSPACE_CAP)
     add("classify", _cmd_search, "deep-hole status of a word",
-        metric=True, word=True, cap=True, out=True)
+        metric=True, word=True, cap=DEFAULT_SUBSPACE_CAP)
     add("mindist", _cmd_mindist, "exhaustive minimum distance",
-        metric=True, cap=True, out=True)
+        metric=True, cap=DEFAULT_ORACLE_CAP)
     add("radius", _cmd_radius, "covering radius by the class scan",
-        metric=True, cap=True, jobs=True, out=True)
+        metric=True, cap=DEFAULT_CLASS_SCAN_CAP, jobs=True)
     add("census", _cmd_census, "CSV of every translation class",
-        metric=True, cap=True, jobs=True, out=True)
+        metric=True, cap=DEFAULT_CLASS_SCAN_CAP, jobs=True)
     fam = add("family", _cmd_family, "build and verify one structured-family word",
-              metric=True, cap=True, out=True)
+              metric=True, cap=DEFAULT_SUBSPACE_CAP)
     fam.add_argument("kind", choices=FAMILY_KINDS)
     fam.add_argument("--a", type=int, default=None, help="leading parameter code")
     fam.add_argument("--b", type=int, default=None, help="quartic middle coefficient code")
     fam.add_argument("--c", type=int, default=None, help="linear coefficient code")
     fam.add_argument("--low", default=None,
                      help="low-part coefficient codes, degree 0 first")
-    quad = add("quadric", _cmd_quadric, "census of x1^2+x1x2+x2^2 = b over the field",
-               out=True)
+    quad = add("quadric", _cmd_quadric, "census of x1^2+x1x2+x2^2 = b over the field")
     quad.add_argument("--b", type=int, required=True, help="right-hand side code")
     quad.add_argument("--solutions", action="store_true",
                       help="also list the distinct-coordinate pairs")

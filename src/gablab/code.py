@@ -46,9 +46,8 @@ def _check_metric(metric: str) -> str:
 
 
 class Word:
-    """A length-n tuple of field elements; addition and subtraction are
-    entry-wise.  The entries are stored as their integer ``codes``;
-    ``entries`` wraps them in FieldElements on each read."""
+    """A length-n tuple of field elements.  The entries are stored as their
+    integer ``codes``; ``entries`` wraps them in FieldElements on each read."""
 
     __slots__ = ("ctx", "codes")
 
@@ -61,19 +60,6 @@ class Word:
     @property
     def entries(self) -> tuple[FieldElement, ...]:
         return tuple(FieldElement(self.ctx, c) for c in self.codes)
-
-    def _entrywise(self, other: "Word", op) -> "Word":
-        if not isinstance(other, Word) or other.ctx is not self.ctx:
-            raise ValueError("word arithmetic needs matching contexts")
-        if len(other.codes) != len(self.codes):
-            raise ValueError("word length mismatch")
-        return Word(self.ctx, [op(a, b) for a, b in zip(self.codes, other.codes)])
-
-    def __sub__(self, other: "Word") -> "Word":
-        return self._entrywise(other, self.ctx.sub)
-
-    def __add__(self, other: "Word") -> "Word":
-        return self._entrywise(other, self.ctx.add)
 
     def __len__(self):
         return len(self.codes)
@@ -178,11 +164,11 @@ class GabidulinCode:
     def message_count(self) -> int:
         return self.ctx.order ** self.k
 
-    def iter_codewords(self, oracle_cap: int = DEFAULT_ORACLE_CAP):
+    def iter_codewords(self):
         """(message coefficient codes, codeword codes) pairs, canonical order."""
         order, k = self.ctx.order, self.k
         messages = (tuple(_base_digits(i, order, k)) for i in itertools.count())
-        return zip(messages, self._codeword_rows(oracle_cap))
+        return zip(messages, self._codeword_rows(DEFAULT_ORACLE_CAP))
 
     def _codeword_rows(self, oracle_cap: int):
         """The codewords' entry tuples in canonical order: codeword i is the
@@ -266,9 +252,7 @@ def min_distance(code: GabidulinCode, metric: str,
     return best
 
 
-def covering_radius_raw(code: GabidulinCode, metric: str,
-                        word_cap: int = DEFAULT_WORD_SCAN_CAP,
-                        oracle_cap: int = DEFAULT_ORACLE_CAP) -> tuple[int, dict[int, int]]:
+def covering_radius_raw(code: GabidulinCode, metric: str) -> tuple[int, dict[int, int]]:
     """max over ALL words of the exhaustive distance, with a histogram.
 
     Independent of the class-based scan and of any polynomial theory: it
@@ -283,10 +267,9 @@ def covering_radius_raw(code: GabidulinCode, metric: str,
     _check_metric(metric)
     ctx, n, order = code.ctx, code.n, code.ctx.order
     total = order ** n
-    if total > word_cap:
-        raise ValueError(
-            f"{total} words exceed the scan cap {word_cap}; raise the cap to proceed")
-    cws = list(code._codeword_rows(oracle_cap))
+    if total > DEFAULT_WORD_SCAN_CAP:
+        raise ValueError(f"{total} words exceed the scan cap {DEFAULT_WORD_SCAN_CAP}")
+    cws = list(code._codeword_rows(DEFAULT_ORACLE_CAP))
     sub, weigh = ctx.sub, _weigher(ctx, metric)
     seen = bytearray(total)
     hist: dict[int, int] = {}

@@ -74,7 +74,10 @@ from .subspaces import subspace_bases
 DEFAULT_SUBSPACE_CAP = 10 ** 6
 DEFAULT_CLASS_SCAN_CAP = 1 << 20
 
-FAMILY_KINDS = ("frobenius_shift", "k_eq_n_minus_2", "k1_odd_m", "binary_quartic")
+# The parameters each family kind takes; any other one is an error.
+FAMILY_PARAMS = {"frobenius_shift": ("low",), "k_eq_n_minus_2": ("a", "low"),
+                 "k1_odd_m": ("c",), "binary_quartic": ("b", "c")}
+FAMILY_KINDS = tuple(FAMILY_PARAMS)
 
 PREDICT_DEEP = "deep_hole"
 PREDICT_NOT_DEEP = "not_deep_hole"
@@ -95,7 +98,6 @@ class ClassifyResult:
     distance: int
     bound: int
     is_deep_hole: bool
-    metric: str
     witness: object = None
 
 
@@ -123,8 +125,16 @@ def _candidates(code: GabidulinCode, t: int, metric: str, cap: int):
                                             [units[i] for i in idx])
 
 
-def equality_witness(code: GabidulinCode, f: LinPoly, metric: str,
-                     subspace_cap: int = DEFAULT_SUBSPACE_CAP):
+def _first_k_witness(code: GabidulinCode, metric: str):
+    """The first k-dimensional candidate's witness.  Level k accepts every
+    candidate, so this one witnesses a word that no higher level accepts;
+    drawing one candidate applies no cap."""
+    if metric == "rank":
+        return next(subspace_bases(code.span, code.k))
+    return tuple(range(code.k))
+
+
+def equality_witness(code: GabidulinCode, f: LinPoly, metric: str):
     """Witness that the distance of f's word meets its lower bound.
 
     For monic-normalized f with k <= deg_q f < n, searches for a
@@ -141,7 +151,7 @@ def equality_witness(code: GabidulinCode, f: LinPoly, metric: str,
     if d is NEG_INF or not code.k <= d < code.n:
         raise ValueError(f"representative q-degree must lie in {code.k}..{code.n - 1}")
     f = f.monic()[0]
-    for wit, basis in _candidates(code, d, metric, subspace_cap):
+    for wit, basis in _candidates(code, d, metric, DEFAULT_SUBSPACE_CAP):
         if (f - annihilator(basis)).deg_q < code.k:
             return wit
     return None
@@ -179,8 +189,7 @@ def classify_poly(code: GabidulinCode, f: LinPoly, metric: str,
     n, k = code.n, code.k
     d = f.deg_q
     if d is NEG_INF or d < k:
-        return ClassifyResult(distance=0, bound=0, is_deep_hole=(n == k),
-                              metric=metric, witness=None)
+        return ClassifyResult(distance=0, bound=0, is_deep_hole=(n == k), witness=None)
     fvals = [f(g).code for g in code.points]
     t, wit = k, None
     while t < d:
@@ -189,10 +198,10 @@ def classify_poly(code: GabidulinCode, f: LinPoly, metric: str,
             break
         t, wit = t + 1, above
     if wit is None:
-        wit = next(_candidates(code, k, metric, subspace_cap))[0]
+        wit = _first_k_witness(code, metric)
     dist = n - t
     return ClassifyResult(distance=dist, bound=n - d, is_deep_hole=(dist == n - k),
-                          metric=metric, witness=wit)
+                          witness=wit)
 
 
 def distance_by_search(code: GabidulinCode, w: Word, metric: str,
@@ -201,8 +210,7 @@ def distance_by_search(code: GabidulinCode, w: Word, metric: str,
     return classify_poly(code, code.sigma_inverse(w), metric, subspace_cap)
 
 
-def ratio_lemma_check(code: GabidulinCode, f: LinPoly, metric: str,
-                      subspace_cap: int = DEFAULT_SUBSPACE_CAP):
+def ratio_lemma_check(code: GabidulinCode, f: LinPoly, metric: str):
     """Second witness route for representatives of q-degree exactly k+1.
 
     After monic normalization f = x^(q^(k+1)) - a_1 x^(q^k) + lower; the
@@ -221,7 +229,7 @@ def ratio_lemma_check(code: GabidulinCode, f: LinPoly, metric: str,
         raise ValueError("degree k+1 must stay below the word length")
     f = f.monic()[0]
     a1 = code.ctx.neg(f.codes[k] if k < len(f.codes) else 0)
-    for wit, basis in _candidates(code, k + 1, metric, subspace_cap):
+    for wit, basis in _candidates(code, k + 1, metric, DEFAULT_SUBSPACE_CAP):
         if minor_coeff(basis, 1).code == a1:
             return wit
     return None
@@ -283,7 +291,7 @@ def _witness_codes(wit) -> tuple[int, ...] | None:
     return tuple(wit)
 
 
-def _sieve_units(code: GabidulinCode, metric: str, subspace_cap: int) -> list[list[tuple]]:
+def _sieve_units(code: GabidulinCode, metric: str) -> list[list[tuple]]:
     """(distance, deep flag, witness codes) of every monic class, by the
     annihilator sieve of the module docstring.
 
@@ -295,7 +303,7 @@ def _sieve_units(code: GabidulinCode, metric: str, subspace_cap: int) -> list[li
     add, mul, frob = ctx.add, ctx.mul, ctx.frob
     blocks = [[None] * order ** j for j in range(n - k)]
     for t in range(n - 1, k, -1):
-        for wit, basis in _candidates(code, t, metric, subspace_cap):
+        for wit, basis in _candidates(code, t, metric, DEFAULT_SUBSPACE_CAP):
             a = annihilator(basis).codes
             hit = (n - t, False, _witness_codes(wit))
             # twists[i]: the class part (q-degrees k..n-1) of x^(q^i) o A_U.
@@ -317,15 +325,13 @@ def _sieve_units(code: GabidulinCode, metric: str, subspace_cap: int) -> list[li
                     if block[i] is None:
                         block[i] = hit
     if any(None in block for block in blocks):
-        # Level k accepts every candidate, so the first one witnesses.
-        deep = (n - k, True, _witness_codes(next(_candidates(code, k, metric, subspace_cap))[0]))
+        deep = (n - k, True, _witness_codes(_first_k_witness(code, metric)))
         blocks = [[deep if res is None else res for res in block] for block in blocks]
     return blocks
 
 
 def covering_radius_scan(code: GabidulinCode, metric: str,
-                         scan_cap: int = DEFAULT_CLASS_SCAN_CAP,
-                         subspace_cap: int = DEFAULT_SUBSPACE_CAP) -> ScanResult:
+                         scan_cap: int = DEFAULT_CLASS_SCAN_CAP) -> ScanResult:
     """Max distance over all order**(n-k) translation classes.
 
     The sieve classifies the monic classes; each result stands for its
@@ -337,7 +343,7 @@ def covering_radius_scan(code: GabidulinCode, metric: str,
     if total > scan_cap:
         raise ValueError(
             f"{total} classes exceed the scan cap {scan_cap}; raise the cap to proceed")
-    blocks = _sieve_units(code, metric, subspace_cap)
+    blocks = _sieve_units(code, metric)
     hist = {0: 1}
     for block in blocks:
         for dist, _, _ in block:
@@ -388,11 +394,19 @@ def family_check(code: GabidulinCode, kind: str, *, a=None, b=None, c=None,
                  subspace_cap: int = DEFAULT_SUBSPACE_CAP) -> FamilyVerdict:
     """Build one structured representative, predict, then classify.
 
-    Hypothesis violations raise; they are never silently skipped.
+    Hypothesis violations raise; they are never silently skipped, and
+    neither is a parameter the kind does not take (see ``FAMILY_PARAMS``).
     ``predicted`` is one of deep_hole / not_deep_hole / not_guaranteed, and
     ``agree`` is True when the observation does not contradict it.
     """
     _check_metric(metric)
+    if kind not in FAMILY_PARAMS:
+        raise ValueError(f"unknown family kind {kind!r}; choose from {FAMILY_KINDS}")
+    given = {"a": a, "b": b, "c": c, "low": low}
+    extra = [name for name, val in given.items()
+             if val is not None and name not in FAMILY_PARAMS[kind]]
+    if extra:
+        raise ValueError(f"{kind} family does not take {', '.join(extra)}")
     ctx, n, k = code.ctx, code.n, code.k
     params: dict = {}
 
@@ -436,7 +450,7 @@ def family_check(code: GabidulinCode, kind: str, *, a=None, b=None, c=None,
         f = LinPoly(ctx, (cc, 0, 1))
         predicted = PREDICT_DEEP
         params = {"c": cc}
-    elif kind == "binary_quartic":
+    else:  # binary_quartic
         if ctx.p != 2 or ctx.s != 1:
             raise ValueError("binary_quartic family needs q == 2 (p = 2, s = 1)")
         if k != 1:
@@ -455,8 +469,6 @@ def family_check(code: GabidulinCode, kind: str, *, a=None, b=None, c=None,
                   for b1, b2 in itertools.combinations(pool, 2))
         predicted = PREDICT_NOT_DEEP if hit else PREDICT_DEEP
         params = {"b": bc, "c": cc}
-    else:
-        raise ValueError(f"unknown family kind {kind!r}; choose from {FAMILY_KINDS}")
 
     observed = classify_poly(code, f, metric, subspace_cap)
     agree = (predicted == PREDICT_OPEN

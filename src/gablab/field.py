@@ -352,7 +352,7 @@ class FieldCtx:
         "_span_zero", "_span_rows",
     )
 
-    def __init__(self, p: int, s: int, m: int, modulus=None, cap: int = DEFAULT_FIELD_CAP):
+    def __init__(self, p: int, s: int, m: int, modulus=None):
         if any(type(x) is not int for x in (p, s, m)):
             raise ValueError(f"p, s and m must be integers, got {(p, s, m)!r}")
         if not _is_prime(p):
@@ -365,10 +365,9 @@ class FieldCtx:
         self.sm = s * m
         self.q = p ** s
         order = p ** self.sm
-        if order > cap:
+        if order > DEFAULT_FIELD_CAP:
             raise ValueError(
-                f"field order {p}^{self.sm} = {order} exceeds the cap {cap}; "
-                "pass a larger cap to override")
+                f"field order {p}^{self.sm} = {order} exceeds the cap {DEFAULT_FIELD_CAP}")
         self.order = order
         if modulus is None:
             self.modulus = _smallest_irreducible(p, self.sm)
@@ -427,18 +426,6 @@ class FieldCtx:
         if any(type(c) is not int or not 0 <= c < self.p for c in coeffs):
             raise ValueError("coefficients must be integers in [0, p)")
         return FieldElement(self, self._undigits(coeffs))
-
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1 % self.order)
-
-    def gen(self) -> "FieldElement":
-        """Residue of the indeterminate (code p); the canonical generator."""
-        if self.sm == 1:
-            raise ValueError("prime field: the residue of x is not an element generator")
-        return FieldElement(self, self.p)
 
     # -- digit plumbing -------------------------------------------------------
 
@@ -866,9 +853,6 @@ class FieldElement:
         if type(i) is not int:
             raise ValueError(f"frobenius power must be an integer, got {i!r}")
         return FieldElement(self.ctx, self.ctx.frob(self.code, i))
-
-    def in_subfield(self) -> bool:
-        return self.ctx.frob(self.code) == self.code
 
     @property
     def coeffs(self) -> tuple[int, ...]:

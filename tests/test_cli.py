@@ -5,11 +5,14 @@ import tracemalloc
 
 import pytest
 
+from gablab.code import DEFAULT_ORACLE_CAP
 from gablab.cli import main
+from gablab.deephole import DEFAULT_CLASS_SCAN_CAP, DEFAULT_SUBSPACE_CAP
 
 CODE24 = "p=2\ns=1\nm=4\nn=4\nk=2\ng=1,2,4,8\n"
 CODE23 = "p=2\ns=1\nm=3\nn=3\nk=1\ng=1,2,4\n"
 CODE4 = "p=2\ns=1\nm=2\nn=2\nk=1\ng=1,2\n"
+CODE53 = "p=2\ns=1\nm=5\nn=5\nk=3\ng=1,2,4,8,16\n"
 
 
 @pytest.fixture
@@ -97,6 +100,21 @@ def test_search_reports_bound_and_witness(capsys, spec23):
     assert fields["distance"] == "2"
     assert fields["deep_hole"] == "true"
     assert fields["bound"] == "2"
+
+
+@pytest.mark.parametrize("metric,word,cap,expected", [
+    # Level 4 has [5,4]_2 = 31 subspaces; level 3's 155 are not walked.
+    ("rank", "7,7,1,2,30", "100", "distance=2 bound=1 deep_hole=true witness=1,2,4\n"),
+    # Level 4 has C(5,4) = 5 subsets; level 3's 10 are not walked.
+    ("hamming", "1,3,5,7,11", "5", "distance=2 bound=1 deep_hole=true witness=0,1,2\n"),
+], ids=["rank", "hamming"])
+def test_search_cap_skips_the_level_k_witness(capsys, tmp_path, metric, word, cap, expected):
+    spec = tmp_path / "code53.txt"
+    spec.write_text(CODE53)
+    for extra in ((), ("--cap", cap)):
+        status, out, err = run(capsys, "search", "--spec", str(spec), "--metric", metric,
+                               "--word", word, *extra)
+        assert (status, out, err) == (0, expected, "")
 
 
 def test_search_and_dist_agree(capsys, spec24):
@@ -210,6 +228,16 @@ def test_family_hypothesis_violation_exits_1(capsys, spec23):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("kind,extra,named", [
+    ("k1_odd_m", ("--low", "3", "--a", "5", "--b", "7"), "a, b, low"),
+    ("frobenius_shift", ("--a", "5", "--b", "3", "--c", "2"), "a, b, c"),
+], ids=["k1_odd_m", "frobenius_shift"])
+def test_family_rejects_parameters_its_kind_does_not_take(capsys, spec23, kind, extra, named):
+    status, out, err = run(capsys, "family", "--spec", spec23, kind, *extra)
+    assert (status, out) == (1, "")
+    assert err == f"error: {kind} family does not take {named}\n"
+
+
 def test_quadric_count_and_solutions(capsys, spec23):
     status, out, _ = run(capsys, "quadric", "--spec", spec23, "--b", "5")
     assert status == 0
@@ -252,6 +280,12 @@ def test_selftest_unknown_number(capsys):
     assert "no matching criteria" in err
 
 
+def test_selftest_rejects_an_unknown_number_among_known_ones(capsys):
+    status, out, err = run(capsys, "selftest", "9", "99", "0")
+    assert (status, out) == (1, "")
+    assert err == "error: no matching criteria: 0, 99\n"
+
+
 # -- exit codes ------------------------------------------------------------------------------
 
 
@@ -288,6 +322,34 @@ def test_cap_override_flows_through(capsys, spec24):
     status, out, _ = run(capsys, "radius", "--spec", spec24, "--cap", "256")
     assert status == 0
     assert out == "2\n"
+
+
+# Every subcommand, with the default of its --cap (None: it has no --cap).
+CAP_DEFAULTS = {
+    "field": None, "encode": None,
+    "dist": DEFAULT_ORACLE_CAP, "search": DEFAULT_SUBSPACE_CAP,
+    "classify": DEFAULT_SUBSPACE_CAP, "mindist": DEFAULT_ORACLE_CAP,
+    "radius": DEFAULT_CLASS_SCAN_CAP, "census": DEFAULT_CLASS_SCAN_CAP,
+    "family": DEFAULT_SUBSPACE_CAP, "quadric": None, "selftest": None,
+}
+
+
+def test_help_lists_every_subcommand(capsys):
+    status, out, _ = run(capsys, "--help")
+    assert status == 0
+    assert "{" + ",".join(CAP_DEFAULTS) + "}" in out
+
+
+@pytest.mark.parametrize("command", list(CAP_DEFAULTS))
+def test_help_shows_the_cap_default(capsys, command):
+    status, out, _ = run(capsys, command, "--help")
+    assert status == 0
+    text = " ".join(out.split())
+    cap = CAP_DEFAULTS[command]
+    if cap is None:
+        assert "--cap" not in text
+    else:
+        assert f"--cap CAP enumeration cap (default: {cap})" in text
 
 
 @pytest.mark.parametrize("cap", ["0", "-5"])

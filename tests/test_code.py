@@ -28,19 +28,18 @@ def gf4_code(gf4):
 # -- words and weights ----------------------------------------------------------
 
 
-def test_word_construction_and_arithmetic(gf8):
+def test_word_construction_and_arithmetic(gf8, gf16):
     w = Word(gf8, (1, 2, 4))
     assert w.codes == (1, 2, 4)
     assert len(w) == 3
     assert w[1].code == 2
-    v = Word(gf8, (1, 1, 1))
-    assert (w - v).codes == (0, 3, 5)
-    assert (w + v).codes == (0, 3, 5)  # char 2: add = sub
-    assert w - v == w + v
+    assert w == Word(gf8, [gf8.element(c) for c in (1, 2, 4)])
+    assert w != Word(gf8, (1, 1, 1))
+    assert w != Word(gf16, (1, 2, 4))  # equal codes, another context
     with pytest.raises(ValueError):
         Word(gf8, ())
     with pytest.raises(ValueError):
-        w - Word(gf8, (1, 2))
+        Word(gf8, (8,))
 
 
 def test_weight_definitions(gf16):
@@ -138,8 +137,6 @@ def test_iter_codewords_order_and_cache(gf4_code):
     assert [mc for mc, _ in pairs] == [(c,) for c in range(4)]
     assert pairs[0][1] == (0, 0)
     assert pairs == list(gf4_code.iter_codewords())  # cached second pass
-    with pytest.raises(ValueError):
-        list(gf4_code.iter_codewords(oracle_cap=3))
 
 
 def test_codeword_set_is_linear_space(gf8):
@@ -330,10 +327,16 @@ def test_generic_branch_matches_class_scan_gf27(gf27):
     assert hist_h == {d: c * 27 for d, c in scan_h.histogram.items()}
 
 
-def test_word_cap_guards(gf16):
-    code = GabidulinCode(gf16, (1, 2, 4, 8), 2)
-    with pytest.raises(ValueError):
-        covering_radius_raw(code, "rank", word_cap=100)
+def test_word_cap_guards():
+    # Each guard fires at its constant: 2^25 words, 2^25 codewords and a
+    # field of order 2^25 are all above it.
+    gf32 = FieldCtx(2, 1, 5)
+    with pytest.raises(ValueError, match=r"^33554432 words exceed the scan cap 1048576$"):
+        covering_radius_raw(GabidulinCode(gf32, (1, 2, 4, 8, 16), 1), "rank")
+    with pytest.raises(ValueError, match="33554432 codewords exceed the oracle cap 1048576"):
+        list(GabidulinCode(gf32, (1, 2, 4, 8, 16), 5).iter_codewords())
+    with pytest.raises(ValueError, match=r"^field order 2\^25 = 33554432 exceeds the cap 16777216$"):
+        FieldCtx(2, 1, 25)
 
 
 # -- spec files ----------------------------------------------------------------------

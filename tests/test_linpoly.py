@@ -368,14 +368,14 @@ def test_subspace_basis_membership_and_span_comparison(gf16):
     empty = SubspaceBasis(gf16, ())
     assert empty.dim == 0
     assert empty.element_codes() == frozenset({0})
-    assert empty.contains(gf16.zero())
+    assert empty.contains(gf16.element(0))
 
 
 def test_subspace_basis_rejects_dependent_generators(gf16, tower16):
     with pytest.raises(ValueError):
         SubspaceBasis(gf16, [gf16.element(c) for c in (1, 2, 3)])
     with pytest.raises(ValueError):
-        SubspaceBasis(gf16, (gf16.zero(),))
+        SubspaceBasis(gf16, (gf16.element(0),))
     # q = 4 dependence: 6 is a middle-field multiple of 1.
     with pytest.raises(ValueError):
         SubspaceBasis(tower16, (tower16.element(1), tower16.element(6)))
