@@ -168,19 +168,21 @@ class GabidulinCode:
         """(message coefficient codes, codeword codes) pairs, canonical order."""
         order, k = self.ctx.order, self.k
         messages = (tuple(_base_digits(i, order, k)) for i in itertools.count())
-        return zip(messages, self._codeword_rows(DEFAULT_ORACLE_CAP))
+        return zip(messages, self._codeword_rows())
 
-    def _codeword_rows(self, oracle_cap: int):
+    def _codeword_rows(self, oracle_cap: int | None = None):
         """The codewords' entry tuples in canonical order: codeword i is the
         evaluation of the message whose digits are those of i in base order.
         Up to ``_CODEWORD_CACHE_LIMIT`` codewords are listed on first use in
         one flat list of entry codes, n per codeword, and later passes are
-        served from it."""
+        served from it.  More than ``oracle_cap`` codewords are refused,
+        naming the remedy; with no cap given, more than the fixed
+        ``DEFAULT_ORACLE_CAP``, which the caller cannot raise."""
         count = self.message_count()
-        if count > oracle_cap:
-            raise ValueError(
-                f"{count} codewords exceed the oracle cap {oracle_cap}; "
-                "raise the cap to proceed")
+        cap = DEFAULT_ORACLE_CAP if oracle_cap is None else oracle_cap
+        if count > cap:
+            remedy = "" if oracle_cap is None else "; raise the cap to proceed"
+            raise ValueError(f"{count} codewords exceed the oracle cap {cap}{remedy}")
         if count > _CODEWORD_CACHE_LIMIT:
             return self._codewords(count)
         if self._cw_cache is None:
@@ -269,7 +271,7 @@ def covering_radius_raw(code: GabidulinCode, metric: str) -> tuple[int, dict[int
     total = order ** n
     if total > DEFAULT_WORD_SCAN_CAP:
         raise ValueError(f"{total} words exceed the scan cap {DEFAULT_WORD_SCAN_CAP}")
-    cws = list(code._codeword_rows(DEFAULT_ORACLE_CAP))
+    cws = list(code._codeword_rows())
     sub, weigh = ctx.sub, _weigher(ctx, metric)
     seen = bytearray(total)
     hist: dict[int, int] = {}

@@ -8,9 +8,12 @@ identified by its canonical integer code ``sum(coeffs[i] * p**i)`` where
 polynomial.  Codes biject onto ``range(p**(s*m))`` and are the wire format
 of every file and CLI interface in this package.
 
-When a default modulus is requested, the lexicographically smallest monic
-irreducible of the right degree is chosen, comparing coefficient sequences
-from degree 0 upward as base-p integers, so a (p, s, m) triple always names
+The modulus is checked, and the default one found, by Rabin's
+irreducibility test run in F_p[x]/(modulus) itself with the field's own
+direct arithmetic (``FieldCtx._set_modulus``); there is no second
+polynomial layer.  The default is the lexicographically smallest monic
+irreducible of the right degree, comparing coefficient sequences from
+degree 0 upward as base-p integers, so a (p, s, m) triple always names
 the same field.
 
 A ``FieldCtx`` is immutable after construction, apart from memos filled
@@ -18,15 +21,16 @@ on first use (the subfield basis, the span automaton) that never change
 an answer, and every operation is a pure function of element codes, so
 contexts and elements can be shared freely between threads and worker
 processes.  Fields up to the table limit build, once at construction, a
-discrete-log table pair for multiplication and, in odd characteristic, a
-Zech-logarithm table zech[i] = log(1 + g**i) (-1 where that sum is 0), so
-a + b = g**(log a + zech[log b - log a]), -a = g**(log a + (order-1)/2)
-and a - b = a + (-b) are lookups.  Fields above the limit build no table
-and take the direct polynomial route, where odd characteristic has one
-digit kernel, a - r*b for r in F_p in one pass over the base-p digits
-(``FieldCtx._sub_scaled_digits``), for addition, subtraction, negation
-and each reduction of the F_q-rank echelon; the tables are built with
-that route.  The odd-characteristic echelon (``FieldCtx._greedy_codes``)
+discrete-log table pair (exp/log) and, in odd characteristic, a
+Zech-logarithm table zech[i] = log(1 + g**i) (-1 where that sum is 0),
+and nothing else: a * b = g**(log a + log b), the i-fold q-power map is
+g**(log a * q**i), a + b = g**(log a + zech[log b - log a]),
+-a = g**(log a + (order-1)/2) and a - b = a + (-b) are lookups.  Fields
+above the limit build no table and take the direct polynomial route,
+where odd characteristic has one digit kernel, a - r*b for r in F_p in
+one pass over the base-p digits (``FieldCtx._sub_scaled_digits``), for
+addition, subtraction, negation and each reduction of the F_q-rank
+echelon; the tables are built with that route.  The odd-characteristic echelon (``FieldCtx._greedy_codes``)
 reduces codes, not digit lists: with ``sub`` and ``mul`` on the table
 route, and with the digit kernel on the direct route.
 
@@ -44,12 +48,12 @@ table limit, and those with more than ``_SPAN_AUTOMATON_LIMIT``
 transitions in all (F_q-subspace count times order), use the echelon.
 
 On the direct route in characteristic 2 (packed ints), the inverse is
-extended Euclid in F_2[x] against the modulus, and the q-power map is
-a**q powered from the top set bit, which for q = 2**s is s squarings and
-no other multiply; odd characteristic takes Fermat's a**(order - 2) and
-the same q-th powers.  Codes from different contexts must never be
-mixed; the element wrapper enforces this by reference identity of the
-context.
+extended Euclid in F_2[x] against the modulus, and the i-fold q-power
+map is a**(q**i) powered from the top set bit, which for q = 2**s is s*i
+squarings and no other multiply; odd characteristic takes Fermat's
+a**(order - 2) and the same powers.  Codes from different contexts must
+never be mixed; the element wrapper enforces this by reference identity
+of the context.
 
 Two helpers serve every module: ``_combine_rows`` forms F_q-combinations
 of a list of codes (subspace generators, coordinates, subfield members),
@@ -130,92 +134,6 @@ def _from_base_digits(ds, base: int) -> int:
     for d in reversed(ds):
         x = x * base + d
     return x
-
-
-# ---------------------------------------------------------------------------
-# Dense polynomials over F_p (coefficient lists, degree 0 first, trimmed).
-# Only used for modulus handling; element arithmetic works on codes.
-
-
-def _ptrim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _pdivmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = [c % p for c in a]
-    _ptrim(r)
-    q = [0] * max(len(r) - len(b) + 1, 0)
-    inv_lead = pow(b[-1], p - 2, p)
-    while len(r) >= len(b):
-        d = len(r) - len(b)
-        f = (r[-1] * inv_lead) % p
-        q[d] = f
-        for i, bc in enumerate(b):
-            r[d + i] = (r[d + i] - f * bc) % p
-        _ptrim(r)
-    return _ptrim(q), r
-
-
-def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = [c % p for c in a], [c % p for c in b]
-    _ptrim(a)
-    _ptrim(b)
-    while b:
-        a, b = b, _pdivmod(a, b, p)[1]
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = [(c * inv) % p for c in a]
-    return a
-
-
-def _p_pthpow_mod(g: list[int], mod: list[int], p: int) -> list[int]:
-    # g(x)^p = g(x^p) for g with F_p coefficients.
-    if not g:
-        return []
-    out = [0] * ((len(g) - 1) * p + 1)
-    for i, c in enumerate(g):
-        out[i * p] = c
-    return _pdivmod(out, mod, p)[1]
-
-
-def _poly_is_irreducible(poly: list[int], p: int) -> bool:
-    """Rabin's criterion for a monic polynomial over F_p."""
-    d = len(poly) - 1
-    if d < 1:
-        return False
-    if d == 1:
-        return True
-    x = [0, 1]
-
-    def x_ppow(k: int) -> list[int]:
-        g = list(x)
-        for _ in range(k):
-            g = _p_pthpow_mod(g, poly, p)
-        return g
-
-    if x_ppow(d) != x:
-        return False
-    for r in _prime_factors(d):
-        diff = list(x_ppow(d // r))
-        while len(diff) < 2:
-            diff.append(0)
-        diff[1] = (diff[1] - 1) % p
-        if _pgcd(_ptrim(diff), poly, p) != [1]:
-            return False
-    return True
-
-
-def _smallest_irreducible(p: int, d: int) -> tuple[int, ...]:
-    """Lexicographically smallest monic irreducible of degree d over F_p."""
-    for code in range(p ** d):
-        cand = _base_digits(code, p, d) + [1]
-        if _poly_is_irreducible(cand, p):
-            return tuple(cand)
-    raise ValueError(f"no irreducible polynomial of degree {d} over GF({p})")  # unreachable
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +265,7 @@ class FieldCtx:
 
     __slots__ = (
         "p", "s", "m", "q", "sm", "order", "modulus",
-        "_mod_int", "_n1", "_exp", "_log", "_frob_tab", "_zech",
+        "_mod_int", "_n1", "_exp", "_log", "_zech",
         "_sub_pbasis", "_sub_codes",
         "_span_zero", "_span_rows",
     )
@@ -355,39 +273,27 @@ class FieldCtx:
     def __init__(self, p: int, s: int, m: int, modulus=None):
         if any(type(x) is not int for x in (p, s, m)):
             raise ValueError(f"p, s and m must be integers, got {(p, s, m)!r}")
-        if not _is_prime(p):
-            raise ValueError(f"p must be prime, got {p}")
         if s < 1 or m < 1:
             raise ValueError("tower exponents s and m must be >= 1")
+        sm = s * m
+        # Bound p and sm before the power and the primality test: for
+        # p >= 2 the order p**sm is above the cap whenever p is, or sm
+        # reaches the cap's bit length.  No order above the cap is built
+        # or printed.
+        if p >= 2 and (p > DEFAULT_FIELD_CAP or sm >= DEFAULT_FIELD_CAP.bit_length()
+                       or p ** sm > DEFAULT_FIELD_CAP):
+            raise ValueError(f"field order {p}^{sm} exceeds the cap {DEFAULT_FIELD_CAP}")
+        if not _is_prime(p):
+            raise ValueError(f"p must be prime, got {p}")
         self.p = p
         self.s = s
         self.m = m
-        self.sm = s * m
+        self.sm = sm
         self.q = p ** s
-        order = p ** self.sm
-        if order > DEFAULT_FIELD_CAP:
-            raise ValueError(
-                f"field order {p}^{self.sm} = {order} exceeds the cap {DEFAULT_FIELD_CAP}")
-        self.order = order
-        if modulus is None:
-            self.modulus = _smallest_irreducible(p, self.sm)
-        else:
-            mod = tuple(modulus)
-            if any(type(c) is not int for c in mod):
-                raise ValueError(f"modulus coefficients must be integers, got {mod!r}")
-            if len(mod) != self.sm + 1:
-                raise ValueError(
-                    f"modulus must have degree {self.sm}, got degree {len(mod) - 1}")
-            if any(not 0 <= c < p for c in mod):
-                raise ValueError("modulus coefficients must lie in [0, p)")
-            if mod[-1] != 1:
-                raise ValueError("modulus must be monic")
-            if not _poly_is_irreducible(list(mod), p):
-                raise ValueError("modulus is reducible over the prime field")
-            self.modulus = mod
-        self._mod_int = sum(c << i for i, c in enumerate(self.modulus)) if p == 2 else 0
+        self.order = order = p ** sm
         self._n1 = order - 1
-        self._exp = self._log = self._frob_tab = self._zech = None
+        self._exp = self._log = self._zech = None
+        self._set_modulus(modulus)
         if order <= _TABLE_LIMIT:
             self._build_tables()
         self._sub_pbasis = None
@@ -536,6 +442,49 @@ class FieldCtx:
             du = u.bit_length()
         return g1
 
+    # -- the modulus ------------------------------------------------------------
+
+    def _set_modulus(self, modulus) -> None:
+        """Accept a given modulus, or find the default: the first monic
+        candidate of degree sm, with its lower coefficients read as a
+        base-p number from 0 upward, that passes ``_modulus_is_irreducible``."""
+        p, sm = self.p, self.sm
+        if modulus is None:
+            candidates = (tuple(self._digits(low)) + (1,) for low in range(self.order))
+        else:
+            mod = tuple(modulus)
+            if any(type(c) is not int for c in mod):
+                raise ValueError(f"modulus coefficients must be integers, got {mod!r}")
+            if len(mod) != sm + 1:
+                raise ValueError(f"modulus must have degree {sm}, got degree {len(mod) - 1}")
+            if any(not 0 <= c < p for c in mod):
+                raise ValueError("modulus coefficients must lie in [0, p)")
+            if mod[-1] != 1:
+                raise ValueError("modulus must be monic")
+            candidates = (mod,)
+        for mod in candidates:
+            self.modulus = mod
+            self._mod_int = _from_base_digits(mod, p)
+            if self._modulus_is_irreducible():
+                return
+        raise ValueError("modulus is reducible over the prime field")
+
+    def _modulus_is_irreducible(self) -> bool:
+        """Rabin's test, run in F_p[x]/(modulus) itself on the direct route
+        (before any table exists), where x is the code p.  The modulus of
+        degree d is irreducible iff x^(p^d) = x and, for every prime r | d,
+        h = x^(p^(d/r)) - x is a unit.  Once x^(p^d) = x the ring is a
+        product of fields F_{p^e} with e | d, so h is a unit exactly when
+        h^(p^d - 1) = 1.  Every monic linear modulus is irreducible."""
+        p, d, pw = self.p, self.sm, self._pow_direct
+        if d == 1:
+            return True
+        x = p
+        if pw(x, self.order) != x:
+            return False
+        return all(pw(self.sub(pw(x, p ** (d // r)), x), self._n1) == 1
+                   for r in _prime_factors(d))
+
     def _build_tables(self):
         n1 = self._n1
         if n1 <= 1:
@@ -556,15 +505,11 @@ class FieldCtx:
             exp[i] = e
             log[e] = i
             e = self._mul_direct(e, g)
-        qr = self.q % n1 if n1 > 1 else 0
-        frob = [0] * self.order
-        for a in range(1, self.order):
-            frob[a] = exp[(log[a] * qr) % n1] if n1 > 1 else a
         zech = None
         if self.p != 2:
             zech = [log[t] if t else -1
                     for t in (self._sub_scaled_digits(1, e, self.p - 1) for e in exp)]
-        self._log, self._frob_tab, self._zech, self._exp = log, frob, zech, exp
+        self._log, self._zech, self._exp = log, zech, exp
 
     def mul(self, a: int, b: int) -> int:
         if self._exp is None:
@@ -603,14 +548,9 @@ class FieldCtx:
         i %= self.m
         if i == 0:
             return a
-        if self._frob_tab is not None:
-            tab = self._frob_tab
-            for _ in range(i):
-                a = tab[a]
-            return a
-        for _ in range(i):
-            a = self.pow(a, self.q)
-        return a
+        if self._exp is None:
+            return self._pow_direct(a, self.q ** i)
+        return self._exp[self._log[a] * self.q ** i % self._n1] if a else 0
 
     # -- the middle field -----------------------------------------------------
 

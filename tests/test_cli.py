@@ -1,10 +1,15 @@
 """Command-line behavior: output formats, determinism, exit codes."""
 
 import hashlib
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import gablab
 from gablab.code import DEFAULT_ORACLE_CAP
 from gablab.cli import main
 from gablab.deephole import DEFAULT_CLASS_SCAN_CAP, DEFAULT_SUBSPACE_CAP
@@ -73,6 +78,23 @@ def test_field_reports_parameters(capsys, spec24):
     assert "order=16" in lines
     assert "modulus=1,1,0,0,1" in lines
     assert "g=1,2,4,8" in lines
+
+
+@pytest.mark.parametrize("p,m", [(2305843009213693951, 1), (2, 100000)],
+                         ids=["p=2^61-1", "m=100000"])
+def test_oversized_tower_fails_fast(tmp_path, p, m):
+    # The cap is checked on p and s*m before any primality test or power.
+    # Trial division of 2^61 - 1 ran past 10 s, and a message with the
+    # 30,103-digit order 2^100000 hit the int-to-str digit limit.  The
+    # command runs in a child process, so a hang ends at the timeout.
+    spec = tmp_path / "big.txt"
+    spec.write_text(f"p={p}\ns=1\nm={m}\nn=1\nk=1\ng=1\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(gablab.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "gablab.cli", "field", "--spec", str(spec)],
+                          capture_output=True, text=True, env=env, timeout=10)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: field order {p}^{m} exceeds the cap 16777216\n"
 
 
 def test_encode_frozen_gf4(capsys, spec4):

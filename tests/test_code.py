@@ -333,9 +333,18 @@ def test_word_cap_guards():
     gf32 = FieldCtx(2, 1, 5)
     with pytest.raises(ValueError, match=r"^33554432 words exceed the scan cap 1048576$"):
         covering_radius_raw(GabidulinCode(gf32, (1, 2, 4, 8, 16), 1), "rank")
-    with pytest.raises(ValueError, match="33554432 codewords exceed the oracle cap 1048576"):
-        list(GabidulinCode(gf32, (1, 2, 4, 8, 16), 5).iter_codewords())
-    with pytest.raises(ValueError, match=r"^field order 2\^25 = 33554432 exceeds the cap 16777216$"):
+    code55 = GabidulinCode(gf32, (1, 2, 4, 8, 16), 5)
+    # No caller of iter_codewords can raise its cap, so no remedy is named;
+    # the oracles take the caller's cap and name it.
+    with pytest.raises(ValueError, match=r"^33554432 codewords exceed the oracle cap 1048576$"):
+        list(code55.iter_codewords())
+    with pytest.raises(ValueError, match=r"^33554432 codewords exceed the oracle cap 1048576; "
+                                         r"raise the cap to proceed$"):
+        min_distance(code55, "rank")
+    with pytest.raises(ValueError, match=r"^33554432 codewords exceed the oracle cap 1048576; "
+                                         r"raise the cap to proceed$"):
+        dist_to_code_exhaustive(code55, code55.word([0] * 5), "rank")
+    with pytest.raises(ValueError, match=r"^field order 2\^25 exceeds the cap 16777216$"):
         FieldCtx(2, 1, 25)
 
 

@@ -1,7 +1,8 @@
 """Field-tower arithmetic: frozen constants, algebraic laws, tower structure.
 
 The irreducibility oracle here is independent of the library's Rabin
-check: plain trial division against every lower-degree monic polynomial.
+check: plain trial division against every lower-degree monic polynomial,
+with its own remainder on coefficient lists.
 """
 
 import itertools
@@ -12,9 +13,21 @@ import threading
 
 import pytest
 
-from gablab import BasisSpec, FieldCtx
+from gablab import BasisSpec, FieldCtx, LinPoly, Word
 from gablab.field import (_base_digits, _det, _eliminate, _from_base_digits, _nullspace,
-                          _pdivmod, _poly_is_irreducible, _prime_field, _solve)
+                          _prime_field, _solve)
+
+
+def _remainder(poly: list[int], monic: list[int], p: int) -> list[int]:
+    """poly mod a monic divisor over F_p; coefficient lists, degree 0 first."""
+    r = [c % p for c in poly]
+    dv = len(monic) - 1
+    for top in range(len(r) - 1, dv - 1, -1):
+        f = r[top]
+        if f:
+            for i, c in enumerate(monic):
+                r[top - dv + i] = (r[top - dv + i] - f * c) % p
+    return r[:dv]
 
 
 def _irreducible_by_trial_division(poly: list[int], p: int) -> bool:
@@ -23,10 +36,23 @@ def _irreducible_by_trial_division(poly: list[int], p: int) -> bool:
         return False
     for ddeg in range(1, d // 2 + 1):
         for low in itertools.product(range(p), repeat=ddeg):
-            div = list(low) + [1]
-            if not _pdivmod(poly, div, p)[1]:
+            if not any(_remainder(poly, list(low) + [1], p)):
                 return False
     return True
+
+
+def _accepted_as_modulus(poly: list[int], p: int) -> bool:
+    """Whether FieldCtx(p, 1, deg) takes poly as its modulus."""
+    try:
+        FieldCtx(p, 1, len(poly) - 1, modulus=poly)
+    except ValueError as exc:
+        assert str(exc) == "modulus is reducible over the prime field"
+        return False
+    return True
+
+
+def _primes_upto(n: int) -> list[int]:
+    return [p for p in range(2, n + 1) if all(p % f for f in range(2, int(p ** 0.5) + 1))]
 
 
 # -- frozen default moduli ----------------------------------------------------
@@ -56,10 +82,28 @@ def test_default_modulus_is_smallest_irreducible(p, s, m, expected):
         assert not _irreducible_by_trial_division(low + [1], p)
 
 
-def test_rabin_matches_trial_division_for_gf2_cubics():
-    for code in range(8):
-        poly = [code & 1, (code >> 1) & 1, (code >> 2) & 1, 1]
-        assert _poly_is_irreducible(poly, 2) == _irreducible_by_trial_division(poly, 2)
+def test_modulus_accepted_iff_irreducible_by_trial_division():
+    # Every monic polynomial of degree <= 6 over F_2, <= 4 over F_3 and
+    # <= 3 over F_5: 401 in all.
+    for p, top in ((2, 6), (3, 4), (5, 3)):
+        for d in range(1, top + 1):
+            for low in itertools.product(range(p), repeat=d):
+                poly = list(low) + [1]
+                assert _accepted_as_modulus(poly, p) == _irreducible_by_trial_division(poly, p)
+
+
+def test_default_modulus_is_the_first_irreducible_by_trial_division():
+    # Every (p, d) with p^d <= 2^12.  Element codes, and so every output,
+    # depend on this choice.
+    for p in _primes_upto(1 << 12):
+        d = 1
+        while p ** d <= 1 << 12:
+            mod = FieldCtx(p, 1, d).modulus
+            assert mod[-1] == 1 and len(mod) == d + 1
+            assert _irreducible_by_trial_division(list(mod), p)
+            for low in range(_from_base_digits(mod[:-1], p)):
+                assert not _irreducible_by_trial_division(_base_digits(low, p, d) + [1], p)
+            d += 1
 
 
 # -- frozen hand values -------------------------------------------------------
@@ -356,6 +400,63 @@ def test_element_wrapping_and_context_separation(gf4, gf8):
         gf4.element((1, 1, 1))
     with pytest.raises(ValueError, match="coefficients must be integers"):
         gf4.element((2, 0))
+
+
+# One field per arithmetic route: char-2 table, odd table, direct p = 2
+# (above the table limit) and a tower with s = 2.
+ROUTES = {"char2-table": (2, 1, 4), "odd-table": (3, 1, 3), "direct-p2": (2, 1, 17),
+          "tower-s2": (2, 2, 2)}
+
+BINARY_OPS = [operator.add, operator.sub, operator.mul, operator.truediv]
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_element_operators_match_the_code_ops(route):
+    # Each FieldElement operator, both operand orders, against the code op;
+    # then the LinPoly and Word wrappers, and the rejection of mixed
+    # contexts, out-of-range codes and non-field operands.
+    ctx, other = FieldCtx(*ROUTES[route]), FieldCtx(*ROUTES[route])
+    assert (ctx._exp is None) == (route == "direct-p2")
+    rng = random.Random(71)
+    for _ in range(40):
+        a, b = rng.randrange(ctx.order), rng.randrange(1, ctx.order)
+        x, y = ctx.element(a), ctx.element(b)
+        for op, code_op in zip(BINARY_OPS, (ctx.add, ctx.sub, ctx.mul, ctx.div)):
+            assert op(x, y).code == op(x, b).code == op(a, y).code == code_op(a, b)
+        assert (-x).code == ctx.neg(a)
+        assert (x ** 3).code == ctx.pow(a, 3)
+        for i in range(ctx.m + 1):
+            assert x.frob(i).code == ctx.frob(a, i) == ctx._pow_direct(a, ctx.q ** i)
+        assert x.is_zero() == (not x) == (a == 0)
+        assert int(x) == a and str(x) == str(a)
+        assert x == ctx.element(a) and hash(x) == hash(ctx.element(a))
+        assert x != other.element(a)
+        f = LinPoly(ctx, [x, y, 0])
+        assert f.codes == (a, b)
+        assert (-f).codes == (ctx.neg(a), ctx.neg(b))
+        assert (f + -f).is_zero()
+        w = Word(ctx, [x, b])
+        assert list(w) == [x, y]
+        assert hash(w) == hash(Word(ctx, [a, y])) and len({w, Word(ctx, [a, b])}) == 1
+    x = ctx.element(1)
+    with pytest.raises(ZeroDivisionError):
+        x / 0
+    for op in BINARY_OPS:
+        with pytest.raises(ValueError, match="mixed field contexts"):
+            op(x, other.element(1))
+        for bad in (ctx.order, -1):
+            with pytest.raises(ValueError, match=f"code {bad} out of range"):
+                op(x, bad)
+            with pytest.raises(ValueError, match=f"code {bad} out of range"):
+                op(bad, x)
+        with pytest.raises(TypeError):
+            op(x, 1.0)
+        with pytest.raises(TypeError):
+            op(1.0, x)
+    with pytest.raises(ValueError, match="coefficient from a different field context"):
+        LinPoly(ctx, [x, other.element(1)])
+    with pytest.raises(ValueError, match=f"coefficient {ctx.order} is not a code"):
+        LinPoly(ctx, [x, ctx.order])
 
 
 def test_basis_spec_validation(gf16, gf4):

@@ -27,7 +27,7 @@ from gablab.code import _weigher  # noqa: E402
 from gablab.deephole import (DEFAULT_SUBSPACE_CAP, _accepting_cover,  # noqa: E402
                              _witness_codes)
 from gablab.field import (_SPAN_AUTOMATON_LIMIT, _TABLE_LIMIT,  # noqa: E402
-                          _poly_is_irreducible, gaussian_binomial)
+                          gaussian_binomial)
 
 WORD_LIMIT = 4096
 
@@ -130,12 +130,17 @@ SEARCH_SHAPES = [(p, s, m, n) for p in (2, 3, 5) for s in (1, 2) for m in range(
 
 @lru_cache(maxsize=None)
 def _irreducibles(p: int, d: int) -> list[tuple[int, ...]]:
-    """Every monic irreducible of degree d over F_p, degree 0 first."""
+    """Every monic irreducible of degree d over F_p, degree 0 first: the
+    candidates FieldCtx accepts as a modulus."""
     out = []
     for low in range(p ** d):
-        coeffs = [(low // p ** i) % p for i in range(d)] + [1]
-        if _poly_is_irreducible(coeffs, p):
-            out.append(tuple(coeffs))
+        coeffs = tuple((low // p ** i) % p for i in range(d)) + (1,)
+        try:
+            FieldCtx(p, 1, d, modulus=coeffs)
+        except ValueError as exc:
+            assert str(exc) == "modulus is reducible over the prime field"
+            continue
+        out.append(coeffs)
     return out
 
 
