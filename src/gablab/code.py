@@ -15,19 +15,33 @@ witnesses are the first minimizer in that order.  Codeword i is the
 evaluation of the message whose coefficient codes are the base-order
 digits of i, so a message is rebuilt from its index when it is needed.
 
-Codes with at most ``_CODEWORD_CACHE_LIMIT`` codewords list them on first
-use in one flat list of entry codes, n per codeword; the messages are not
-stored.  Rank weights walk the field's F_q-span automaton where it has
-one (see :mod:`gablab.field`), and reduce with the F_p echelon
-elsewhere.  On the table route the oracle builds, per word, one table of
-the differences w_j - x for every entry j and every code x, so a
-codeword then costs a few list lookups and, with the automaton, no field
-operation: its walk stops once the weight reaches the best so far.
+Codewords are F_p-linear in the base-p digits d_l of their index i (digit
+l = j*sm + t is digit t of coefficient j): codeword i is sum(d_l * B_l),
+where B_l is the codeword of the message whose only nonzero coefficient is
+p**t at q-degree j.  They are generated in canonical order level by level:
+the list so far is followed by p - 1 blocks, each the one before plus B_l,
+so a codeword costs n additions and no multiplication.  An addition is an
+XOR in characteristic 2; in odd characteristic it is a lookup in a table
+of x -> x + B_l[j] once a level adds at least as many codewords as the
+(table-route) field has elements, and ``ctx.add`` otherwise.  Codes with
+at most ``_CODEWORD_CACHE_LIMIT`` codewords list them on first use in one
+flat list of entry codes, n per codeword; the messages are not stored.
+Larger codes stream theirs: the list of the lower half of the levels,
+bounded by the same limit, is translated by each combination of the upper
+levels in turn.
+
+Rank weights walk the field's F_q-span automaton where it has one (see
+:mod:`gablab.field`), and reduce with the F_p echelon elsewhere.  On the
+table route the oracle builds, per word, one table of the differences
+w_j - x for every entry j and every code x, so a codeword then costs a
+few list lookups and, with the automaton, no field operation: its walk
+stops once the weight reaches the best so far.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 
 from .field import FieldCtx, FieldElement, _base_digits, _from_base_digits
 from .linpoly import LinPoly, SubspaceBasis, _moore_rows, q_lagrange
@@ -166,16 +180,18 @@ class GabidulinCode:
 
     def iter_codewords(self):
         """(message coefficient codes, codeword codes) pairs, canonical order."""
-        order, k = self.ctx.order, self.k
-        messages = (tuple(_base_digits(i, order, k)) for i in itertools.count())
+        messages = (m[::-1] for m in itertools.product(range(self.ctx.order), repeat=self.k))
         return zip(messages, self._codeword_rows())
 
     def _codeword_rows(self, oracle_cap: int | None = None):
         """The codewords' entry tuples in canonical order: codeword i is the
         evaluation of the message whose digits are those of i in base order.
-        Up to ``_CODEWORD_CACHE_LIMIT`` codewords are listed on first use in
-        one flat list of entry codes, n per codeword, and later passes are
-        served from it.  More than ``oracle_cap`` codewords are refused,
+        They are built by linearity (``_span_flat``), one level per base-p
+        digit of i, n additions per codeword.  Up to
+        ``_CODEWORD_CACHE_LIMIT`` codewords are listed on first use in one
+        flat list of entry codes, n per codeword, and later passes are served
+        from it; more are streamed (``_span_rows``) from a list of about
+        the square root of their number.  More than ``oracle_cap`` codewords are refused,
         naming the remedy; with no cap given, more than the fixed
         ``DEFAULT_ORACLE_CAP``, which the caller cannot raise."""
         count = self.message_count()
@@ -184,25 +200,67 @@ class GabidulinCode:
             remedy = "" if oracle_cap is None else "; raise the cap to proceed"
             raise ValueError(f"{count} codewords exceed the oracle cap {cap}{remedy}")
         if count > _CODEWORD_CACHE_LIMIT:
-            return self._codewords(count)
+            return _span_rows(self.ctx, self._unit_codewords(), self.n)
         if self._cw_cache is None:
-            self._cw_cache = list(itertools.chain.from_iterable(self._codewords(count)))
+            self._cw_cache = _span_flat(self.ctx, self._unit_codewords(), self.n)
         return zip(*[iter(self._cw_cache)] * self.n)
 
-    def _codewords(self, count: int):
-        """The first count codewords' entry tuples, evaluated one by one."""
-        ctx, k, n = self.ctx, self.k, self.n
-        pows = _moore_rows(ctx, self.span.codes, k)
-        for idx in range(count):
-            mc = _base_digits(idx, ctx.order, k)
-            wc = []
-            for j in range(n):
-                acc, pj = 0, pows[j]
-                for i, a in enumerate(mc):
-                    if a:
-                        acc = ctx.add(acc, ctx.mul(a, pj[i]))
-                wc.append(acc)
-            yield tuple(wc)
+    def _unit_codewords(self) -> list[list[int]]:
+        """The codeword of each unit message, in the order of the base-p
+        digits of a codeword's index: level i*sm + t is the message whose
+        only nonzero coefficient is p**t (the element x**t) at q-degree i."""
+        ctx = self.ctx
+        moore = _moore_rows(ctx, self.span.codes, self.k)
+        return [[ctx.mul(ctx.p ** t, row[i]) for row in moore]
+                for i in range(self.k) for t in range(ctx.sm)]
+
+
+def _translator(ctx: FieldCtx, unit, uses: int):
+    """The map from a flat list of rows (n entry codes each) to the same
+    rows plus ``unit``, entry by entry, for ``uses`` rows in all: XOR in
+    characteristic 2; elsewhere ``ctx.add``, or on the table route, once
+    there are at least as many rows as field elements, one lookup per entry
+    in a table of x -> x + unit[j] per position j."""
+    cycle = itertools.cycle
+    if ctx.p == 2:
+        return lambda flat: list(map(operator.xor, flat, cycle(unit)))
+    if ctx._exp is not None and uses >= ctx.order:
+        shifts = [[ctx.add(x, c) for x in range(ctx.order)] for c in unit]
+        return lambda flat: list(map(list.__getitem__, cycle(shifts), flat))
+    return lambda flat: list(map(ctx.add, flat, cycle(unit)))
+
+
+def _span_flat(ctx: FieldCtx, units, n: int) -> list[int]:
+    """Every F_p-combination sum(d_l * units[l]) of the length-n unit rows,
+    ordered by the index sum(d_l * p**l), as one flat list of entry codes,
+    n per combination.  Each level l appends p - 1 blocks, block d being
+    block d - 1 plus units[l] (block 0 is the list so far), so each row
+    costs n additions and no multiplication."""
+    flat = [0] * n
+    for unit in units:
+        shift = _translator(ctx, unit, (ctx.p - 1) * len(flat) // n)
+        block = flat
+        for _ in range(ctx.p - 1):
+            block = shift(block)
+            flat += block
+    return flat
+
+
+def _span_rows(ctx: FieldCtx, units, n: int):
+    """The rows of ``_span_flat(ctx, units, n)`` as tuples, in the same
+    order: the flat list of the lower half of the levels (fewer when that
+    would pass ``_CODEWORD_CACHE_LIMIT`` rows, but at least one), plus each
+    combination of the upper levels in turn, which are streamed the same
+    way.  So about the square root of the rows is held at once."""
+    low = (len(units) + 1) // 2
+    while low > 1 and ctx.p ** low > _CODEWORD_CACHE_LIMIT:
+        low -= 1
+    flat = _span_flat(ctx, units[:low], n)
+    if low == len(units):
+        yield from zip(*[iter(flat)] * n)
+        return
+    for offset in _span_rows(ctx, units[low:], n):
+        yield from zip(*[iter(_translator(ctx, offset, len(flat) // n)(flat))] * n)
 
 
 def dist_to_code_exhaustive(code: GabidulinCode, w: Word, metric: str,

@@ -30,7 +30,10 @@ above the limit build no table and take the direct polynomial route,
 where odd characteristic has one digit kernel, a - r*b for r in F_p in
 one pass over the base-p digits (``FieldCtx._sub_scaled_digits``), for
 addition, subtraction, negation and each reduction of the F_q-rank
-echelon; the tables are built with that route.  The odd-characteristic echelon (``FieldCtx._greedy_codes``)
+echelon.  The exp table is walked by multiplying by the generator
+through tables filled on the direct route (``FieldCtx._times``), and a
+Zech entry costs O(1), since 1 + g**i differs from g**i in digit 0
+only.  The odd-characteristic echelon (``FieldCtx._greedy_codes``)
 reduces codes, not digit lists: with ``sub`` and ``mul`` on the table
 route, and with the digit kernel on the direct route.
 
@@ -399,6 +402,8 @@ class FieldCtx:
                 bl = r.bit_length()
             return r
         p = self.p
+        if self.sm == 1:
+            return a * b % p
         da, db = self._digits(a), self._digits(b)
         conv = [0] * (2 * self.sm - 1)
         for i, x in enumerate(da):
@@ -486,30 +491,74 @@ class FieldCtx:
                    for r in _prime_factors(d))
 
     def _build_tables(self):
-        n1 = self._n1
+        """exp/log for the first multiplicative generator g among the codes
+        from 2 up (from p when sm > 1: the prime field's elements have
+        orders dividing p - 1), walked by ``_times``, and Zech from exp:
+        1 + g**i differs from g**i in digit 0 only."""
+        p, order, n1 = self.p, self.order, self._n1
         if n1 <= 1:
-            g = 1 % self.order
+            g = 1 % order
         else:
-            g = None
             pf = _prime_factors(n1)
-            for cand in range(2, self.order):
-                if all(self._pow_direct(cand, n1 // r) != 1 for r in pf):
-                    g = cand
-                    break
+            g = next((c for c in range(2 if self.sm == 1 else p, order)
+                      if all(self._pow_direct(c, n1 // r) != 1 for r in pf)), None)
             if g is None:
                 raise AssertionError("no multiplicative generator found")
+        times_g = self._times(g)
         exp = [0] * max(n1, 1)
-        log = [0] * self.order
-        e = 1 % self.order
+        log = [0] * order
+        e = 1 % order
         for i in range(max(n1, 1)):
             exp[i] = e
             log[e] = i
-            e = self._mul_direct(e, g)
+            e = times_g(e)
         zech = None
-        if self.p != 2:
+        if p != 2:
             zech = [log[t] if t else -1
-                    for t in (self._sub_scaled_digits(1, e, self.p - 1) for e in exp)]
+                    for t in (e - p + 1 if e % p == p - 1 else e + 1 for e in exp)]
         self._log, self._zech, self._exp = log, zech, exp
+
+    def _times(self, g: int):
+        """The map a -> a*g on codes, for the exp walk, with no digit list.
+        It is F_p-linear: for a = lo + P*hi with P = p**h, h = sm // 2,
+        a*g = lo*g + (P*hi)*g, two reads from tables filled by
+        ``_mul_direct``, and in characteristic 2 their sum is an XOR.  In
+        odd characteristic the tables hold the products "wide", digit t at
+        bit w*t with w bits enough for 2p - 2, so the sum is one integer
+        addition with no carry between digits; two more tables turn each
+        half of the sum, its digits taken mod p, back into a code.  A prime
+        field multiplies mod p."""
+        p, sm = self.p, self.sm
+        if sm == 1:
+            return lambda a: a * g % p
+        h = sm // 2
+        P = p ** h
+        lo = [self._mul_direct(v, g) for v in range(P)]
+        hi = [self._mul_direct(v * P, g) for v in range(self.order // P)]
+        if p == 2:
+            return lambda a: lo[a & (P - 1)] ^ hi[a >> h]
+        w = (2 * p - 2).bit_length()
+
+        def wide(c):
+            return sum(d << (w * t) for t, d in enumerate(self._digits(c)))
+
+        def narrow(digits, scale):
+            # The code of every wide value of ``digits`` digits, each < 2**w
+            # and taken mod p, times scale.
+            tab = [0]
+            for t in range(digits):
+                pt = scale * p ** t
+                tab = [x + d % p * pt for d in range(1 << w) for x in tab]
+            return tab
+
+        lo, hi = [wide(c) for c in lo], [wide(c) for c in hi]
+        nlo, nhi, cut = narrow(h, 1), narrow(sm - h, P), h * w
+        mask = (1 << cut) - 1
+
+        def times(a):
+            x = lo[a % P] + hi[a // P]
+            return nlo[x & mask] + nhi[x >> cut]
+        return times
 
     def mul(self, a: int, b: int) -> int:
         if self._exp is None:

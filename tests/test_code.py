@@ -14,10 +14,14 @@ import random
 
 import pytest
 
+import gablab.code
 from gablab import (FieldCtx, GabidulinCode, LinPoly, Word, covering_radius_raw,
                     covering_radius_scan, dist_to_code_exhaustive,
                     format_code_spec, min_distance, parse_code_spec, weight)
 from gablab.cli import main
+from gablab.code import DEFAULT_ORACLE_CAP
+from gablab.field import _base_digits
+from gablab.linpoly import _moore_rows
 
 
 @pytest.fixture(scope="module")
@@ -235,6 +239,77 @@ def test_codeword_cache_survives_an_early_stop():
             ref_d, ref_msg = dist_to_code_exhaustive(fresh, w, metric)
             assert (d, msg.codes) == (ref_d, ref_msg.codes)
         assert min_distance(code, metric) == min_distance(fresh, metric) == 2
+
+
+def _codewords_one_by_one(code, indices):
+    """Codeword i for each i, evaluated on its own: the message's
+    coefficients are the base-order digits of i, and each entry is
+    sum_i a_i * g_j^(q^i), k multiplications per entry."""
+    ctx, k = code.ctx, code.k
+    pows = _moore_rows(ctx, code.span.codes, k)
+    for idx in indices:
+        mc = _base_digits(idx, ctx.order, k)
+        wc = []
+        for pj in pows:
+            acc = 0
+            for a, x in zip(mc, pj):
+                if a:
+                    acc = ctx.add(acc, ctx.mul(a, x))
+            wc.append(acc)
+        yield tuple(wc)
+
+
+# (p, s, m), n, k, points 1, p, p**2, ...: p in {2, 3, 5}, s in {1, 2}, k in
+# {1, 2, 3}.  p = 5 with k = 3 needs order >= 125, so 125^3 codewords, past
+# the oracle cap.
+LINEARITY_CODES = [((2, 1, 3), 3, 1), ((2, 1, 3), 3, 2), ((2, 1, 3), 3, 3),
+                   ((2, 2, 2), 2, 1), ((2, 2, 2), 2, 2), ((3, 1, 3), 3, 1),
+                   ((3, 1, 3), 3, 2), ((3, 1, 3), 3, 3), ((3, 2, 2), 2, 1),
+                   ((3, 2, 2), 2, 2), ((5, 1, 2), 2, 1), ((5, 1, 2), 2, 2),
+                   ((5, 1, 3), 3, 2), ((5, 2, 2), 2, 1)]
+
+
+@pytest.mark.parametrize("ctx_args,n,k", LINEARITY_CODES)
+def test_codewords_by_linearity_match_the_one_by_one_evaluator(ctx_args, n, k, monkeypatch):
+    # The cached flat list, then the streams forced by the cache limits 1,
+    # p, p^2 + 1 and one short of the codeword count (those below it), each
+    # under an oracle cap of exactly that count.
+    ctx = FieldCtx(*ctx_args)
+    points = [ctx.p ** i for i in range(n)]
+    code = GabidulinCode(ctx, points, k)
+    count = code.message_count()
+    ref = list(_codewords_one_by_one(code, range(count)))
+    assert list(code._codeword_rows(oracle_cap=count)) == ref
+    assert code._cw_cache == [x for cw in ref for x in cw]
+    assert [mc for mc, _ in code.iter_codewords()] == [
+        tuple(_base_digits(i, ctx.order, k)) for i in range(count)]
+    for limit in sorted({x for x in (1, ctx.p, ctx.p ** 2 + 1, count - 1) if x < count}):
+        monkeypatch.setattr(gablab.code, "_CODEWORD_CACHE_LIMIT", limit)
+        fresh = GabidulinCode(ctx, points, k)
+        assert list(fresh._codeword_rows(oracle_cap=count)) == ref
+        assert fresh._cw_cache is None
+        with pytest.raises(ValueError, match="raise the cap to proceed"):
+            fresh._codeword_rows(oracle_cap=count - 1)
+
+
+def test_codewords_at_the_cache_limit_and_the_oracle_cap():
+    # GF(2^8), n = k = 2: exactly _CODEWORD_CACHE_LIMIT codewords, all
+    # cached.  GF(2^10), n = k = 2: exactly DEFAULT_ORACLE_CAP, streamed
+    # under the default cap and sampled every 997th codeword.
+    code = GabidulinCode(FieldCtx(2, 1, 8), (1, 2), 2)
+    assert code.message_count() == gablab.code._CODEWORD_CACHE_LIMIT
+    ref = list(_codewords_one_by_one(code, range(code.message_count())))
+    assert list(code._codeword_rows()) == ref
+    assert len(code._cw_cache) == 2 * len(ref)
+    code = GabidulinCode(FieldCtx(2, 1, 10), (1, 2), 2)
+    assert code.message_count() == DEFAULT_ORACLE_CAP
+    sample, got = [], []
+    for i, cw in enumerate(code._codeword_rows()):
+        if i % 997 == 0:
+            sample.append(i)
+            got.append(cw)
+    assert i + 1 == DEFAULT_ORACLE_CAP and code._cw_cache is None
+    assert got == list(_codewords_one_by_one(code, sample))
 
 
 # (p, s, m), n, k: the oracle-odd shape GF(81) n=4 k=2 and small odd

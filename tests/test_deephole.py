@@ -152,6 +152,19 @@ def test_bigfield_search_answers_are_pinned():
     assert digest[:16] == "183acba9e411dc0b"
 
 
+def test_bigfield_search_matches_the_streamed_oracle():
+    # The exhaustive oracle walks all 2^17 codewords per call, streamed
+    # past the cache limit.  Four of the ten words, for time, give every
+    # rank distance 1..4 and the Hamming distances 2, 3 and 4.
+    code, words = _bigfield_words()
+    assert code.message_count() == 1 << 17
+    for i in (0, 3, 8, 9):
+        for metric in ("rank", "hamming"):
+            d, _ = dist_to_code_exhaustive(code, words[i], metric)
+            assert distance_by_search(code, words[i], metric).distance == d
+    assert code._cw_cache is None
+
+
 def test_search_evaluates_the_representative_at_most_n_times(monkeypatch):
     code, words = _bigfield_words()
     calls = []

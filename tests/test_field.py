@@ -6,6 +6,7 @@ with its own remainder on coefficient lists.
 """
 
 import itertools
+import math
 import operator
 import random
 import sys
@@ -546,6 +547,26 @@ def test_zech_route_matches_the_digit_route(p, s, m):
             assert ctx.add(a, b) == _digitwise(ctx, operator.add, a, b)
             assert ctx.sub(a, b) == _digitwise(ctx, operator.sub, a, b)
     assert ctx._zech is not None
+
+
+@pytest.mark.parametrize("p,s,m", [(2, 1, 8), (2, 2, 4), (3, 1, 7), (3, 2, 3), (5, 1, 4),
+                                   (7, 1, 3), (31, 1, 2), (4093, 1, 1)])
+def test_tables_match_the_digit_route(p, s, m):
+    # exp is the walk of g = exp[1] by _mul_direct, g is the first code from
+    # 2 up whose log is prime to order - 1 (a generator), log inverts exp,
+    # and zech[i] is the log of 1 + g^i added digit by digit (-1 at 0).
+    ctx = FieldCtx(p, s, m)
+    exp, log, n1 = ctx._exp, ctx._log, ctx.order - 1
+    g = exp[1]
+    assert sorted(exp) == list(range(1, ctx.order))
+    assert all(log[e] == i for i, e in enumerate(exp))
+    assert all(exp[(i + 1) % n1] == ctx._mul_direct(e, g) for i, e in enumerate(exp))
+    assert g == next(c for c in range(2, ctx.order) if math.gcd(log[c], n1) == 1)
+    if p == 2:
+        assert ctx._zech is None
+    else:
+        sums = (_digitwise(ctx, operator.add, 1, e) for e in exp)
+        assert ctx._zech == [log[t] if t else -1 for t in sums]
 
 
 @pytest.mark.parametrize("p,s,m", [(3, 1, 11), (5, 1, 7), (3, 2, 6)])
