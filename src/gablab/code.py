@@ -123,7 +123,7 @@ def weight(w: Word, metric: str) -> int:
 
 
 class GabidulinCode:
-    __slots__ = ("ctx", "k", "span", "_cw_cache")
+    __slots__ = ("ctx", "k", "span", "_cw_cache", "_plan")
 
     def __init__(self, ctx: FieldCtx, points, k: int):
         self.ctx = ctx
@@ -133,6 +133,7 @@ class GabidulinCode:
             raise ValueError(f"message degree bound k must be an integer in 1..{n}, got {k!r}")
         self.k = k
         self._cw_cache = None
+        self._plan = {}  # the witness search's per-code candidates (gablab.deephole)
 
     @property
     def n(self) -> int:

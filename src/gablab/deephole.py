@@ -32,13 +32,26 @@ The search never evaluates f on a candidate.  Every candidate generator
 is an F_q-combination u = sum_j c_j g_j of the points (an RREF row of
 ``subspace_bases`` in the rank metric, a unit row in Hamming), and f is
 F_q-linear, so f(u) = sum_j c_j f(g_j): the same combination of f's values
-on the points, which are the word's entries.  ``classify_poly`` evaluates f
-once on the points; each candidate's values are row combinations of those
-codes (XORs when q = 2).  A candidate U with generators u_1..u_t accepts
-when the t x k Moore system sum_i v_i u_j^(q^i) = f(u_j) is consistent:
-one elimination on codes, with no polynomial built or evaluated.  Its
-rank is k (t >= k independent generators), so a solution is unique and
-is the interpolant through u_1..u_k, which then agrees with f on all of U.
+on the points, which are the word's entries.  ``distance_by_search`` passes
+those entries as f's values, so f is evaluated nowhere; ``classify_poly``
+called on f alone evaluates it once on the points.  Each candidate's
+values are row combinations of those codes (XORs when q = 2).  A
+candidate U with generators u_1..u_t accepts when the t x k Moore system
+sum_i v_i u_j^(q^i) = f(u_j) is consistent: one elimination on codes,
+with no polynomial built or evaluated.  Its rank is k (t >= k independent
+generators), so a solution is unique and is the interpolant through
+u_1..u_k, which then agrees with f on all of U.
+
+Only the right side f(u_j) depends on the word, so each code keeps a plan
+for the search, filled as the search first reaches each level: per
+(level t, metric) every candidate in canonical order with its witness, its
+coefficient rows over the points and its Moore rows, and, per metric, the
+first k-dimensional witness.  A level is listed whole from
+``_candidates`` before it is published, so a level in the plan is always
+complete; a word then builds one right side and runs one elimination (on
+a copy) per candidate it walks.  A level of more than ``_PLAN_LIMIT``
+candidates is not kept: it streams from ``_candidates`` on every walk.
+The subspace cap is checked on every walk, kept level or not.
 
 Class scans run no search per class; an annihilator sieve classifies
 every unit (a monic class, one per scalar orbit of nonzero classes) in
@@ -65,14 +78,18 @@ import math
 from dataclasses import dataclass, field
 
 from .code import GabidulinCode, Word, _check_metric
-from .field import FieldCtx, FieldElement, _combine_rows, _from_base_digits, _solve
+from .field import (FieldCtx, FieldElement, _combine_rows, _from_base_digits, _solve,
+                    gaussian_binomial)
 from .linpoly import (LinPoly, NEG_INF, SubspaceBasis, _moore_rows, annihilator,
                       minor_coeff)
 from .linpoly import q_lagrange  # noqa: F401  unused; bench/gabtrace.py patches it here
-from .subspaces import subspace_bases
+from .subspaces import _check_cap, subspace_bases
 
 DEFAULT_SUBSPACE_CAP = 10 ** 6
 DEFAULT_CLASS_SCAN_CAP = 1 << 20
+# Search levels with at most this many candidates are kept in the code's
+# plan; larger ones are enumerated afresh on every walk.
+_PLAN_LIMIT = 1 << 12
 
 # The parameters each family kind takes; any other one is an error.
 FAMILY_PARAMS = {"frobenius_shift": ("low",), "k_eq_n_minus_2": ("a", "low"),
@@ -101,23 +118,32 @@ class ClassifyResult:
     witness: object = None
 
 
-def _candidates(code: GabidulinCode, t: int, metric: str, cap: int):
+def _level_size(code: GabidulinCode, t: int, metric: str, cap: int | None) -> int:
+    """Number of t-level candidates, refused when above ``cap`` (None: no
+    cap): [n, t]_q subspaces in the rank metric, C(n, t) subsets in Hamming."""
+    if metric == "rank":
+        count, what = gaussian_binomial(code.n, t, code.ctx.q), "subspaces"
+    else:
+        count, what = math.comb(code.n, t), "subsets"
+    _check_cap(count, cap, what)
+    return count
+
+
+def _candidates(code: GabidulinCode, t: int, metric: str, cap: int | None):
     """(witness, basis) for every t-dimensional candidate, canonical order.
 
     Rank: each t-dimensional subspace of the point span is its own witness.
     Hamming: each t-subset of the points, as an index tuple, with the span
     basis of those points.  Either basis carries its coefficient rows over
-    the points (unit rows for Hamming).
+    the points (unit rows for Hamming).  More than ``cap`` candidates are
+    refused before the first is drawn.
     """
+    _level_size(code, t, metric, cap)
     if metric == "rank":
-        for sub in subspace_bases(code.span, t, cap=cap):
+        for sub in subspace_bases(code.span, t):
             yield sub, sub
         return
     n = code.n
-    count = math.comb(n, t)
-    if count > cap:
-        raise ValueError(
-            f"{count} candidate subsets exceed the cap {cap}; raise the cap to proceed")
     ctx, points = code.ctx, code.span.codes
     units = [[int(j == i) for j in range(n)] for i in range(n)]
     for idx in itertools.combinations(range(n), t):
@@ -128,10 +154,32 @@ def _candidates(code: GabidulinCode, t: int, metric: str, cap: int):
 def _first_k_witness(code: GabidulinCode, metric: str):
     """The first k-dimensional candidate's witness.  Level k accepts every
     candidate, so this one witnesses a word that no higher level accepts;
-    drawing one candidate applies no cap."""
-    if metric == "rank":
-        return next(subspace_bases(code.span, code.k))
-    return tuple(range(code.k))
+    drawing one candidate applies no cap.  The code's plan keeps it."""
+    wit = code._plan.get(("first_k", metric))
+    if wit is None:
+        wit = (next(subspace_bases(code.span, code.k)) if metric == "rank"
+               else tuple(range(code.k)))
+        wit = code._plan.setdefault(("first_k", metric), wit)
+    return wit
+
+
+def _plan_level(code: GabidulinCode, t: int, metric: str, cap: int | None):
+    """The t-level candidates in canonical order as (witness, coefficient
+    rows over the points, Moore rows) triples; the Moore row of generator
+    u_j is u_j^(q^i) for i < k.  The cap is checked on every call.  A level
+    of at most ``_PLAN_LIMIT`` candidates is listed whole on first use and
+    only then published in the code's plan, so a plan level is always
+    complete; a larger level is a fresh stream on each call."""
+    count = _level_size(code, t, metric, cap)
+    level = code._plan.get((t, metric))
+    if level is not None:
+        return level
+    ctx, k = code.ctx, code.k
+    level = ((wit, basis._rows, _moore_rows(ctx, basis.codes, k))
+             for wit, basis in _candidates(code, t, metric, None))
+    if count > _PLAN_LIMIT:
+        return level
+    return code._plan.setdefault((t, metric), list(level))
 
 
 def equality_witness(code: GabidulinCode, f: LinPoly, metric: str):
@@ -157,22 +205,24 @@ def equality_witness(code: GabidulinCode, f: LinPoly, metric: str):
     return None
 
 
-def _accepting_cover(code: GabidulinCode, fvals: list[int], t: int, metric: str,
-                     subspace_cap: int):
+def _accepting_cover(code: GabidulinCode, fvals, t: int, metric: str,
+                     subspace_cap: int | None):
     """First t-level witness U whose t x k Moore system (row j: u_j^(q^i)
     for i < k, right side f(u_j)) is consistent, or None: a solution is a v
     of q-degree < k agreeing with f on U.  ``fvals`` are f's values on the
-    points; f's values on U's generators are their row combinations."""
-    ctx, k = code.ctx, code.k
-    for wit, basis in _candidates(code, t, metric, subspace_cap):
-        rows = _moore_rows(ctx, basis.codes, k)
-        if _solve(ctx, rows, _combine_rows(ctx, basis._rows, fvals)) is not None:
+    points; f's values on U's generators are their row combinations.  Only
+    the right side is built per word; ``_solve`` eliminates a copy, so the
+    plan's rows are never changed."""
+    ctx = code.ctx
+    for wit, rows, moore in _plan_level(code, t, metric, subspace_cap):
+        if _solve(ctx, moore, _combine_rows(ctx, rows, fvals)) is not None:
             return wit
     return None
 
 
 def classify_poly(code: GabidulinCode, f: LinPoly, metric: str,
-                  subspace_cap: int = DEFAULT_SUBSPACE_CAP) -> ClassifyResult:
+                  subspace_cap: int = DEFAULT_SUBSPACE_CAP, *,
+                  _values=None) -> ClassifyResult:
     """Distance of the word represented by f, by ascending witness search.
 
     Acceptance is monotone in t, so the accepting levels are k..t*: walk
@@ -180,6 +230,8 @@ def classify_poly(code: GabidulinCode, f: LinPoly, metric: str,
     candidate.  t* is the last level that accepted and its witness is that
     level's first accepting candidate; when level k+1 rejects, the first
     k-dimensional candidate witnesses, since level k accepts them all.
+    ``_values``, when given, are f's values on the points (the codes of the
+    word f represents); otherwise f is evaluated there.
     """
     _check_metric(metric)
     if f.ctx is not code.ctx:
@@ -190,7 +242,7 @@ def classify_poly(code: GabidulinCode, f: LinPoly, metric: str,
     d = f.deg_q
     if d is NEG_INF or d < k:
         return ClassifyResult(distance=0, bound=0, is_deep_hole=(n == k), witness=None)
-    fvals = [f(g).code for g in code.points]
+    fvals = [f(g).code for g in code.points] if _values is None else _values
     t, wit = k, None
     while t < d:
         above = _accepting_cover(code, fvals, t + 1, metric, subspace_cap)
@@ -206,8 +258,10 @@ def classify_poly(code: GabidulinCode, f: LinPoly, metric: str,
 
 def distance_by_search(code: GabidulinCode, w: Word, metric: str,
                        subspace_cap: int = DEFAULT_SUBSPACE_CAP) -> ClassifyResult:
-    """Distance of a word via its interpolation representative."""
-    return classify_poly(code, code.sigma_inverse(w), metric, subspace_cap)
+    """Distance of a word via its interpolation representative, whose
+    values on the points are the word's own entries."""
+    return classify_poly(code, code.sigma_inverse(w), metric, subspace_cap,
+                         _values=w.codes)
 
 
 def ratio_lemma_check(code: GabidulinCode, f: LinPoly, metric: str):

@@ -19,6 +19,18 @@ from .field import _combine_rows, gaussian_binomial
 from .linpoly import SubspaceBasis
 
 
+def _check_cap(count: int, cap: int | None, what: str) -> None:
+    """Refuse a cap that is not an integer (None is no cap) and a count of
+    candidate ``what`` above it."""
+    if cap is None:
+        return
+    if type(cap) is not int:
+        raise ValueError(f"subspace cap must be an integer, got {cap!r}")
+    if count > cap:
+        raise ValueError(
+            f"{count} candidate {what} exceed the cap {cap}; raise the cap to proceed")
+
+
 def subspace_bases(ambient: SubspaceBasis, t: int, cap: int | None = None):
     """Yield each t-dim subspace of span(ambient) once, canonical order."""
     if not isinstance(ambient, SubspaceBasis):
@@ -27,12 +39,7 @@ def subspace_bases(ambient: SubspaceBasis, t: int, cap: int | None = None):
     n = ambient.dim
     if type(t) is not int or not 0 <= t <= n:
         raise ValueError(f"subspace dimension must be an integer in 0..{n}, got {t!r}")
-    if cap is not None and type(cap) is not int:
-        raise ValueError(f"subspace cap must be an integer, got {cap!r}")
-    count = gaussian_binomial(n, t, ctx.q)
-    if cap is not None and count > cap:
-        raise ValueError(
-            f"{count} candidate subspaces exceed the cap {cap}; raise the cap to proceed")
+    _check_cap(gaussian_binomial(n, t, ctx.q), cap, "subspaces")
     scalars = ctx._subfield_codes()
     for pivots in itertools.combinations(range(n), t):
         pivot_set = set(pivots)

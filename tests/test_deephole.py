@@ -21,7 +21,7 @@ from gablab import (FieldCtx, FieldElement, GabidulinCode, LinPoly, annihilator,
                     minor_coeff, quadric_census, quadric_v, ratio_lemma_check,
                     subspace_bases)
 from gablab.deephole import _witness_codes
-from gablab.field import _base_digits
+from gablab.field import _base_digits, gaussian_binomial
 
 
 def _class_poly(code, idx):
@@ -220,6 +220,105 @@ def test_search_builds_few_field_elements(monkeypatch):
     res = distance_by_search(code, w, "rank")
     assert res.witness.dim == code.n - res.distance
     assert len(built) <= 30
+
+
+# -- the per-code plan of candidates ---------------------------------------------------
+
+
+def _answer(res):
+    return res.distance, res.bound, res.is_deep_hole, _witness_codes(res.witness)
+
+
+def test_plan_limit_keeps_the_bench_levels_and_streams_gf256_level_3():
+    # GF(2^17), n = 5: levels of 155, 155, 31 and 1 candidates are kept;
+    # GF(2^8), n = 8, k = 2: level 3 (97,155 candidates) streams.
+    assert max(gaussian_binomial(5, t, 2) for t in range(1, 6)) <= deephole._PLAN_LIMIT
+    assert gaussian_binomial(8, 3, 2) > deephole._PLAN_LIMIT
+
+
+def test_search_walks_each_planned_level_once_per_code(monkeypatch):
+    # The first deep word lists level k+1 whole; a second word on the same
+    # code draws no candidate and evaluates f nowhere.
+    code, words = _bigfield_words()
+    walked, evals = [], []
+    real_cands, real_call = deephole._candidates, LinPoly.__call__
+
+    def counting(*args):
+        for cand in real_cands(*args):
+            walked.append(1)
+            yield cand
+
+    def counting_call(self, u):
+        evals.append(1)
+        return real_call(self, u)
+
+    monkeypatch.setattr(deephole, "_candidates", counting)
+    monkeypatch.setattr(LinPoly, "__call__", counting_call)
+    for metric, level in (("rank", 155), ("hamming", 10)):
+        walked.clear()
+        first = distance_by_search(code, words[0], metric)
+        assert first.is_deep_hole and len(walked) == level
+        assert len(code._plan[2, metric]) == level
+        second = distance_by_search(code, words[1], metric)
+        assert second.is_deep_hole and len(walked) == level
+    assert evals == []
+
+
+def test_streamed_level_is_not_kept(monkeypatch, code24):
+    code = GabidulinCode(code24.ctx, code24.span.codes, 1)
+    monkeypatch.setattr(deephole, "_PLAN_LIMIT", 34)  # [4,2]_2 = 35
+    w = code.evaluate(LinPoly.monomial(code.ctx, 3))
+    for metric in ("rank", "hamming"):
+        distance_by_search(code, w, metric)
+    assert (2, "rank") not in code._plan
+    assert len(code._plan[2, "hamming"]) == 6
+
+
+def test_one_word_searched_twice_gives_identical_answers():
+    code, words = _bigfield_words()
+    for w in words:
+        for metric in ("rank", "hamming"):
+            first = distance_by_search(code, w, metric)
+            assert _answer(distance_by_search(code, w, metric)) == _answer(first)
+
+
+def test_short_lived_codes_match_the_oracle():
+    # Each code is dropped after one word, so a later code may reuse its
+    # id; every plan belongs to its own code, so no answer is stale.
+    rng = random.Random(2112)
+    for m in (3, 4) * 40:
+        ctx = FieldCtx(2, 1, m)
+        while True:
+            points = [rng.randrange(1, ctx.order) for _ in range(m)]
+            if ctx.span_dim(points) == m:
+                break
+        code = GabidulinCode(ctx, points, rng.randint(1, 2))
+        w = code.word([rng.randrange(ctx.order) for _ in range(m)])
+        for metric in ("rank", "hamming"):
+            assert (distance_by_search(code, w, metric).distance
+                    == dist_to_code_exhaustive(code, w, metric)[0])
+
+
+@pytest.mark.parametrize("metric,what", [("rank", "subspaces"), ("hamming", "subsets")])
+def test_subspace_cap_is_checked_alike_in_both_metrics(code24, metric, what):
+    # Level 3 of n = 4 holds [4,3]_2 = 15 subspaces or C(4,3) = 4 subsets.
+    code = GabidulinCode(code24.ctx, code24.span.codes, 2)
+    w = code.word([1, 2, 4, 9])
+    count = 15 if metric == "rank" else 4
+    expected = _answer(distance_by_search(code, w, metric))
+    code._plan.clear()
+    for cached in (False, True):
+        for bad in (True, 2.5):
+            with pytest.raises(ValueError, match=f"^subspace cap must be an integer, got {bad}$"):
+                distance_by_search(code, w, metric, subspace_cap=bad)
+        for cap in (-1, count - 1):
+            msg = f"{count} candidate {what} exceed the cap {cap}; raise the cap to proceed"
+            with pytest.raises(ValueError) as exc:
+                distance_by_search(code, w, metric, subspace_cap=cap)
+            assert str(exc.value) == msg
+        assert ((3, metric) in code._plan) == cached
+        assert _answer(distance_by_search(code, w, metric, subspace_cap=None)) == expected
+        assert _answer(distance_by_search(code, w, metric, subspace_cap=count)) == expected
 
 
 # -- equality witnesses ---------------------------------------------------------------

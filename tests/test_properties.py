@@ -8,7 +8,8 @@ oracle, checked on towers with random irreducible moduli.  The rank
 echelon and the span automaton are checked against an elimination over
 the prime field, the class scan's rows against the per-class witness
 search, and that search, which walks the levels upward, against a
-top-down reference descent.
+top-down reference descent and its per-code plan of candidates against
+the streamed enumeration.
 """
 
 import random
@@ -23,6 +24,7 @@ from hypothesis import assume, example, given, settings, strategies as st  # noq
 from gablab import (NEG_INF, FieldCtx, GabidulinCode, LinPoly, classify_poly,  # noqa: E402
                     covering_radius_raw, covering_radius_scan,
                     dist_to_code_exhaustive, distance_by_search)
+from gablab import deephole  # noqa: E402
 from gablab.code import _weigher  # noqa: E402
 from gablab.deephole import (DEFAULT_SUBSPACE_CAP, _accepting_cover,  # noqa: E402
                              _witness_codes)
@@ -218,6 +220,28 @@ def test_ascent_equals_the_reference_descent(case):
             res = classify_poly(code, f, metric)
             assert (res.distance, res.is_deep_hole,
                     _witness_codes(res.witness)) == _descent(code, f, metric)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(case=small_codes_and_words())
+def test_plan_route_equals_the_streamed_route(case):
+    # With the plan limit at 0 every level streams as candidates are drawn;
+    # with the default limit the levels are listed once per code and a
+    # second search of a word is served from the plan.
+    code, words = case
+    streamed = GabidulinCode(code.ctx, code.span.codes, code.k)
+
+    def answer(c, w, metric):
+        res = distance_by_search(c, w, metric)
+        return res.distance, res.bound, res.is_deep_hole, _witness_codes(res.witness)
+
+    for metric in ("rank", "hamming"):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(deephole, "_PLAN_LIMIT", 0)
+            expected = [answer(streamed, w, metric) for w in words]
+        assert not any(isinstance(key[0], int) for key in streamed._plan)
+        for _ in range(2):
+            assert [answer(code, w, metric) for w in words] == expected
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
