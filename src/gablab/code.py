@@ -31,11 +31,12 @@ bounded by the same limit, is translated by each combination of the upper
 levels in turn.
 
 Rank weights walk the field's F_q-span automaton where it has one (see
-:mod:`gablab.field`), and reduce with the F_p echelon elsewhere.  On the
-table route the oracle builds, per word, one table of the differences
-w_j - x for every entry j and every code x, so a codeword then costs a
-few list lookups and, with the automaton, no field operation: its walk
-stops once the weight reaches the best so far.
+:mod:`gablab.field`), and reduce with the F_p echelon elsewhere.  In
+characteristic 2 the oracle takes each difference w_j - x as one XOR of
+codes.  In odd characteristic on the table route it builds, per word, one
+table of the differences w_j - x for every entry j and every code x, so a
+codeword then costs a few list lookups and, with the automaton, no field
+operation: its walk stops once the weight reaches the best so far.
 """
 
 from __future__ import annotations
@@ -94,6 +95,14 @@ class Word:
 
     def __repr__(self):
         return f"Word({list(self.codes)})"
+
+
+def _check_word(code: GabidulinCode, w) -> None:
+    """Refuse anything but a Word of the code's length over its field."""
+    if not isinstance(w, Word) or w.ctx is not code.ctx:
+        raise ValueError("word must live over the code's field context")
+    if len(w) != code.n:
+        raise ValueError("word length mismatch")
 
 
 def _hamming_codes(codes, limit: int | None = None) -> int:
@@ -164,10 +173,7 @@ class GabidulinCode:
 
     def sigma_inverse(self, w: Word) -> LinPoly:
         """The unique q-degree < n polynomial whose value word is w."""
-        if not isinstance(w, Word) or w.ctx is not self.ctx:
-            raise ValueError("word must live over the code's field context")
-        if len(w) != self.n:
-            raise ValueError("word length mismatch")
+        _check_word(self, w)
         return q_lagrange(self.span, w.codes)
 
     def word(self, codes) -> Word:
@@ -269,18 +275,17 @@ def dist_to_code_exhaustive(code: GabidulinCode, w: Word, metric: str,
     """Exact distance by enumerating every codeword, plus the first-closest
     message polynomial in canonical order.  Every codeword is visited, but
     its distance is taken only up to the best so far: the entry differences
-    are drawn lazily, and none past that bound is taken.  On the table
-    route the differences w_j - x are looked up in one table per entry,
-    built once per word.  The message is rebuilt from the index of the
-    first closest codeword."""
+    are drawn lazily, and none past that bound is taken.  For p = 2 a
+    difference is an XOR; in odd characteristic on the table route
+    w_j - x is looked up in one table per entry, built once per word.  The
+    message is rebuilt from the index of the first closest codeword."""
     _check_metric(metric)
-    if not isinstance(w, Word) or w.ctx is not code.ctx:
-        raise ValueError("word must live over the code's field context")
-    if len(w) != code.n:
-        raise ValueError("word length mismatch")
+    _check_word(code, w)
     ctx = code.ctx
     rows = code._codeword_rows(oracle_cap)
-    if ctx._exp is None:
+    if ctx.p == 2:
+        diff, firsts = operator.xor, w.codes
+    elif ctx._exp is None:
         diff, firsts = ctx.sub, w.codes
     else:
         diff = list.__getitem__

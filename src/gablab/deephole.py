@@ -42,14 +42,22 @@ with no polynomial built or evaluated.  Its rank is k (t >= k independent
 generators), so a solution is unique and is the interpolant through
 u_1..u_k, which then agrees with f on all of U.
 
+Nor does ``distance_by_search`` interpolate the word: the ascent needs f
+only through its values and deg_q f.  f's coefficients are a = L w, with
+L the inverse of the transposed Moore matrix of the points, so deg_q f is
+the first i from n-1 down to k with a_i(w) = sum_j L[i][j] w_j nonzero,
+and a codeword has none.  Rows n-1..k of L are found once per code, by
+one elimination on codes; a random word then costs one functional, n
+products, where interpolation solved an n x n system.
+
 Only the right side f(u_j) depends on the word, so each code keeps a plan
 for the search, filled as the search first reaches each level: per
 (level t, metric) every candidate in canonical order with its witness, its
-coefficient rows over the points and its Moore rows, and, per metric, the
-first k-dimensional witness.  A level is listed whole from
-``_candidates`` before it is published, so a level in the plan is always
-complete; a word then builds one right side and runs one elimination (on
-a copy) per candidate it walks.  A level of more than ``_PLAN_LIMIT``
+coefficient rows over the points and its Moore rows, per metric the first
+k-dimensional witness, and, for both metrics, the rows of L.  A level is
+listed whole from ``_candidates`` before it is published, so a level in
+the plan is always complete; a word then builds one right side and runs
+one elimination (on a copy) per candidate it walks.  A level of more than ``_PLAN_LIMIT``
 candidates is not kept: it streams from ``_candidates`` on every walk.
 The subspace cap is checked on every walk, kept level or not.
 
@@ -77,9 +85,9 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .code import GabidulinCode, Word, _check_metric
-from .field import (FieldCtx, FieldElement, _combine_rows, _from_base_digits, _solve,
-                    gaussian_binomial)
+from .code import GabidulinCode, Word, _check_metric, _check_word
+from .field import (FieldCtx, FieldElement, _back_substitute, _combine_rows, _eliminate,
+                    _from_base_digits, _solve, gaussian_binomial)
 from .linpoly import (LinPoly, NEG_INF, SubspaceBasis, _moore_rows, annihilator,
                       minor_coeff)
 from .linpoly import q_lagrange  # noqa: F401  unused; bench/gabtrace.py patches it here
@@ -220,29 +228,20 @@ def _accepting_cover(code: GabidulinCode, fvals, t: int, metric: str,
     return None
 
 
-def classify_poly(code: GabidulinCode, f: LinPoly, metric: str,
-                  subspace_cap: int = DEFAULT_SUBSPACE_CAP, *,
-                  _values=None) -> ClassifyResult:
-    """Distance of the word represented by f, by ascending witness search.
+def _ascend(code: GabidulinCode, fvals, d: int | float, metric: str,
+            subspace_cap: int | None) -> ClassifyResult:
+    """The ascent for a word whose polynomial f has q-degree d (NEG_INF or
+    any d < k: a codeword) and values ``fvals`` on the points.
 
     Acceptance is monotone in t, so the accepting levels are k..t*: walk
-    t = k+1 up to deg_q f and stop at the first level with no accepting
+    t = k+1 up to d and stop at the first level with no accepting
     candidate.  t* is the last level that accepted and its witness is that
     level's first accepting candidate; when level k+1 rejects, the first
     k-dimensional candidate witnesses, since level k accepts them all.
-    ``_values``, when given, are f's values on the points (the codes of the
-    word f represents); otherwise f is evaluated there.
     """
-    _check_metric(metric)
-    if f.ctx is not code.ctx:
-        raise ValueError("polynomial must live over the code's field context")
-    if f.deg_q >= code.n:
-        raise ValueError("representative q-degree must be < n")
     n, k = code.n, code.k
-    d = f.deg_q
-    if d is NEG_INF or d < k:
+    if d < k:
         return ClassifyResult(distance=0, bound=0, is_deep_hole=(n == k), witness=None)
-    fvals = [f(g).code for g in code.points] if _values is None else _values
     t, wit = k, None
     while t < d:
         above = _accepting_cover(code, fvals, t + 1, metric, subspace_cap)
@@ -256,12 +255,56 @@ def classify_poly(code: GabidulinCode, f: LinPoly, metric: str,
                           witness=wit)
 
 
+def classify_poly(code: GabidulinCode, f: LinPoly, metric: str,
+                  subspace_cap: int = DEFAULT_SUBSPACE_CAP) -> ClassifyResult:
+    """Distance of the word represented by f, by ascending witness search
+    from f's values on the points."""
+    _check_metric(metric)
+    if f.ctx is not code.ctx:
+        raise ValueError("polynomial must live over the code's field context")
+    if f.deg_q >= code.n:
+        raise ValueError("representative q-degree must be < n")
+    return _ascend(code, [f(g).code for g in code.points], f.deg_q, metric, subspace_cap)
+
+
+def _top_functionals(code: GabidulinCode) -> list[list[int]]:
+    """Rows n-1 down to k of L, the inverse of the transposed Moore matrix
+    M (row j: g_j^(q^i), i < n) of the points.  A word's interpolant has
+    coefficients a = L * w, so row i is the functional a_i.  L is found
+    once per code by eliminating M next to the identity and back
+    substituting each identity column; the code's plan keeps the rows."""
+    rows = code._plan.get("functionals")
+    if rows is None:
+        ctx, n, k = code.ctx, code.n, code.k
+        aug = [row + [int(i == j) for j in range(n)]
+               for i, row in enumerate(_moore_rows(ctx, code.span.codes, n))]
+        red, pivots, _, _ = _eliminate(ctx, aug, n)
+        cols = [_back_substitute(ctx, red, pivots, [0] * n, [row[n + c] for row in red])
+                for c in range(n)]
+        rows = code._plan.setdefault(
+            "functionals", [[col[i] for col in cols] for i in range(n - 1, k - 1, -1)])
+    return rows
+
+
+def _class_degree(code: GabidulinCode, codes) -> int | float:
+    """The q-degree of the class part (coefficients k..n-1) of the word's
+    interpolant: the top i with a_i(w) != 0, read from i = n-1 down, or
+    NEG_INF when every one vanishes and the word is a codeword."""
+    ctx = code.ctx
+    for d, row in zip(range(code.n - 1, code.k - 1, -1), _top_functionals(code)):
+        if _combine_rows(ctx, (row,), codes)[0]:
+            return d
+    return NEG_INF
+
+
 def distance_by_search(code: GabidulinCode, w: Word, metric: str,
                        subspace_cap: int = DEFAULT_SUBSPACE_CAP) -> ClassifyResult:
-    """Distance of a word via its interpolation representative, whose
-    values on the points are the word's own entries."""
-    return classify_poly(code, code.sigma_inverse(w), metric, subspace_cap,
-                         _values=w.codes)
+    """Distance of a word by the ascent, with no interpolation: the word's
+    entries are its polynomial's values on the points, and that
+    polynomial's q-degree is read from the functionals a_i(w)."""
+    _check_word(code, w)
+    _check_metric(metric)
+    return _ascend(code, w.codes, _class_degree(code, w.codes), metric, subspace_cap)
 
 
 def ratio_lemma_check(code: GabidulinCode, f: LinPoly, metric: str):

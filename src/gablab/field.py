@@ -50,13 +50,19 @@ so no answer depends on the order of filling.  Fields above the
 table limit, and those with more than ``_SPAN_AUTOMATON_LIMIT``
 transitions in all (F_q-subspace count times order), use the echelon.
 
-On the direct route in characteristic 2 (packed ints), the inverse is
-extended Euclid in F_2[x] against the modulus, and the i-fold q-power
-map is a**(q**i) powered from the top set bit, which for q = 2**s is s*i
-squarings and no other multiply; odd characteristic takes Fermat's
-a**(order - 2) and the same powers.  Codes from different contexts must
-never be mixed; the element wrapper enforces this by reference identity
-of the context.
+On the direct route in characteristic 2 (packed ints), a product is one
+shifted copy of a per set bit of b, and its reduction is two table reads:
+r = low + x^sm * h with h below x^(sm-1), and h * x^sm mod the modulus
+is F_2-linear in h, so it is the XOR of one entry for h's low half and
+one for its high half.  ``_set_modulus`` spans both tables from the
+powers x^(sm+t) for each candidate modulus, one XOR per entry (256 + 256
+at GF(2^17)), so Rabin's test, ``_pow_direct``, ``frob`` and the exp
+walk's ``_times`` all reduce by table.  The inverse is extended Euclid
+in F_2[x] against the modulus, and the i-fold q-power map is a**(q**i)
+powered from the top set bit, which for q = 2**s is s*i squarings and no
+other multiply; odd characteristic takes Fermat's a**(order - 2) and the
+same powers.  Codes from different contexts must never be mixed; the
+element wrapper enforces this by reference identity of the context.
 
 Two helpers serve every module: ``_combine_rows`` forms F_q-combinations
 of a list of codes (subspace generators, coordinates, subfield members),
@@ -268,7 +274,7 @@ class FieldCtx:
 
     __slots__ = (
         "p", "s", "m", "q", "sm", "order", "modulus",
-        "_mod_int", "_n1", "_exp", "_log", "_zech",
+        "_mod_int", "_red", "_n1", "_exp", "_log", "_zech",
         "_sub_pbasis", "_sub_codes",
         "_span_zero", "_span_rows",
     )
@@ -295,7 +301,7 @@ class FieldCtx:
         self.q = p ** s
         self.order = order = p ** sm
         self._n1 = order - 1
-        self._exp = self._log = self._zech = None
+        self._exp = self._log = self._zech = self._red = None
         self._set_modulus(modulus)
         if order <= _TABLE_LIMIT:
             self._build_tables()
@@ -395,12 +401,10 @@ class FieldCtx:
                 low = b & -b
                 r ^= a * low
                 b ^= low
-            deg, mint = self.sm, self._mod_int
-            bl = r.bit_length()
-            while bl > deg:
-                r ^= mint << (bl - 1 - deg)
-                bl = r.bit_length()
-            return r
+            # r = low + x^sm * h: the low bits stay, h * x^sm is two reads.
+            h = r >> self.sm
+            lo, lo_mask, hi, cut = self._red
+            return (r & self._n1) ^ lo[h & lo_mask] ^ hi[h >> cut]
         p = self.p
         if self.sm == 1:
             return a * b % p
@@ -470,9 +474,35 @@ class FieldCtx:
         for mod in candidates:
             self.modulus = mod
             self._mod_int = _from_base_digits(mod, p)
+            if p == 2:
+                self._red = self._reduction_tables()
             if self._modulus_is_irreducible():
                 return
         raise ValueError("modulus is reducible over the prime field")
+
+    def _reduction_tables(self) -> tuple[list[int], int, list[int], int]:
+        """For p = 2, the tables with which ``_mul_direct`` reduces a product
+        r = low + x^sm * h (h below x^(sm-1)): h * x^sm mod the modulus is
+        F_2-linear in h, so it is lo[low cut bits of h] ^ hi[h >> cut], with
+        cut = (sm - 1) // 2.  Each table is spanned from its powers
+        x^(sm+t) mod the modulus, one XOR per entry: 256 + 256 entries at
+        sm = 17.  Returns (lo, its index mask, hi, cut)."""
+        deg, mint = self.sm, self._mod_int
+        powers, v = [], mint ^ (1 << deg)
+        for _ in range(deg - 1):
+            powers.append(v)
+            v <<= 1
+            if v >> deg:
+                v ^= mint
+
+        def span(basis):
+            tab = [0]
+            for b in basis:
+                tab += [x ^ b for x in tab]
+            return tab
+
+        cut = (deg - 1) // 2
+        return span(powers[:cut]), (1 << cut) - 1, span(powers[cut:]), cut
 
     def _modulus_is_irreducible(self) -> bool:
         """Rabin's test, run in F_p[x]/(modulus) itself on the direct route

@@ -34,10 +34,13 @@ def test_tracer_installs_and_restores_every_patched_name():
         assert all(owner.__dict__[attr] is not before[(owner, attr)]
                    for owner, attr in sites)
         assert distance_by_search(code, code.word((1, 3, 5, 7)), "rank").distance == 2
-        # One interpolation, the word's sigma_inverse; the witness search
-        # walks the traced subspace enumeration.
-        assert tr.calls["linpoly.q_lagrange"] == 1
+        # The first word fills the code's plan through the traced subspace
+        # enumeration; a second word on the same code interpolates nothing.
         assert tr.counts["subspaces.yielded"] > 0
+        before_second = (tr.calls["linpoly.q_lagrange"], tr.calls["code.sigma_inverse"])
+        assert distance_by_search(code, code.word((1, 2, 4, 9)), "rank").distance == 1
+        assert (tr.calls["linpoly.q_lagrange"],
+                tr.calls["code.sigma_inverse"]) == before_second
     finally:
         gabtrace.uninstall()
     assert all(owner.__dict__[attr] is before[(owner, attr)] for owner, attr in sites)

@@ -619,3 +619,37 @@ def test_direct_route_kernels_against_their_definitions(p, s, m):
             acc = ctx._mul_direct(acc, a)
     assert ctx._pow_direct(0, 0) == 1 and ctx._pow_direct(0, 5) == 0
     assert ctx._exp is None  # no table was ever built
+
+
+def _clmul_mod(a: int, b: int, modulus: int) -> int:
+    """a * b in F_2[x] modulo ``modulus``, all as packed ints: a shifted
+    copy of a per set bit of b, then the top bit cleared one at a time."""
+    r = 0
+    while b:
+        if b & 1:
+            r ^= a
+        a, b = a << 1, b >> 1
+    deg = modulus.bit_length() - 1
+    while r.bit_length() > deg:
+        r ^= modulus << (r.bit_length() - 1 - deg)
+    return r
+
+
+BENCH_MODULUS = (1, 0, 0, 1) + (0,) * 13 + (1,)  # 1 + x^3 + x^17
+
+
+@pytest.mark.parametrize("sm,modulus", [(sm, None) for sm in range(2, 25)]
+                         + [(17, BENCH_MODULUS)],
+                         ids=lambda v: "bench" if isinstance(v, tuple) else None)
+def test_table_reduction_matches_carry_less_remainder(sm, modulus):
+    # _mul_direct reduces a p = 2 product by two table reads; here the
+    # product and its remainder are taken bit by bit.
+    ctx = FieldCtx(2, 1, sm, modulus)
+    mod = _from_base_digits(ctx.modulus, 2)
+    rng = random.Random(sm)
+    edges = (0, 1, ctx.order - 1)
+    pairs = [(a, b) for a in edges for b in edges]
+    pairs += [(rng.randrange(ctx.order), rng.randrange(ctx.order)) for _ in range(200)]
+    pairs += [(ctx.order - 1, rng.randrange(ctx.order)) for _ in range(20)]
+    for a, b in pairs:
+        assert ctx._mul_direct(a, b) == _clmul_mod(a, b, mod)

@@ -9,7 +9,9 @@ echelon and the span automaton are checked against an elimination over
 the prime field, the class scan's rows against the per-class witness
 search, and that search, which walks the levels upward, against a
 top-down reference descent and its per-code plan of candidates against
-the streamed enumeration.
+the streamed enumeration.  The search, which reads a word's q-degree
+from per-code functionals and never interpolates, is checked against the
+interpolant's own classification.
 """
 
 import random
@@ -242,6 +244,30 @@ def test_plan_route_equals_the_streamed_route(case):
         assert not any(isinstance(key[0], int) for key in streamed._plan)
         for _ in range(2):
             assert [answer(code, w, metric) for w in words] == expected
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(case=small_codes_and_words(), seed=st.integers(0, 2 ** 32 - 1))
+def test_search_without_interpolation_equals_classify_poly(case, seed):
+    # The search reads the q-degree from the functionals a_i(w) and never
+    # interpolates; classify_poly starts from the interpolant itself.  Words
+    # of every planted q-degree 0..n-1 (below k: codewords) and the zero
+    # word ride along with the case's three.
+    code, words = case
+    ctx, n, k = code.ctx, code.n, code.k
+    rng = random.Random(seed)
+    for deg in range(n):
+        coeffs = [rng.randrange(ctx.order) for _ in range(deg)] + [rng.randrange(1, ctx.order)]
+        words.append(code.evaluate(LinPoly(ctx, coeffs)))
+    words.append(code.word([0] * n))
+    for w in words:
+        f = code.sigma_inverse(w)
+        assert deephole._class_degree(code, w.codes) == (f.deg_q if f.deg_q >= k else NEG_INF)
+        for metric in ("rank", "hamming"):
+            got, want = distance_by_search(code, w, metric), classify_poly(code, f, metric)
+            assert ((got.distance, got.bound, got.is_deep_hole, _witness_codes(got.witness))
+                    == (want.distance, want.bound, want.is_deep_hole,
+                        _witness_codes(want.witness)))
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
