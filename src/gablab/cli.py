@@ -16,7 +16,6 @@ import contextlib
 import csv
 import sys
 
-from . import acceptance
 from .code import (DEFAULT_ORACLE_CAP, METRICS, dist_to_code_exhaustive,
                    load_code_spec, min_distance)
 from .deephole import (DEFAULT_CLASS_SCAN_CAP, DEFAULT_SUBSPACE_CAP,
@@ -140,11 +139,21 @@ def _cmd_radius(args) -> int:
 
 
 def _cmd_census(args) -> int:
+    """One CSV row per class.  A sieve hit's witness stands for many rows,
+    so each witness string is rendered once, keyed by its codes."""
     code = load_code_spec(args.spec)
     scan = covering_radius_scan(code, args.metric, scan_cap=args.cap)
+    witness_strs = {None: ""}
+
+    def witness_str(wit):
+        text = witness_strs.get(wit)
+        if text is None:
+            text = witness_strs[wit] = ",".join(map(str, wit))
+        return text
+
     _emit_csv(args, ["class_id", "coeffs", "metric", "distance", "is_deep_hole", "witness"],
-              ((idx, ",".join(str(c) for c in coeffs), args.metric, dist, _bool(deep),
-                "" if wit is None else ",".join(str(c) for c in wit))
+              ((idx, ",".join(map(str, coeffs)), args.metric, dist, _bool(deep),
+                witness_str(wit))
                for idx, coeffs, dist, deep, wit in scan.rows()))
     return 0
 
@@ -174,6 +183,8 @@ def _cmd_quadric(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from . import acceptance  # only this command needs it
+
     results = acceptance.run_all(numbers=args.numbers or None, seed=args.seed)
     for r in results:
         status = "PASS" if r.passed else "FAIL"

@@ -44,7 +44,7 @@ from __future__ import annotations
 import itertools
 import operator
 
-from .field import FieldCtx, FieldElement, _base_digits, _from_base_digits
+from .field import FieldCtx, FieldElement, _base_digits, _check_int_cap, _from_base_digits
 from .linpoly import LinPoly, SubspaceBasis, _moore_rows, q_lagrange
 
 DEFAULT_ORACLE_CAP = 1 << 20
@@ -200,9 +200,11 @@ class GabidulinCode:
         from it; more are streamed (``_span_rows``) from a list of about
         the square root of their number.  More than ``oracle_cap`` codewords are refused,
         naming the remedy; with no cap given, more than the fixed
-        ``DEFAULT_ORACLE_CAP``, which the caller cannot raise."""
+        ``DEFAULT_ORACLE_CAP``, which the caller cannot raise.  A cap that is
+        not an int is refused."""
         count = self.message_count()
         cap = DEFAULT_ORACLE_CAP if oracle_cap is None else oracle_cap
+        _check_int_cap(cap, "oracle")
         if count > cap:
             remedy = "" if oracle_cap is None else "; raise the cap to proceed"
             raise ValueError(f"{count} codewords exceed the oracle cap {cap}{remedy}")

@@ -74,22 +74,33 @@ level, the candidates in canonical order; the first hit on a unit fixes
 its distance n - t and its witness U.  A unit is never hit above its own
 q-degree, so that is its highest accepting level and, within it, its
 first accepting candidate: the word search's answer.  Units never hit take
-n - k and the first k-dimensional candidate, which always accepts.  The
-cost is one annihilator per candidate and (order**(n-t) - 1)/(order - 1)
-short vector sums per candidate at level t, once per code.
+n - k and the first k-dimensional candidate, which always accepts; every
+entry starts as that result, so no pass over the blocks fills them in.  The
+cost is one annihilator per candidate, on codes with no polynomial built,
+and (order**(n-t) - 1)/(order - 1) short vector sums per candidate at level
+t, once per code.  For p = 2 each sum is one XOR: field addition is XOR of
+codes and a class index is the concatenation of its sm-bit digit codes, so
+the index of a digit-wise sum is the XOR of the indices.  Each twist
+x^(q^i) o A_U is packed into one index, c times it for every code c is the
+XOR-span of the sm packed products 2^b times it (sm multiplications per
+coefficient where the digit lists take order), and each combination reads
+its block entry directly.  Odd p sums digit lists and reads each index from
+its digits.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .code import GabidulinCode, Word, _check_metric, _check_word
-from .field import (FieldCtx, FieldElement, _back_substitute, _combine_rows, _eliminate,
-                    _from_base_digits, _solve, gaussian_binomial)
-from .linpoly import (LinPoly, NEG_INF, SubspaceBasis, _moore_rows, annihilator,
-                      minor_coeff)
+from .field import (FieldCtx, FieldElement, _back_substitute, _check_int_cap, _combine_rows,
+                    _eliminate, _from_base_digits, _solve, gaussian_binomial)
+from .linpoly import (LinPoly, NEG_INF, SubspaceBasis, _annihilator_codes, _moore_rows,
+                      annihilator, minor_coeff)
 from .linpoly import q_lagrange  # noqa: F401  unused; bench/gabtrace.py patches it here
 from .subspaces import _check_cap, subspace_bases
 
@@ -390,41 +401,82 @@ def _witness_codes(wit) -> tuple[int, ...] | None:
 
 def _sieve_units(code: GabidulinCode, metric: str) -> list[list[tuple]]:
     """(distance, deep flag, witness codes) of every monic class, by the
-    annihilator sieve of the module docstring.
+    annihilator sieve of the module docstring; the block fill follows the
+    characteristic: XORs of packed indices for p = 2, digit lists otherwise.
 
     ``blocks[j][i]`` is the monic class whose top coefficient a_{k+j} is 1
     and whose lower class digits are those of i: class index order**j + i.
     """
+    return _sieve(code, metric, _fill_packed if code.ctx.p == 2 else _fill_digits)
+
+
+def _sieve(code: GabidulinCode, metric: str, fill) -> list[list[tuple]]:
+    """The sieve's walk: levels t = n-1 down to k+1, candidates in canonical
+    order, one annihilator A_U per candidate.  Every entry starts as the
+    never-hit result (n - k and the first k-dimensional witness); ``fill``
+    gives the candidate's result to each entry it hits that no earlier
+    candidate hit."""
     ctx, n, k = code.ctx, code.n, code.k
-    order = ctx.order
-    add, mul, frob = ctx.add, ctx.mul, ctx.frob
-    blocks = [[None] * order ** j for j in range(n - k)]
+    frob = ctx.frob
+    deep = (n - k, True, _witness_codes(_first_k_witness(code, metric)))
+    blocks = [[deep] * ctx.order ** j for j in range(n - k)]
     for t in range(n - 1, k, -1):
         for wit, basis in _candidates(code, t, metric, DEFAULT_SUBSPACE_CAP):
-            a = annihilator(basis).codes
-            hit = (n - t, False, _witness_codes(wit))
+            a = _annihilator_codes(ctx, basis.codes)
             # twists[i]: the class part (q-degrees k..n-1) of x^(q^i) o A_U.
             twists = [([0] * i + [frob(c, i) for c in a] + [0] * (n - 1 - t - i))[k:]
                       for i in range(n - t)]
-            scaled = [[[mul(c, x) for x in tw] for c in range(order)]
-                      for tw in twists[:-1]]
-            for d in range(n - t):
-                # g = x^(q^d) + sum_{i<d} g_i x^(q^i): g o A_U has its
-                # leading 1 at class position top, the digits below vary.
-                top = d + t - k
-                vecs = [twists[d][:top]]
-                for i in range(d):
-                    vecs = [[add(x, y) for x, y in zip(v, s)]
-                            for v in vecs for s in scaled[i]]
-                block = blocks[top]
-                for v in vecs:
-                    i = _from_base_digits(v, order)
-                    if block[i] is None:
-                        block[i] = hit
-    if any(None in block for block in blocks):
-        deep = (n - k, True, _witness_codes(_first_k_witness(code, metric)))
-        blocks = [[deep if res is None else res for res in block] for block in blocks]
+            fill(ctx, blocks, twists, t - k, deep, (n - t, False, _witness_codes(wit)))
     return blocks
+
+
+def _fill_digits(ctx: FieldCtx, blocks, twists, lift: int, deep, hit) -> None:
+    """Give ``hit`` to every still-``deep`` unit of the class part of
+    g o A_U over monic g, on digit lists.  For g = x^(q^d) + sum_{i<d} g_i
+    x^(q^i) the part has its leading 1 at class position top = d + lift and
+    the digits below vary: twist d plus every sum of g_i times twist i,
+    each vector summed digit by digit and indexed by its base-order digits."""
+    order, add, mul = ctx.order, ctx.add, ctx.mul
+    scaled = [[[mul(c, x) for x in tw] for c in range(order)] for tw in twists[:-1]]
+    for d, tw in enumerate(twists):
+        top = d + lift
+        vecs = [tw[:top]]
+        for i in range(d):
+            vecs = [[add(x, y) for x, y in zip(v, s)] for v in vecs for s in scaled[i]]
+        block = blocks[top]
+        for v in vecs:
+            i = _from_base_digits(v, order)
+            if block[i] is deep:
+                block[i] = hit
+
+
+def _fill_packed(ctx: FieldCtx, blocks, twists, lift: int, deep, hit) -> None:
+    """``_fill_digits`` for p = 2, where a class index is the concatenation
+    of its sm-bit digit codes, so the index of a digit-wise sum is the XOR
+    of the indices.  Each twist is packed once; c * twist i over the codes
+    c is the XOR-span of the sm packed products 2^b * twist i, filled by
+    doubling; each monic g is then one XOR, and its index reads the block
+    directly.  ``span`` holds the packed sum_{i<d} g_i x^(q^i) o A_U over
+    every g_0..g_{d-1}; the level of its last step is walked, not kept."""
+    sm, order, mul = ctx.sm, ctx.order, ctx.mul
+    span = [0]
+    for d, tw in enumerate(twists):
+        top = d + lift
+        base = _from_base_digits(tw[:top], order)
+        steps = [0]
+        if d:
+            for b in range(sm):
+                v = _from_base_digits([mul(1 << b, x) for x in twists[d - 1]], order)
+                steps += [x ^ v for x in steps]
+        block = blocks[top]
+        for s in steps:
+            sb = s ^ base
+            for x in span:
+                i = x ^ sb
+                if block[i] is deep:
+                    block[i] = hit
+        if d + 1 < len(twists):
+            span = [x ^ s for s in steps for x in span]
 
 
 def covering_radius_scan(code: GabidulinCode, metric: str,
@@ -435,18 +487,20 @@ def covering_radius_scan(code: GabidulinCode, metric: str,
     order - 1 scalar multiples (see the module docstring).
     """
     _check_metric(metric)
+    _check_int_cap(scan_cap, "scan")
     order = code.ctx.order
     total = order ** (code.n - code.k)
     if total > scan_cap:
         raise ValueError(
             f"{total} classes exceed the scan cap {scan_cap}; raise the cap to proceed")
     blocks = _sieve_units(code, metric)
-    hist = {0: 1}
+    counts = collections.Counter()
     for block in blocks:
-        for dist, _, _ in block:
-            hist[dist] = hist.get(dist, 0) + order - 1
-    return ScanResult(radius=max(hist), histogram=dict(sorted(hist.items())),
-                      classes=total, code=code, blocks=blocks)
+        counts.update(map(itemgetter(0), block))
+    # Units are never codewords, so no unit has distance 0.
+    hist = {0: 1, **{dist: c * (order - 1) for dist, c in sorted(counts.items())}}
+    return ScanResult(radius=max(hist), histogram=hist, classes=total, code=code,
+                      blocks=blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -93,6 +93,13 @@ _TABLE_LIMIT = 1 << 16
 _SPAN_AUTOMATON_LIMIT = 1 << 15
 
 
+def _check_int_cap(cap, name: str) -> None:
+    """Refuse a cap that is not an int (a bool or a float included) before
+    any count is compared with it."""
+    if type(cap) is not int:
+        raise ValueError(f"{name} cap must be an integer, got {cap!r}")
+
+
 def gaussian_binomial(n: int, t: int, q: int) -> int:
     """Number of t-dimensional subspaces of an n-dimensional F_q-space."""
     if t < 0 or t > n:

@@ -318,23 +318,34 @@ def moore_det(elems, deleted_row=None) -> FieldElement:
     return FieldElement(ctx, _moore_det(ctx, [e.code for e in elems], deleted_row))
 
 
-def annihilator(basis: SubspaceBasis) -> LinPoly:
-    """Monic linearized polynomial whose roots are exactly the span.
-
-    Built by the one-generator-at-a-time recurrence
-    A_{V+<w>} = (x^q - A_V(w)^(q-1) x) o A_V; q-degree equals dim.
-    """
-    if not isinstance(basis, SubspaceBasis):
-        raise TypeError("annihilator takes a SubspaceBasis")
-    ctx = basis.ctx
-    a = LinPoly.x(ctx)
-    for w in basis.codes:
-        val = a._eval(w)
+def _annihilator_codes(ctx: FieldCtx, codes) -> tuple[int, ...]:
+    """Coefficient codes, degree 0 first, of the monic annihilator of the
+    span of the codes, by the one-generator-at-a-time recurrence
+    A_{V+<w>} = (x^q - c x) o A_V with c = A_V(w)^(q-1): coefficient i of
+    the product is A_V's coefficient i-1 to the q minus c times its
+    coefficient i.  A generator in the span so far (A_V(w) = 0) is refused."""
+    add, sub, mul, frob = ctx.add, ctx.sub, ctx.mul, ctx.frob
+    a = [1]
+    for w in codes:
+        val = 0
+        for i, c in enumerate(a):
+            if i:
+                w = frob(w)
+            if c:
+                val = add(val, mul(c, w))
         if val == 0:
             raise ValueError("dependent generators passed to annihilator")
         c = ctx.pow(val, ctx.q - 1)
-        a = LinPoly(ctx, (ctx.neg(c), 1)).compose(a)
-    return a
+        a = [sub(frob(hi), mul(c, lo)) for hi, lo in zip([0] + a, a + [0])]
+    return tuple(a)
+
+
+def annihilator(basis: SubspaceBasis) -> LinPoly:
+    """Monic linearized polynomial whose roots are exactly the span; its
+    q-degree is the dimension.  Dependent generators are refused."""
+    if not isinstance(basis, SubspaceBasis):
+        raise TypeError("annihilator takes a SubspaceBasis")
+    return LinPoly(basis.ctx, _annihilator_codes(basis.ctx, basis.codes))
 
 
 def root_space(f: LinPoly) -> SubspaceBasis:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 
-from .field import _combine_rows, gaussian_binomial
+from .field import _check_int_cap, _combine_rows, gaussian_binomial
 from .linpoly import SubspaceBasis
 
 
@@ -24,8 +24,7 @@ def _check_cap(count: int, cap: int | None, what: str) -> None:
     candidate ``what`` above it."""
     if cap is None:
         return
-    if type(cap) is not int:
-        raise ValueError(f"subspace cap must be an integer, got {cap!r}")
+    _check_int_cap(cap, "subspace")
     if count > cap:
         raise ValueError(
             f"{count} candidate {what} exceed the cap {cap}; raise the cap to proceed")

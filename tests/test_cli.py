@@ -296,6 +296,16 @@ def test_selftest_output_matches_pinned_digest(capsys, extra):
     assert hashlib.sha256(out.encode()).hexdigest() == SELFTEST_DIGEST
 
 
+def test_only_selftest_imports_the_acceptance_suite():
+    # A fresh interpreter: other tests have imported gablab.acceptance here.
+    src = str(Path(gablab.__file__).resolve().parents[1])
+    probe = ("import sys, gablab.cli; "
+             "print('gablab.acceptance' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out == "False\n"
+
+
 def test_selftest_unknown_number(capsys):
     status, out, err = run(capsys, "selftest", "99")
     assert status == 1

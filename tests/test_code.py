@@ -312,6 +312,26 @@ def test_codewords_at_the_cache_limit_and_the_oracle_cap():
     assert got == list(_codewords_one_by_one(code, sample))
 
 
+@pytest.mark.parametrize("bad", [True, 8.0, "8"])
+def test_oracle_cap_must_be_an_integer(gf8, bad):
+    # GF(8), n = 3, k = 2: 64 codewords.  A cap that is not an int is
+    # refused before any comparison; an integer cap keeps its message, and
+    # None is the fixed default.
+    code = GabidulinCode(gf8, (1, 2, 4), 2)
+    w = code.word([1, 0, 0])
+    calls = (lambda cap: dist_to_code_exhaustive(code, w, "rank", oracle_cap=cap),
+             lambda cap: min_distance(code, "rank", oracle_cap=cap))
+    for call in calls:
+        with pytest.raises(ValueError) as exc:
+            call(bad)
+        assert str(exc.value) == f"oracle cap must be an integer, got {bad!r}"
+        with pytest.raises(ValueError) as exc:
+            call(63)
+        assert str(exc.value) == "64 codewords exceed the oracle cap 63; raise the cap to proceed"
+        assert call(64) == call(None)
+    assert min_distance(code, "rank", oracle_cap=None) == 2
+
+
 # (p, s, m), n, k: the oracle-odd shape GF(81) n=4 k=2 and small odd
 # codes, points 1, p, p**2, ...
 ORACLE_DIGEST_CODES = [((3, 1, 4), 4, 2), ((3, 1, 3), 3, 1), ((3, 1, 3), 3, 2),

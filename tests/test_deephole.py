@@ -431,6 +431,19 @@ def test_scan_without_rows_and_caps(gf8_code):
         covering_radius_scan(gf8_code, "rank", scan_cap=63)
 
 
+@pytest.mark.parametrize("bad", [True, False, 64.0, None, "64"])
+def test_scan_cap_must_be_an_integer(gf8_code, bad):
+    # GF(8), n = 3, k = 1: 64 classes.  A cap that is not an int is refused
+    # before any comparison; an integer cap keeps its message.
+    with pytest.raises(ValueError) as exc:
+        covering_radius_scan(gf8_code, "rank", scan_cap=bad)
+    assert str(exc.value) == f"scan cap must be an integer, got {bad!r}"
+    with pytest.raises(ValueError) as exc:
+        covering_radius_scan(gf8_code, "rank", scan_cap=63)
+    assert str(exc.value) == "64 classes exceed the scan cap 63; raise the cap to proceed"
+    assert covering_radius_scan(gf8_code, "rank", scan_cap=64).classes == 64
+
+
 def _per_class_scan(code, metric):
     # Reference: classify every class on its own, no orbit reduction.
     hist, rows = {}, []
@@ -464,26 +477,28 @@ def test_orbit_scan_equals_per_class_reference(request, field_fixture, points, k
 
 
 def test_scan_makes_no_descent_and_one_annihilator_per_candidate(gf8_code, monkeypatch):
+    # The sieve builds its annihilators with the code-level kernel, so the
+    # count goes through the name it calls, not the LinPoly wrapper.
     descents, annihilators = [], []
-    real_classify, real_annihilator = deephole.classify_poly, deephole.annihilator
+    real_classify, real_kernel = deephole.classify_poly, deephole._annihilator_codes
 
     def counting_classify(code, f, *args, **kwargs):
         descents.append(f.codes)
         return real_classify(code, f, *args, **kwargs)
 
-    def counting_annihilator(basis):
-        annihilators.append(basis.codes)
-        return real_annihilator(basis)
+    def counting_kernel(ctx, codes):
+        annihilators.append(tuple(codes))
+        return real_kernel(ctx, codes)
 
     monkeypatch.setattr(deephole, "classify_poly", counting_classify)
-    monkeypatch.setattr(deephole, "annihilator", counting_annihilator)
+    monkeypatch.setattr(deephole, "_annihilator_codes", counting_kernel)
     for metric in ("rank", "hamming"):
         annihilators.clear()
         scan = covering_radius_scan(gf8_code, metric)
         assert sum(1 for _ in scan.rows()) == 64
         # At most one per candidate of the sieve levels t = k+1..n-1: the
         # 7 planes of GF(2)^3, or the 3 point pairs.
-        assert len(annihilators) <= (7 if metric == "rank" else 3)
+        assert 0 < len(annihilators) <= (7 if metric == "rank" else 3)
         assert len(set(annihilators)) == len(annihilators)
     assert descents == []
 
@@ -504,6 +519,17 @@ def test_scan_histograms_at_the_default_cap():
     assert rank.histogram == {0: 1, 1: 961, 2: 144150, 3: 903340, 4: 124}
     hamming = covering_radius_scan(code, "hamming")
     assert hamming.histogram == {0: 1, 1: 155, 2: 9610, 3: 283650, 4: 755160}
+
+
+def test_scan_histograms_gf64_n6_k2():
+    # GF(2^6) with its default modulus, n = m = 6, k = 2: 2^24 classes,
+    # 266,305 units, past the default cap.  Pinned from the digit-list
+    # sieve, which summed class vectors digit by digit.
+    code = GabidulinCode(FieldCtx(2, 1, 6), (1, 2, 4, 8, 16, 32), 2)
+    rank = covering_radius_scan(code, "rank", scan_cap=1 << 24)
+    assert rank.histogram == {0: 1, 1: 3969, 2: 2542806, 3: 14230314, 4: 126}
+    hamming = covering_radius_scan(code, "hamming", scan_cap=1 << 24)
+    assert hamming.histogram == {0: 1, 1: 378, 2: 59535, 3: 4615884, 4: 12101418}
 
 
 # -- excluded leading set --------------------------------------------------------------------

@@ -11,9 +11,13 @@ search, and that search, which walks the levels upward, against a
 top-down reference descent and its per-code plan of candidates against
 the streamed enumeration.  The search, which reads a word's q-degree
 from per-code functionals and never interpolates, is checked against the
-interpolant's own classification.
+interpolant's own classification.  The packed characteristic-2 sieve is
+checked against the digit-list sieve it replaced for p = 2, entry for
+entry, and the code-level annihilator kernel against the roots it must
+have.
 """
 
+import itertools
 import random
 from functools import lru_cache
 
@@ -23,15 +27,17 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
-from gablab import (NEG_INF, FieldCtx, GabidulinCode, LinPoly, classify_poly,  # noqa: E402
-                    covering_radius_raw, covering_radius_scan,
-                    dist_to_code_exhaustive, distance_by_search)
+from gablab import (NEG_INF, FieldCtx, GabidulinCode, LinPoly, SubspaceBasis,  # noqa: E402
+                    annihilator, classify_poly, covering_radius_raw,
+                    covering_radius_scan, dist_to_code_exhaustive,
+                    distance_by_search, subspace_bases)
 from gablab import deephole  # noqa: E402
 from gablab.code import _weigher  # noqa: E402
 from gablab.deephole import (DEFAULT_SUBSPACE_CAP, _accepting_cover,  # noqa: E402
                              _witness_codes)
 from gablab.field import (_SPAN_AUTOMATON_LIMIT, _TABLE_LIMIT,  # noqa: E402
-                          gaussian_binomial)
+                          _combine_rows, gaussian_binomial)
+from gablab.linpoly import _annihilator_codes  # noqa: E402
 
 WORD_LIMIT = 4096
 
@@ -184,6 +190,67 @@ def small_codes_and_words(draw):
                 err[j] = rng.randrange(1, ctx.order)
         words.append([ctx.add(a, b) for a, b in zip(code.encode(msg).codes, err)])
     return code, [code.word(w) for w in words]
+
+
+# (m, n) per s for the packed-sieve property: p = 2, every 3 <= n <= m,
+# fields of order at most 64 for s = 1 and 256 for s = 2; k is drawn so
+# that the digit path walks at most PACKED_CLASS_LIMIT classes.
+PACKED_CLASS_LIMIT = 1 << 14
+PACKED_SHAPES = {s: [(m, n) for m in range(2, 9) for n in range(3, m + 1)
+                     if 2 ** (s * m) <= (64 if s == 1 else 256)] for s in (1, 2)}
+
+
+@st.composite
+def packed_codes(draw):
+    """A p = 2 tower (s drawn first, so both are common) with a random
+    irreducible modulus, n random independent points and k in 1..n with at
+    most PACKED_CLASS_LIMIT classes; k = n - 1 and k = n leave the sieve
+    no level."""
+    s = draw(st.sampled_from((1, 2)))
+    m, n = draw(st.sampled_from(PACKED_SHAPES[s]))
+    ctx = _ctx_with(2, s, m, draw(st.sampled_from(_irreducibles(2, s * m))))
+    points = draw(st.lists(st.integers(1, ctx.order - 1), min_size=n, max_size=n))
+    assume(ctx.span_dim(points) == n)
+    low = next(k for k in range(1, n + 1) if ctx.order ** (n - k) <= PACKED_CLASS_LIMIT)
+    return GabidulinCode(ctx, points, draw(st.integers(low, n)))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(code=packed_codes(), seed=st.integers(0, 2 ** 32 - 1))
+@example(code=GabidulinCode(_ctx(2, 1, 4), (1, 2, 4, 8), 1), seed=0)
+@example(code=GabidulinCode(_ctx(2, 2, 3), (1, 2, 4), 1), seed=0)
+# n - k = 4, which no drawn code reaches: g of q-degree up to 3 at level k+1.
+@example(code=GabidulinCode(_ctx_with(2, 1, 5, (1, 0, 0, 1, 0, 1)), (1, 3, 7, 15, 31), 1),
+         seed=0)
+def test_packed_sieve_equals_the_digit_sieve(code, seed):
+    # The packed route is the one _sieve_units takes for p = 2; the digit
+    # route is called directly as the reference, entry for entry,
+    # witness codes included.
+    for metric in ("rank", "hamming"):
+        packed = deephole._sieve_units(code, metric)
+        assert packed == deephole._sieve(code, metric, deephole._fill_digits)
+    # The annihilator kernel on the code's candidates: monic of q-degree
+    # dim, vanishing on the whole span, equal to the LinPoly wrapper; a
+    # generator in the span of the others is refused by both.
+    ctx = code.ctx
+    for t in range(code.n + 1):
+        for basis in itertools.islice(subspace_bases(code.span, t), 20):
+            a = _annihilator_codes(ctx, basis.codes)
+            assert a == annihilator(basis).codes
+            assert len(a) == t + 1 and a[-1] == 1
+            f = LinPoly(ctx, a)
+            assert all(f._eval(u) == 0 for u in basis.element_codes())
+    rng = random.Random(seed)
+    basis = rng.choice(list(itertools.islice(subspace_bases(code.span, rng.randint(1, code.n)),
+                                             20)))
+    coeffs = [rng.choice(ctx._subfield_codes()) for _ in range(basis.dim)]
+    extra = _combine_rows(ctx, [coeffs], basis.codes)[0]
+    at = rng.randint(0, basis.dim)
+    dependent = SubspaceBasis._unchecked(ctx, basis.codes[:at] + (extra,) + basis.codes[at:])
+    for build in (lambda: annihilator(dependent),
+                  lambda: _annihilator_codes(ctx, dependent.codes)):
+        with pytest.raises(ValueError, match="^dependent generators passed to annihilator$"):
+            build()
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
