@@ -45,7 +45,7 @@ import itertools
 import operator
 
 from .field import FieldCtx, FieldElement, _base_digits, _check_int_cap, _from_base_digits
-from .linpoly import LinPoly, SubspaceBasis, _moore_rows, q_lagrange
+from .linpoly import LinPoly, SubspaceBasis, _eval_codes, _moore_rows, q_lagrange
 
 DEFAULT_ORACLE_CAP = 1 << 20
 DEFAULT_WORD_SCAN_CAP = 1 << 20
@@ -169,7 +169,7 @@ class GabidulinCode:
             raise ValueError("polynomial must be a LinPoly over the code's field context")
         if f.deg_q >= self.n:
             raise ValueError(f"representative q-degree must be < {self.n}")
-        return Word(self.ctx, [f(g).code for g in self.points])
+        return Word(self.ctx, [_eval_codes(self.ctx, f.codes, g) for g in self.span.codes])
 
     def sigma_inverse(self, w: Word) -> LinPoly:
         """The unique q-degree < n polynomial whose value word is w."""

@@ -28,9 +28,14 @@ exactly when it is for f, in both metrics.  The search therefore
 accepts at the same levels with the same first witness in canonical order,
 which is why class scans classify one monic class per orbit.
 
+``_candidates`` yields every candidate as (witness, generator codes,
+coefficient rows over the points), with no SubspaceBasis, LinPoly or
+FieldElement built: the search reads the rows and the generators' Moore
+rows, the sieve and ``equality_witness`` their annihilator, and
+``ratio_lemma_check`` their Moore determinants.
+
 The search never evaluates f on a candidate.  Every candidate generator
-is an F_q-combination u = sum_j c_j g_j of the points (an RREF row of
-``subspace_bases`` in the rank metric, a unit row in Hamming), and f is
+is an F_q-combination u = sum_j c_j g_j of the points, and f is
 F_q-linear, so f(u) = sum_j c_j f(g_j): the same combination of f's values
 on the points, which are the word's entries.  ``distance_by_search`` passes
 those entries as f's values, so f is evaluated nowhere; ``classify_poly``
@@ -46,9 +51,9 @@ Nor does ``distance_by_search`` interpolate the word: the ascent needs f
 only through its values and deg_q f.  f's coefficients are a = L w, with
 L the inverse of the transposed Moore matrix of the points, so deg_q f is
 the first i from n-1 down to k with a_i(w) = sum_j L[i][j] w_j nonzero,
-and a codeword has none.  Rows n-1..k of L are found once per code, by
-one elimination on codes; a random word then costs one functional, n
-products, where interpolation solved an n x n system.
+and a codeword has none.  L is found once per code, one solve on codes
+per column; a random word then costs one functional, n products, where
+interpolation solved an n x n system.
 
 Only the right side f(u_j) depends on the word, so each code keeps a plan
 for the search, filled as the search first reaches each level: per
@@ -78,14 +83,15 @@ n - k and the first k-dimensional candidate, which always accepts; every
 entry starts as that result, so no pass over the blocks fills them in.  The
 cost is one annihilator per candidate, on codes with no polynomial built,
 and (order**(n-t) - 1)/(order - 1) short vector sums per candidate at level
-t, once per code.  For p = 2 each sum is one XOR: field addition is XOR of
-codes and a class index is the concatenation of its sm-bit digit codes, so
-the index of a digit-wise sum is the XOR of the indices.  Each twist
-x^(q^i) o A_U is packed into one index, c times it for every code c is the
-XOR-span of the sm packed products 2^b times it (sm multiplications per
-coefficient where the digit lists take order), and each combination reads
-its block entry directly.  Odd p sums digit lists and reads each index from
-its digits.
+t, once per code, filled by the characteristic.  For p = 2
+(``_fill_packed``) each sum is one XOR: field addition is XOR of codes and
+a class index is the concatenation of its sm-bit digit codes, so the index
+of a digit-wise sum is the XOR of the indices.  Each twist x^(q^i) o A_U
+is packed into one index, c times it for every code c is the XOR-span of
+the sm packed products 2^b times it (sm multiplications per coefficient
+where the digit lists take order), and each combination reads its block
+entry directly.  Odd p (``_fill_digits``) sums digit lists and reads each
+index from its digits.
 """
 
 from __future__ import annotations
@@ -97,10 +103,10 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .code import GabidulinCode, Word, _check_metric, _check_word
-from .field import (FieldCtx, FieldElement, _back_substitute, _check_int_cap, _combine_rows,
-                    _eliminate, _from_base_digits, _solve, gaussian_binomial)
-from .linpoly import (LinPoly, NEG_INF, SubspaceBasis, _annihilator_codes, _moore_rows,
-                      annihilator, minor_coeff)
+from .field import (FieldCtx, FieldElement, _check_int_cap, _combine_rows, _from_base_digits,
+                    _solve, _xor_span, gaussian_binomial)
+from .linpoly import (LinPoly, NEG_INF, SubspaceBasis, _annihilator_codes, _eval_codes,
+                      _moore_det, _moore_rows)
 from .linpoly import q_lagrange  # noqa: F401  unused; bench/gabtrace.py patches it here
 from .subspaces import _check_cap, subspace_bases
 
@@ -149,25 +155,20 @@ def _level_size(code: GabidulinCode, t: int, metric: str, cap: int | None) -> in
 
 
 def _candidates(code: GabidulinCode, t: int, metric: str, cap: int | None):
-    """(witness, basis) for every t-dimensional candidate, canonical order.
-
-    Rank: each t-dimensional subspace of the point span is its own witness.
-    Hamming: each t-subset of the points, as an index tuple, with the span
-    basis of those points.  Either basis carries its coefficient rows over
-    the points (unit rows for Hamming).  More than ``cap`` candidates are
-    refused before the first is drawn.
-    """
+    """(witness, generator codes, coefficient rows over the points) for
+    every t-dimensional candidate, canonical order.  Rank: each subspace of
+    the point span is its own witness, with its RREF rows.  Hamming: each
+    t-subset of the points, as an index tuple, with its unit rows.  More
+    than ``cap`` candidates are refused before the first is drawn."""
     _level_size(code, t, metric, cap)
     if metric == "rank":
         for sub in subspace_bases(code.span, t):
-            yield sub, sub
+            yield sub, sub.codes, sub._rows
         return
-    n = code.n
-    ctx, points = code.ctx, code.span.codes
+    n, points = code.n, code.span.codes
     units = [[int(j == i) for j in range(n)] for i in range(n)]
     for idx in itertools.combinations(range(n), t):
-        yield idx, SubspaceBasis._unchecked(ctx, [points[i] for i in idx],
-                                            [units[i] for i in idx])
+        yield idx, [points[i] for i in idx], [units[i] for i in idx]
 
 
 def _first_k_witness(code: GabidulinCode, metric: str):
@@ -194,8 +195,8 @@ def _plan_level(code: GabidulinCode, t: int, metric: str, cap: int | None):
     if level is not None:
         return level
     ctx, k = code.ctx, code.k
-    level = ((wit, basis._rows, _moore_rows(ctx, basis.codes, k))
-             for wit, basis in _candidates(code, t, metric, None))
+    level = ((wit, rows, _moore_rows(ctx, gens, k))
+             for wit, gens, rows in _candidates(code, t, metric, None))
     if count > _PLAN_LIMIT:
         return level
     return code._plan.setdefault((t, metric), list(level))
@@ -217,9 +218,10 @@ def equality_witness(code: GabidulinCode, f: LinPoly, metric: str):
     d = f.deg_q
     if d is NEG_INF or not code.k <= d < code.n:
         raise ValueError(f"representative q-degree must lie in {code.k}..{code.n - 1}")
-    f = f.monic()[0]
-    for wit, basis in _candidates(code, d, metric, DEFAULT_SUBSPACE_CAP):
-        if (f - annihilator(basis)).deg_q < code.k:
+    ctx, k = code.ctx, code.k
+    top = f.monic()[0].codes[k:]
+    for wit, gens, _ in _candidates(code, d, metric, DEFAULT_SUBSPACE_CAP):
+        if _annihilator_codes(ctx, gens)[k:] == top:
             return wit
     return None
 
@@ -275,23 +277,21 @@ def classify_poly(code: GabidulinCode, f: LinPoly, metric: str,
         raise ValueError("polynomial must live over the code's field context")
     if f.deg_q >= code.n:
         raise ValueError("representative q-degree must be < n")
-    return _ascend(code, [f(g).code for g in code.points], f.deg_q, metric, subspace_cap)
+    fvals = [_eval_codes(code.ctx, f.codes, g) for g in code.span.codes]
+    return _ascend(code, fvals, f.deg_q, metric, subspace_cap)
 
 
 def _top_functionals(code: GabidulinCode) -> list[list[int]]:
     """Rows n-1 down to k of L, the inverse of the transposed Moore matrix
     M (row j: g_j^(q^i), i < n) of the points.  A word's interpolant has
     coefficients a = L * w, so row i is the functional a_i.  L is found
-    once per code by eliminating M next to the identity and back
-    substituting each identity column; the code's plan keeps the rows."""
+    once per code, column c as the solution of M x = e_c; the code's plan
+    keeps the rows."""
     rows = code._plan.get("functionals")
     if rows is None:
         ctx, n, k = code.ctx, code.n, code.k
-        aug = [row + [int(i == j) for j in range(n)]
-               for i, row in enumerate(_moore_rows(ctx, code.span.codes, n))]
-        red, pivots, _, _ = _eliminate(ctx, aug, n)
-        cols = [_back_substitute(ctx, red, pivots, [0] * n, [row[n + c] for row in red])
-                for c in range(n)]
+        moore = _moore_rows(ctx, code.span.codes, n)
+        cols = [_solve(ctx, moore, [int(i == c) for i in range(n)]) for c in range(n)]
         rows = code._plan.setdefault(
             "functionals", [[col[i] for col in cols] for i in range(n - 1, k - 1, -1)])
     return rows
@@ -335,10 +335,11 @@ def ratio_lemma_check(code: GabidulinCode, f: LinPoly, metric: str):
         raise ValueError(f"representative q-degree must be exactly {k + 1}")
     if k + 1 >= code.n:
         raise ValueError("degree k+1 must stay below the word length")
+    ctx = code.ctx
     f = f.monic()[0]
-    a1 = code.ctx.neg(f.codes[k] if k < len(f.codes) else 0)
-    for wit, basis in _candidates(code, k + 1, metric, DEFAULT_SUBSPACE_CAP):
-        if minor_coeff(basis, 1).code == a1:
+    a1 = ctx.neg(f.codes[k] if k < len(f.codes) else 0)
+    for wit, gens, _ in _candidates(code, k + 1, metric, DEFAULT_SUBSPACE_CAP):
+        if ctx.div(_moore_det(ctx, gens, k), _moore_det(ctx, gens)) == a1:
             return wit
     return None
 
@@ -399,30 +400,25 @@ def _witness_codes(wit) -> tuple[int, ...] | None:
     return tuple(wit)
 
 
-def _sieve_units(code: GabidulinCode, metric: str) -> list[list[tuple]]:
+def _sieve(code: GabidulinCode, metric: str) -> list[list[tuple]]:
     """(distance, deep flag, witness codes) of every monic class, by the
-    annihilator sieve of the module docstring; the block fill follows the
-    characteristic: XORs of packed indices for p = 2, digit lists otherwise.
+    annihilator sieve of the module docstring: levels t = n-1 down to k+1,
+    candidates in canonical order, one annihilator A_U per candidate.
+    Every entry starts as the never-hit result (n - k and the first
+    k-dimensional witness); the fill (packed for p = 2, else digit lists)
+    gives the candidate's result to each entry no earlier candidate hit.
 
     ``blocks[j][i]`` is the monic class whose top coefficient a_{k+j} is 1
     and whose lower class digits are those of i: class index order**j + i.
     """
-    return _sieve(code, metric, _fill_packed if code.ctx.p == 2 else _fill_digits)
-
-
-def _sieve(code: GabidulinCode, metric: str, fill) -> list[list[tuple]]:
-    """The sieve's walk: levels t = n-1 down to k+1, candidates in canonical
-    order, one annihilator A_U per candidate.  Every entry starts as the
-    never-hit result (n - k and the first k-dimensional witness); ``fill``
-    gives the candidate's result to each entry it hits that no earlier
-    candidate hit."""
     ctx, n, k = code.ctx, code.n, code.k
     frob = ctx.frob
+    fill = _fill_packed if ctx.p == 2 else _fill_digits
     deep = (n - k, True, _witness_codes(_first_k_witness(code, metric)))
     blocks = [[deep] * ctx.order ** j for j in range(n - k)]
     for t in range(n - 1, k, -1):
-        for wit, basis in _candidates(code, t, metric, DEFAULT_SUBSPACE_CAP):
-            a = _annihilator_codes(ctx, basis.codes)
+        for wit, gens, _ in _candidates(code, t, metric, DEFAULT_SUBSPACE_CAP):
+            a = _annihilator_codes(ctx, gens)
             # twists[i]: the class part (q-degrees k..n-1) of x^(q^i) o A_U.
             twists = [([0] * i + [frob(c, i) for c in a] + [0] * (n - 1 - t - i))[k:]
                       for i in range(n - t)]
@@ -454,20 +450,16 @@ def _fill_packed(ctx: FieldCtx, blocks, twists, lift: int, deep, hit) -> None:
     """``_fill_digits`` for p = 2, where a class index is the concatenation
     of its sm-bit digit codes, so the index of a digit-wise sum is the XOR
     of the indices.  Each twist is packed once; c * twist i over the codes
-    c is the XOR-span of the sm packed products 2^b * twist i, filled by
-    doubling; each monic g is then one XOR, and its index reads the block
-    directly.  ``span`` holds the packed sum_{i<d} g_i x^(q^i) o A_U over
+    c is the XOR-span of the sm packed products 2^b * twist i; each monic g
+    is then one XOR, and its index reads the block directly.  ``span`` holds the packed sum_{i<d} g_i x^(q^i) o A_U over
     every g_0..g_{d-1}; the level of its last step is walked, not kept."""
     sm, order, mul = ctx.sm, ctx.order, ctx.mul
     span = [0]
     for d, tw in enumerate(twists):
         top = d + lift
         base = _from_base_digits(tw[:top], order)
-        steps = [0]
-        if d:
-            for b in range(sm):
-                v = _from_base_digits([mul(1 << b, x) for x in twists[d - 1]], order)
-                steps += [x ^ v for x in steps]
+        steps = _xor_span([_from_base_digits([mul(1 << b, x) for x in twists[d - 1]], order)
+                           for b in range(sm)] if d else ())
         block = blocks[top]
         for s in steps:
             sb = s ^ base
@@ -493,7 +485,7 @@ def covering_radius_scan(code: GabidulinCode, metric: str,
     if total > scan_cap:
         raise ValueError(
             f"{total} classes exceed the scan cap {scan_cap}; raise the cap to proceed")
-    blocks = _sieve_units(code, metric)
+    blocks = _sieve(code, metric)
     counts = collections.Counter()
     for block in blocks:
         counts.update(map(itemgetter(0), block))

@@ -64,11 +64,14 @@ other multiply; odd characteristic takes Fermat's a**(order - 2) and the
 same powers.  Codes from different contexts must never be mixed; the
 element wrapper enforces this by reference identity of the context.
 
-Two helpers serve every module: ``_combine_rows`` forms F_q-combinations
-of a list of codes (subspace generators, coordinates, subfield members),
-and ``_base_digits`` / ``_from_base_digits`` convert between an integer
-and its least-significant-first digits in any base (element codes over
-p, class, message and word indices over the field order).
+Four helpers serve every module: ``_combine_rows`` forms F_q-combinations
+of a list of codes (subspace generators, coordinates, subfield members);
+``_base_digits`` / ``_from_base_digits`` convert between an integer and
+its least-significant-first digits in any base (element codes over p,
+class, message and word indices over the field order); ``_xor_span``
+lists every XOR of packed ints (the char-2 reduction tables, the sieve's
+twists); and ``FieldCtx._fp_kernel`` solves for the kernel of an
+F_p-linear map of the top field (F_q, root spaces).
 """
 
 from __future__ import annotations
@@ -150,6 +153,14 @@ def _from_base_digits(ds, base: int) -> int:
     for d in reversed(ds):
         x = x * base + d
     return x
+
+
+def _xor_span(basis) -> list[int]:
+    """Every XOR of a subset of basis: entry i XORs basis[b] over the set bits b of i."""
+    tab = [0]
+    for b in basis:
+        tab += [x ^ b for x in tab]
+    return tab
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +368,17 @@ class FieldCtx:
     def _undigits(self, ds) -> int:
         return _from_base_digits(ds, self.p)
 
+    def _digit_matrix(self, codes) -> list[list[int]]:
+        """The sm-row F_p matrix whose column j holds the digits of codes[j]."""
+        cols = [self._digits(c) for c in codes]
+        return [[col[d] for col in cols] for d in range(self.sm)]
+
+    def _fp_kernel(self, image) -> list[int]:
+        """Codes, ascending, of an F_p-basis of the kernel of the F_p-linear
+        map ``image`` (code -> code): the null space of its digit matrix."""
+        rows = self._digit_matrix([image(self.p ** j) for j in range(self.sm)])
+        return sorted(self._undigits(v) for v in _nullspace(_prime_field(self.p), rows))
+
     # -- code arithmetic ------------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
@@ -501,15 +523,8 @@ class FieldCtx:
             v <<= 1
             if v >> deg:
                 v ^= mint
-
-        def span(basis):
-            tab = [0]
-            for b in basis:
-                tab += [x ^ b for x in tab]
-            return tab
-
         cut = (deg - 1) // 2
-        return span(powers[:cut]), (1 << cut) - 1, span(powers[cut:]), cut
+        return _xor_span(powers[:cut]), (1 << cut) - 1, _xor_span(powers[cut:]), cut
 
     def _modulus_is_irreducible(self) -> bool:
         """Rabin's test, run in F_p[x]/(modulus) itself on the direct route
@@ -645,12 +660,7 @@ class FieldCtx:
         frob - id.  The first is 1: column 0 (the element 1) is zero, so its
         kernel vector is the unit vector."""
         if self._sub_pbasis is None:
-            n = self.sm
-            cols = [self._digits(self.sub(self.frob(self.p ** j), self.p ** j))
-                    for j in range(n)]
-            rows = [[col[d] for col in cols] for d in range(n)]
-            null = _nullspace(_prime_field(self.p), rows)
-            codes = sorted(self._undigits(v) for v in null)
+            codes = self._fp_kernel(lambda u: self.sub(self.frob(u), u))
             if len(codes) != self.s:
                 raise AssertionError("fixed field of the q-power map has wrong size")
             self._sub_pbasis = tuple(codes)
@@ -793,8 +803,7 @@ class FieldCtx:
         if basis.ctx is not self:
             raise ValueError("basis belongs to a different field context")
         lifts = self._subfield_pbasis()
-        cols = [self._digits(self.mul(e, beta.code)) for beta in basis.elems for e in lifts]
-        rows = [[col[d] for col in cols] for d in range(self.sm)]
+        rows = self._digit_matrix([self.mul(e, beta.code) for beta in basis.elems for e in lifts])
         sol = _solve(_prime_field(self.p), rows, self._digits(u.code))
         if sol is None:
             raise AssertionError("full basis failed to span the field")

@@ -10,14 +10,18 @@ Composition is the skew product: it is associative, distributes over
 addition, but does not commute; evaluation is F_q-linear in the argument.
 Right division ``f = h o g + r`` with ``deg_q r < deg_q g`` re-verifies its
 reconstruction identity internally before returning.
+
+The wrappers are the API edge.  Below it each job has one kernel on
+codes, shared by every module: ``_eval_codes`` evaluates (``__call__``,
+annihilators, root spaces, code and deephole words), ``_annihilator_codes``
+annihilates a list of generators and ``_moore_det`` takes Moore minors.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .field import (FieldCtx, FieldElement, _combine_rows, _det, _eliminate, _nullspace,
-                    _prime_field, _solve)
+from .field import FieldCtx, FieldElement, _combine_rows, _det, _eliminate, _solve
 
 NEG_INF = float("-inf")
 
@@ -63,9 +67,9 @@ class LinPoly:
         return not self.codes
 
     def coeff(self, i: int) -> FieldElement:
-        if type(i) is not int:
-            raise ValueError(f"coefficient index must be an integer, got {i!r}")
-        code = self.codes[i] if 0 <= i < len(self.codes) else 0
+        if type(i) is not int or i < 0:
+            raise ValueError(f"coefficient index must be an integer >= 0, got {i!r}")
+        code = self.codes[i] if i < len(self.codes) else 0
         return FieldElement(self.ctx, code)
 
     @property
@@ -73,18 +77,8 @@ class LinPoly:
         return tuple(FieldElement(self.ctx, c) for c in self.codes)
 
     def __call__(self, u) -> FieldElement:
-        return FieldElement(self.ctx, self._eval(self.ctx.element(u).code))
-
-    def _eval(self, u: int) -> int:
-        """Value at the code u, as a code; the hot loops' evaluation."""
         ctx = self.ctx
-        acc = 0
-        for i, a in enumerate(self.codes):
-            if i:
-                u = ctx.frob(u)
-            if a:
-                acc = ctx.add(acc, ctx.mul(a, u))
-        return acc
+        return FieldElement(ctx, _eval_codes(ctx, self.codes, ctx.element(u).code))
 
     def _binop(self, other, op):
         if not isinstance(other, LinPoly):
@@ -247,11 +241,22 @@ class SubspaceBasis:
         return f"SubspaceBasis({list(self.codes)})"
 
 
+def _eval_codes(ctx: FieldCtx, coeffs, u: int) -> int:
+    """sum_i coeffs[i] * u^(q^i) on codes: the value at u of the polynomial
+    with those coefficient codes, one q-power step per degree."""
+    add, mul, frob = ctx.add, ctx.mul, ctx.frob
+    acc = 0
+    for i, a in enumerate(coeffs):
+        if i:
+            u = frob(u)
+        if a:
+            acc = add(acc, mul(a, u))
+    return acc
+
+
 # ---------------------------------------------------------------------------
 # Matrix jobs over the top field (Moore determinants, interpolation solves,
-# ranks) and root spaces (null spaces over F_p) all run the one Gaussian
-# elimination of gablab.field: the pivot is the first nonzero entry in row
-# order, scaled to 1, then back substitution.
+# ranks) and root spaces run the one Gaussian elimination of gablab.field.
 
 
 def _moore_rows(ctx: FieldCtx, codes, k: int) -> list[list[int]]:
@@ -324,15 +329,10 @@ def _annihilator_codes(ctx: FieldCtx, codes) -> tuple[int, ...]:
     A_{V+<w>} = (x^q - c x) o A_V with c = A_V(w)^(q-1): coefficient i of
     the product is A_V's coefficient i-1 to the q minus c times its
     coefficient i.  A generator in the span so far (A_V(w) = 0) is refused."""
-    add, sub, mul, frob = ctx.add, ctx.sub, ctx.mul, ctx.frob
+    sub, mul, frob = ctx.sub, ctx.mul, ctx.frob
     a = [1]
     for w in codes:
-        val = 0
-        for i, c in enumerate(a):
-            if i:
-                w = frob(w)
-            if c:
-                val = add(val, mul(c, w))
+        val = _eval_codes(ctx, a, w)
         if val == 0:
             raise ValueError("dependent generators passed to annihilator")
         c = ctx.pow(val, ctx.q - 1)
@@ -353,15 +353,12 @@ def root_space(f: LinPoly) -> SubspaceBasis:
     if f.is_zero():
         raise ValueError("the zero polynomial has the whole field as roots")
     ctx = f.ctx
-    n = ctx.sm
-    cols = [ctx._digits(f._eval(ctx.p ** j)) for j in range(n)]
-    rows = [[col[d] for col in cols] for d in range(n)]
-    null = _nullspace(_prime_field(ctx.p), rows)
-    kept = ctx._greedy_codes(sorted(ctx._undigits(v) for v in null))
+    null = ctx._fp_kernel(lambda u: _eval_codes(ctx, f.codes, u))
+    kept = ctx._greedy_codes(null)
     if len(kept) * ctx.s != len(null):
         raise AssertionError("root set of a linearized polynomial must be F_q-linear")
     dim = len(kept)
-    if f.deg_q is not NEG_INF and dim > f.deg_q:
+    if dim > f.deg_q:
         raise AssertionError("root space larger than the q-degree")
     return SubspaceBasis._unchecked(ctx, kept)
 

@@ -404,9 +404,9 @@ def test_element_wrapping_and_context_separation(gf4, gf8):
 
 
 # One field per arithmetic route: char-2 table, odd table, direct p = 2
-# (above the table limit) and a tower with s = 2.
+# and direct odd p (above the table limit), and a tower with s = 2.
 ROUTES = {"char2-table": (2, 1, 4), "odd-table": (3, 1, 3), "direct-p2": (2, 1, 17),
-          "tower-s2": (2, 2, 2)}
+          "direct-odd": (3, 1, 11), "tower-s2": (2, 2, 2)}
 
 BINARY_OPS = [operator.add, operator.sub, operator.mul, operator.truediv]
 
@@ -417,7 +417,7 @@ def test_element_operators_match_the_code_ops(route):
     # then the LinPoly and Word wrappers, and the rejection of mixed
     # contexts, out-of-range codes and non-field operands.
     ctx, other = FieldCtx(*ROUTES[route]), FieldCtx(*ROUTES[route])
-    assert (ctx._exp is None) == (route == "direct-p2")
+    assert (ctx._exp is None) == route.startswith("direct")
     rng = random.Random(71)
     for _ in range(40):
         a, b = rng.randrange(ctx.order), rng.randrange(1, ctx.order)

@@ -100,10 +100,11 @@ def test_monomial_rejects_non_integer_degrees(gf8, i):
         LinPoly.monomial(gf8, i)
 
 
-@pytest.mark.parametrize("i", [True, False, 1.0, "1", None])
+@pytest.mark.parametrize("i", [True, False, 1.0, "1", None, -1, -5])
 def test_coeff_rejects_non_integer_indices(gf8, i):
     # A bool is an int, so True would read index 1; 1.0 would escape as
-    # TypeError.
+    # TypeError; a negative index, like a negative monomial degree, would
+    # read as a coefficient 0.
     with pytest.raises(ValueError, match="coefficient index must be an integer"):
         LinPoly(gf8, (1, 2, 3)).coeff(i)
 

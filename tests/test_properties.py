@@ -8,10 +8,11 @@ oracle, checked on towers with random irreducible moduli.  The rank
 echelon and the span automaton are checked against an elimination over
 the prime field, the class scan's rows against the per-class witness
 search, and that search, which walks the levels upward, against a
-top-down reference descent and its per-code plan of candidates against
-the streamed enumeration.  The search, which reads a word's q-degree
-from per-code functionals and never interpolates, is checked against the
-interpolant's own classification.  The packed characteristic-2 sieve is
+top-down reference descent that accepts by Ore's criterion, and its
+per-code plan of candidates against the streamed enumeration.  The
+search, which reads a word's q-degree from per-code functionals and
+never interpolates, is checked against the interpolant's own
+classification.  The packed characteristic-2 sieve is
 checked against the digit-list sieve it replaced for p = 2, entry for
 entry, and the code-level annihilator kernel against the roots it must
 have.
@@ -37,7 +38,7 @@ from gablab.deephole import (DEFAULT_SUBSPACE_CAP, _accepting_cover,  # noqa: E4
                              _witness_codes)
 from gablab.field import (_SPAN_AUTOMATON_LIMIT, _TABLE_LIMIT,  # noqa: E402
                           _combine_rows, gaussian_binomial)
-from gablab.linpoly import _annihilator_codes  # noqa: E402
+from gablab.linpoly import _annihilator_codes, _eval_codes  # noqa: E402
 
 WORD_LIMIT = 4096
 
@@ -223,12 +224,14 @@ def packed_codes(draw):
 @example(code=GabidulinCode(_ctx_with(2, 1, 5, (1, 0, 0, 1, 0, 1)), (1, 3, 7, 15, 31), 1),
          seed=0)
 def test_packed_sieve_equals_the_digit_sieve(code, seed):
-    # The packed route is the one _sieve_units takes for p = 2; the digit
-    # route is called directly as the reference, entry for entry,
-    # witness codes included.
+    # The packed route is the one _sieve takes for p = 2; the digit route,
+    # put in its place, is the reference, entry for entry, witness codes
+    # included.
     for metric in ("rank", "hamming"):
-        packed = deephole._sieve_units(code, metric)
-        assert packed == deephole._sieve(code, metric, deephole._fill_digits)
+        packed = deephole._sieve(code, metric)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(deephole, "_fill_packed", deephole._fill_digits)
+            assert packed == deephole._sieve(code, metric)
     # The annihilator kernel on the code's candidates: monic of q-degree
     # dim, vanishing on the whole span, equal to the LinPoly wrapper; a
     # generator in the span of the others is refused by both.
@@ -238,8 +241,7 @@ def test_packed_sieve_equals_the_digit_sieve(code, seed):
             a = _annihilator_codes(ctx, basis.codes)
             assert a == annihilator(basis).codes
             assert len(a) == t + 1 and a[-1] == 1
-            f = LinPoly(ctx, a)
-            assert all(f._eval(u) == 0 for u in basis.element_codes())
+            assert all(_eval_codes(ctx, a, u) == 0 for u in basis.element_codes())
     rng = random.Random(seed)
     basis = rng.choice(list(itertools.islice(subspace_bases(code.span, rng.randint(1, code.n)),
                                              20)))
@@ -267,15 +269,27 @@ def test_search_distance_equals_oracle(case):
 def _descent(code, f, metric):
     """Reference for classify_poly: (distance, deep flag, witness codes)
     from the top-down walk t = deg_q f, ..., k that stops at the first
-    level with an accepting candidate.  Level k always accepts."""
+    level with an accepting candidate.  Level k always accepts.
+
+    Acceptance shares no code with the search's Moore solves.  It is Ore's
+    criterion: some v of q-degree < k agrees with f on U exactly when f - v
+    = g o A_U, that is when f's right remainder by the annihilator A_U has
+    q-degree < k (t >= k, so that remainder is v).  U is each subspace of
+    the point span in rank, and the span of each subset of the points in
+    Hamming, in canonical order."""
     n, k, d = code.n, code.k, f.deg_q
     if d is NEG_INF or d < k:
         return 0, n == k, None
-    fvals = [f(g).code for g in code.points]
+    points = code.span.codes
     for t in range(d, k - 1, -1):
-        wit = _accepting_cover(code, fvals, t, metric, DEFAULT_SUBSPACE_CAP)
-        if wit is not None:
-            return n - t, t == k, _witness_codes(wit)
+        if metric == "rank":
+            cands = ((sub, sub) for sub in subspace_bases(code.span, t))
+        else:
+            cands = ((idx, SubspaceBasis(code.ctx, [points[i] for i in idx]))
+                     for idx in itertools.combinations(range(n), t))
+        for wit, span in cands:
+            if f.right_divmod(annihilator(span))[1].deg_q < k:
+                return n - t, t == k, _witness_codes(wit)
     raise AssertionError("level t = k must always accept")
 
 
