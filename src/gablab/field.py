@@ -17,10 +17,11 @@ degree 0 upward as base-p integers, so a (p, s, m) triple always names
 the same field.
 
 A ``FieldCtx`` is immutable after construction, apart from memos filled
-on first use (the subfield basis, the span automaton) that never change
-an answer, and every operation is a pure function of element codes, so
-contexts and elements can be shared freely between threads and worker
-processes.  Fields up to the table limit build, once at construction, a
+on first use (the subfield basis, the span automaton, the direct route's
+inverses) that never change an answer, and every operation is a pure
+function of element codes, so contexts and elements can be shared freely
+between threads and worker processes.
+Fields up to the table limit build, once at construction, a
 discrete-log table pair (exp/log) and, in odd characteristic, a
 Zech-logarithm table zech[i] = log(1 + g**i) (-1 where that sum is 0),
 and nothing else: a * b = g**(log a + log b), the i-fold q-power map is
@@ -61,8 +62,11 @@ walk's ``_times`` all reduce by table.  The inverse is extended Euclid
 in F_2[x] against the modulus, and the i-fold q-power map is a**(q**i)
 powered from the top set bit, which for q = 2**s is s*i squarings and no
 other multiply; odd characteristic takes Fermat's a**(order - 2) and the
-same powers.  Codes from different contexts must never be mixed; the
-element wrapper enforces this by reference identity of the context.
+same powers.  Each direct-route context keeps the inverses it computes,
+up to ``_INV_MEMO_LIMIT`` of them, so a pivot that every word inverts
+again (the search's Moore pivots do not depend on the word) costs a dict
+hit after the first.  Codes from different contexts must never be mixed;
+the element wrapper enforces this by reference identity of the context.
 
 Four helpers serve every module: ``_combine_rows`` forms F_q-combinations
 of a list of codes (subspace generators, coordinates, subfield members);
@@ -94,6 +98,14 @@ _TABLE_LIMIT = 1 << 16
 # GF(3^5), GF(5^4): 3.6-10 MB filled) made one-shot oracle calls slower
 # than the echelon.
 _SPAN_AUTOMATON_LIMIT = 1 << 15
+
+# A direct-route field keeps the inverses it computes (``FieldCtx.inv``)
+# until it holds this many, about 0.4 MB; later inverses are computed and
+# not kept.  The search's Moore pivots are word-independent (30 distinct
+# ones at GF(2^17), n = 5, k = 1), so they stay far below it.  Threads
+# that miss at once may each store, passing the bound by less than their
+# number; every entry is the true inverse, so no answer depends on it.
+_INV_MEMO_LIMIT = 1 << 12
 
 
 def _check_int_cap(cap, name: str) -> None:
@@ -177,10 +189,11 @@ def _eliminate(ctx, rows, ncols: int):
 
     Columns 0..ncols-1 are taken in turn; a column's pivot is the first row
     at or below the current rank with a nonzero entry there.  It is swapped
-    up, scaled to a leading 1 (one inversion per pivot) and subtracted from
-    the rows below.  Columns from ``ncols`` on, an augmented right-hand
-    side, ride along unpivoted.  Returns the rows, the pivot columns, the
-    pivot entries before scaling and the number of row swaps.
+    up, scaled to a leading 1 (one inversion per pivot, a memo hit on the
+    direct route for a pivot seen before) and subtracted from the rows
+    below.  Columns from ``ncols`` on, an augmented right-hand side, ride
+    along unpivoted.  Returns the rows, the pivot columns, the pivot
+    entries before scaling and the number of row swaps.
     """
     rows = [list(r) for r in rows]
     mul, sub = ctx.mul, ctx.sub
@@ -293,7 +306,7 @@ class FieldCtx:
     __slots__ = (
         "p", "s", "m", "q", "sm", "order", "modulus",
         "_mod_int", "_red", "_n1", "_exp", "_log", "_zech",
-        "_sub_pbasis", "_sub_codes",
+        "_sub_pbasis", "_sub_codes", "_inv_memo",
         "_span_zero", "_span_rows",
     )
 
@@ -320,6 +333,7 @@ class FieldCtx:
         self.order = order = p ** sm
         self._n1 = order - 1
         self._exp = self._log = self._zech = self._red = None
+        self._inv_memo = {}
         self._set_modulus(modulus)
         if order <= _TABLE_LIMIT:
             self._build_tables()
@@ -620,13 +634,24 @@ class FieldCtx:
         return self._exp[(self._log[a] + self._log[b]) % self._n1]
 
     def inv(self, a: int) -> int:
+        """Inverse of a nonzero code: one lookup on the table route; on the
+        direct route a memo hit, else extended Euclid (p = 2) or Fermat's
+        a**(order - 2), kept while the memo holds fewer than
+        ``_INV_MEMO_LIMIT`` entries.  A miss refuses a non-code before
+        computing."""
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         if self._exp is not None:
             return self._exp[(-self._log[a]) % self._n1] if self._n1 > 1 else a
-        if self.p == 2:
-            return self._inv_euclid2(a)
-        return self._pow_direct(a, self.order - 2)
+        memo = self._inv_memo
+        r = memo.get(a)
+        if r is None:
+            if type(a) is not int or not 0 < a < self.order:
+                raise ValueError(f"{a!r} is not a nonzero element code of GF({self.p}^{self.sm})")
+            r = self._inv_euclid2(a) if self.p == 2 else self._pow_direct(a, self.order - 2)
+            if len(memo) < _INV_MEMO_LIMIT:
+                memo[a] = r
+        return r
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))

@@ -21,7 +21,7 @@ from gablab import (FieldCtx, FieldElement, GabidulinCode, LinPoly, annihilator,
                     minor_coeff, quadric_census, quadric_v, ratio_lemma_check,
                     subspace_bases)
 from gablab.deephole import _witness_codes
-from gablab.field import _base_digits, gaussian_binomial
+from gablab.field import _INV_MEMO_LIMIT, _base_digits, gaussian_binomial
 
 
 def _class_poly(code, idx):
@@ -220,6 +220,45 @@ def test_search_builds_few_field_elements(monkeypatch):
     res = distance_by_search(code, w, "rank")
     assert res.witness.dim == code.n - res.distance
     assert len(built) <= 30
+
+
+def _direct_route_words(which):
+    """A fresh code above the table limit, so a fresh inverse memo, with a
+    deep word x^(q^(k+1)) on the points, a codeword plus an error of
+    F_p-rank 1, one of F_p-rank 2 and a random word.  GF(2^17), n = 5,
+    k = 1 is ``_bigfield_words``."""
+    if which == "gf2^17 n5 k1":
+        return _bigfield_words()
+    p, m, n, k = {"gf2^17 n6 k2": (2, 17, 6, 2), "gf3^11 n4 k1": (3, 11, 4, 1)}[which]
+    ctx = FieldCtx(p, 1, m)
+    code = GabidulinCode(ctx, [p ** j for j in range(n)], k)
+    rng = random.Random(m * 100 + n)
+    words = [code.evaluate(LinPoly.monomial(ctx, k + 1))]
+    for rank in (1, 2):
+        err = [0] * n
+        for _ in range(rank):
+            e = rng.randrange(1, ctx.order)
+            err = [ctx.add(x, ctx.mul(e, rng.randrange(p))) for x in err]
+        cw = code.encode(LinPoly(ctx, [rng.randrange(ctx.order) for _ in range(k)]))
+        words.append(code.word([ctx.add(a, b) for a, b in zip(cw.codes, err)]))
+    words.append(code.word([rng.randrange(ctx.order) for _ in range(n)]))
+    return code, words
+
+
+@pytest.mark.parametrize("which", ["gf2^17 n5 k1", "gf2^17 n6 k2", "gf3^11 n4 k1"])
+def test_search_answers_do_not_depend_on_the_inverse_memo(monkeypatch, which):
+    # Every Moore pivot is word-independent, so the memo turns per-word
+    # inversions into hits; with no room in the memo every inverse is
+    # computed afresh.  Both runs must give the same answers.
+    answers = []
+    for limit in (0, _INV_MEMO_LIMIT):
+        monkeypatch.setattr("gablab.field._INV_MEMO_LIMIT", limit)
+        code, words = _direct_route_words(which)
+        answers.append([_answer(distance_by_search(code, w, metric))
+                        for w in words for metric in ("rank", "hamming")])
+        assert bool(code.ctx._inv_memo) == bool(limit)
+    assert answers[0] == answers[1]
+    assert any(dist == code.n - code.k for dist, *_ in answers[0])  # a deep word
 
 
 # -- the per-code plan of candidates ---------------------------------------------------

@@ -621,6 +621,100 @@ def test_direct_route_kernels_against_their_definitions(p, s, m):
     assert ctx._exp is None  # no table was ever built
 
 
+DIRECT_ROUTES = [(2, 1, 17), (2, 2, 9), (2, 3, 6), (3, 1, 11)]
+
+
+def _check_inverse(ctx, a, r):
+    # Fermat's a**(order - 2) computed past the memo, and the product.
+    assert r == ctx._pow_direct(a, ctx.order - 2)
+    assert ctx.mul(a, r) == 1
+
+
+@pytest.mark.parametrize("p,s,m", DIRECT_ROUTES)
+def test_direct_route_inverse_memo_fills_and_hits(p, s, m):
+    ctx = FieldCtx(p, s, m)
+    codes = random.Random(67).sample(range(1, ctx.order), 20)
+    for a in codes:
+        r = ctx.inv(a)  # the filling call
+        _check_inverse(ctx, a, r)
+        assert ctx._inv_memo[a] == r
+        _check_inverse(ctx, a, ctx.inv(a))  # the hit
+        assert ctx.div(1, a) == r
+    assert sorted(ctx._inv_memo) == sorted(codes)
+
+
+@pytest.mark.parametrize("p,s,m", DIRECT_ROUTES)
+def test_direct_route_inverse_memo_past_its_bound(monkeypatch, p, s, m):
+    # With room for one entry, the first inverse is kept and every later
+    # one is computed afresh on each call.
+    monkeypatch.setattr("gablab.field._INV_MEMO_LIMIT", 1)
+    ctx = FieldCtx(p, s, m)
+    codes = random.Random(71).sample(range(1, ctx.order), 12)
+    for _ in range(2):
+        for a in codes:
+            _check_inverse(ctx, a, ctx.inv(a))
+    assert list(ctx._inv_memo) == codes[:1]
+
+
+@pytest.mark.parametrize("p,s,m", DIRECT_ROUTES + [(2, 1, 4), (3, 1, 3), (2, 2, 2)])
+def test_inverse_of_zero_raises_and_stores_nothing(p, s, m):
+    ctx = FieldCtx(p, s, m)
+    for call in (lambda: ctx.inv(0), lambda: ctx.div(1, 0), lambda: ctx.pow(0, -1)):
+        with pytest.raises(ZeroDivisionError):
+            call()
+    assert ctx._inv_memo == {}
+
+
+@pytest.mark.parametrize("p,s,m", DIRECT_ROUTES)
+def test_direct_route_inverse_refuses_non_codes(p, s, m):
+    # inv(-1) on GF(2^17) used to loop forever in the extended Euclid.
+    ctx = FieldCtx(p, s, m)
+    for bad in (-1, -ctx.order, ctx.order, ctx.order + 5, 2.5):
+        with pytest.raises(ValueError, match="not a nonzero element code"):
+            ctx.inv(bad)
+    assert ctx._inv_memo == {}
+
+
+@pytest.mark.parametrize("p,s,m", [(2, 1, 4), (3, 1, 3), (2, 2, 2), (3, 1, 4), (2, 1, 16)])
+def test_table_route_leaves_the_inverse_memo_empty(p, s, m):
+    ctx = FieldCtx(p, s, m)
+    assert ctx._exp is not None
+    for a in range(1, min(ctx.order, 2000)):
+        assert ctx.mul(a, ctx.inv(a)) == 1
+        assert ctx.pow(a, -2) == ctx.mul(ctx.inv(a), ctx.inv(a))
+    assert ctx._inv_memo == {}
+
+
+@pytest.mark.parametrize("p,s,m", [(2, 1, 17), (3, 1, 11)])
+def test_inverse_memo_shared_between_threads(p, s, m):
+    # Threads fill one context's memo at once, each walking the same codes
+    # in its own order.  Every answer must be Fermat's, and so must every
+    # kept entry.
+    ctx = FieldCtx(p, s, m)
+    rng = random.Random(73)
+    codes = rng.sample(range(1, ctx.order), 60)
+    expect = {a: ctx._pow_direct(a, ctx.order - 2) for a in codes}
+    orders = [rng.sample(codes, len(codes)) * 3 for _ in range(4)]
+    results = {}
+
+    def work(t):
+        results[t] = [(a, ctx.inv(a)) for a in orders[t]]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert all(r == expect[a] for t in range(4) for a, r in results[t])
+    assert ctx._inv_memo == expect
+
+
 def _clmul_mod(a: int, b: int, modulus: int) -> int:
     """a * b in F_2[x] modulo ``modulus``, all as packed ints: a shifted
     copy of a per set bit of b, then the top bit cleared one at a time."""
