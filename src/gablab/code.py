@@ -18,12 +18,11 @@ digits of i, so a message is rebuilt from its index when it is needed.
 Codewords are F_p-linear in the base-p digits d_l of their index i (digit
 l = j*sm + t is digit t of coefficient j): codeword i is sum(d_l * B_l),
 where B_l is the codeword of the message whose only nonzero coefficient is
-p**t at q-degree j.  They are generated in canonical order level by level:
+p**t at q-degree j.  So the codewords, in canonical order, are the rows
+of the field's F_p-span kernel (``gablab.field._span_flat``) on the B_l:
 the list so far is followed by p - 1 blocks, each the one before plus B_l,
-so a codeword costs n additions and no multiplication.  An addition is an
-XOR in characteristic 2; in odd characteristic it is a lookup in a table
-of x -> x + B_l[j] once a level adds at least as many codewords as the
-(table-route) field has elements, and ``ctx.add`` otherwise.  Codes with
+so a codeword costs n additions and no multiplication, each added the way
+``FieldCtx._translation`` picks (XOR, a lookup table or ``add``).  Codes with
 at most ``_CODEWORD_CACHE_LIMIT`` codewords list them on first use in one
 flat list of entry codes, n per codeword; the messages are not stored.
 Larger codes stream theirs: the list of the lower half of the levels,
@@ -31,20 +30,22 @@ bounded by the same limit, is translated by each combination of the upper
 levels in turn.
 
 Rank weights walk the field's F_q-span automaton where it has one (see
-:mod:`gablab.field`), and reduce with the F_p echelon elsewhere.  In
-characteristic 2 the oracle takes each difference w_j - x as one XOR of
-codes.  In odd characteristic on the table route it builds, per word, one
-table of the differences w_j - x for every entry j and every code x, so a
-codeword then costs a few list lookups and, with the automaton, no field
-operation: its walk stops once the weight reaches the best so far.
+:mod:`gablab.field`), and reduce with the F_p echelon elsewhere.  The
+oracle weighs x - w, not w - x (a weight does not change under
+negation): each codeword x is translated by -w through
+``FieldCtx._translation``, chosen once per word.  That is one XOR per
+entry for p = 2, and on the odd table route one lookup per entry in a
+table per position, so a codeword then costs a few list lookups and, with
+the automaton, no field operation: its walk stops once the weight reaches
+the best so far.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 
-from .field import FieldCtx, FieldElement, _base_digits, _check_int_cap, _from_base_digits
+from .field import (FieldCtx, FieldElement, _base_digits, _check_int_cap, _from_base_digits,
+                    _span_flat)
 from .linpoly import LinPoly, SubspaceBasis, _eval_codes, _moore_rows, q_lagrange
 
 DEFAULT_ORACLE_CAP = 1 << 20
@@ -224,43 +225,12 @@ class GabidulinCode:
                 for i in range(self.k) for t in range(ctx.sm)]
 
 
-def _translator(ctx: FieldCtx, unit, uses: int):
-    """The map from a flat list of rows (n entry codes each) to the same
-    rows plus ``unit``, entry by entry, for ``uses`` rows in all: XOR in
-    characteristic 2; elsewhere ``ctx.add``, or on the table route, once
-    there are at least as many rows as field elements, one lookup per entry
-    in a table of x -> x + unit[j] per position j."""
-    cycle = itertools.cycle
-    if ctx.p == 2:
-        return lambda flat: list(map(operator.xor, flat, cycle(unit)))
-    if ctx._exp is not None and uses >= ctx.order:
-        shifts = [[ctx.add(x, c) for x in range(ctx.order)] for c in unit]
-        return lambda flat: list(map(list.__getitem__, cycle(shifts), flat))
-    return lambda flat: list(map(ctx.add, flat, cycle(unit)))
-
-
-def _span_flat(ctx: FieldCtx, units, n: int) -> list[int]:
-    """Every F_p-combination sum(d_l * units[l]) of the length-n unit rows,
-    ordered by the index sum(d_l * p**l), as one flat list of entry codes,
-    n per combination.  Each level l appends p - 1 blocks, block d being
-    block d - 1 plus units[l] (block 0 is the list so far), so each row
-    costs n additions and no multiplication."""
-    flat = [0] * n
-    for unit in units:
-        shift = _translator(ctx, unit, (ctx.p - 1) * len(flat) // n)
-        block = flat
-        for _ in range(ctx.p - 1):
-            block = shift(block)
-            flat += block
-    return flat
-
-
 def _span_rows(ctx: FieldCtx, units, n: int):
     """The rows of ``_span_flat(ctx, units, n)`` as tuples, in the same
     order: the flat list of the lower half of the levels (fewer when that
-    would pass ``_CODEWORD_CACHE_LIMIT`` rows, but at least one), plus each
-    combination of the upper levels in turn, which are streamed the same
-    way.  So about the square root of the rows is held at once."""
+    would pass ``_CODEWORD_CACHE_LIMIT`` rows, but at least one), translated
+    by each combination of the upper levels in turn, which are streamed the
+    same way.  So about the square root of the rows is held at once."""
     low = (len(units) + 1) // 2
     while low > 1 and ctx.p ** low > _CODEWORD_CACHE_LIMIT:
         low -= 1
@@ -269,7 +239,8 @@ def _span_rows(ctx: FieldCtx, units, n: int):
         yield from zip(*[iter(flat)] * n)
         return
     for offset in _span_rows(ctx, units[low:], n):
-        yield from zip(*[iter(_translator(ctx, offset, len(flat) // n)(flat))] * n)
+        op, args = ctx._translation(offset, len(flat) // n)
+        yield from zip(*[map(op, itertools.cycle(args), flat)] * n)
 
 
 def dist_to_code_exhaustive(code: GabidulinCode, w: Word, metric: str,
@@ -277,25 +248,19 @@ def dist_to_code_exhaustive(code: GabidulinCode, w: Word, metric: str,
     """Exact distance by enumerating every codeword, plus the first-closest
     message polynomial in canonical order.  Every codeword is visited, but
     its distance is taken only up to the best so far: the entry differences
-    are drawn lazily, and none past that bound is taken.  For p = 2 a
-    difference is an XOR; in odd characteristic on the table route
-    w_j - x is looked up in one table per entry, built once per word.  The
+    are drawn lazily, and none past that bound is taken.  A difference is
+    taken as x - w_j, the codeword translated by -w (``FieldCtx._translation``,
+    picked once per word), which has the same weight as w - x.  The
     message is rebuilt from the index of the first closest codeword."""
     _check_metric(metric)
     _check_word(code, w)
     ctx = code.ctx
     rows = code._codeword_rows(oracle_cap)
-    if ctx.p == 2:
-        diff, firsts = operator.xor, w.codes
-    elif ctx._exp is None:
-        diff, firsts = ctx.sub, w.codes
-    else:
-        diff = list.__getitem__
-        firsts = [[ctx.sub(a, x) for x in range(ctx.order)] for a in w.codes]
+    diff, args = ctx._translation([ctx.neg(a) for a in w.codes], code.message_count())
     weigh = _weigher(ctx, metric)
     best, best_idx = None, None
     for idx, cw in enumerate(rows):
-        d = weigh(map(diff, firsts, cw), best)
+        d = weigh(map(diff, args, cw), best)
         if best is None or d < best:
             best, best_idx = d, idx
             if d == 0:

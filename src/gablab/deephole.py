@@ -87,11 +87,13 @@ t, once per code, filled by the characteristic.  For p = 2
 (``_fill_packed``) each sum is one XOR: field addition is XOR of codes and
 a class index is the concatenation of its sm-bit digit codes, so the index
 of a digit-wise sum is the XOR of the indices.  Each twist x^(q^i) o A_U
-is packed into one index, c times it for every code c is the XOR-span of
-the sm packed products 2^b times it (sm multiplications per coefficient
-where the digit lists take order), and each combination reads its block
-entry directly.  Odd p (``_fill_digits``) sums digit lists and reads each
-index from its digits.
+is packed into one index, c times it for every code c is the F_p-span
+(``_span_flat``) of the sm packed products 2^b times it (sm
+multiplications per coefficient where the digit lists take order), and
+each combination reads its block entry directly.  Odd p
+(``_fill_digits``) lists the sums as digit rows of one F_p-span of the
+twists, moves them by each twist in turn and reads each index from its
+digits.
 """
 
 from __future__ import annotations
@@ -104,7 +106,7 @@ from operator import itemgetter
 
 from .code import GabidulinCode, Word, _check_metric, _check_word
 from .field import (FieldCtx, FieldElement, _check_int_cap, _combine_rows, _from_base_digits,
-                    _solve, _xor_span, gaussian_binomial)
+                    _solve, _span_flat, gaussian_binomial)
 from .linpoly import (LinPoly, NEG_INF, SubspaceBasis, _annihilator_codes, _eval_codes,
                       _moore_det, _moore_rows)
 from .linpoly import q_lagrange  # noqa: F401  unused; bench/gabtrace.py patches it here
@@ -430,17 +432,20 @@ def _fill_digits(ctx: FieldCtx, blocks, twists, lift: int, deep, hit) -> None:
     """Give ``hit`` to every still-``deep`` unit of the class part of
     g o A_U over monic g, on digit lists.  For g = x^(q^d) + sum_{i<d} g_i
     x^(q^i) the part has its leading 1 at class position top = d + lift and
-    the digits below vary: twist d plus every sum of g_i times twist i,
-    each vector summed digit by digit and indexed by its base-order digits."""
-    order, add, mul = ctx.order, ctx.add, ctx.mul
-    scaled = [[[mul(c, x) for x in tw] for c in range(order)] for tw in twists[:-1]]
+    the digits below vary: twist d plus every sum of g_i times twist i.
+    Those sums are the first order**d rows of one ``_span_flat`` of the
+    twists times the codes p**b, cut to ``width`` positions (every sum is
+    0 from its top up); each is moved by twist d and indexed by its digits."""
+    p, order, mul = ctx.p, ctx.order, ctx.mul
+    width = lift + len(twists) - 1
+    span = _span_flat(ctx, [[mul(p ** b, x) for x in tw[:width]]
+                            for tw in twists[:-1] for b in range(ctx.sm)], width)
     for d, tw in enumerate(twists):
         top = d + lift
-        vecs = [tw[:top]]
-        for i in range(d):
-            vecs = [[add(x, y) for x, y in zip(v, s)] for v in vecs for s in scaled[i]]
+        op, args = ctx._translation(tw[:top] + [0] * (width - top), order ** d)
+        vecs = map(op, itertools.cycle(args), span[:order ** d * width])
         block = blocks[top]
-        for v in vecs:
+        for v in zip(*[vecs] * width):
             i = _from_base_digits(v, order)
             if block[i] is deep:
                 block[i] = hit
@@ -450,16 +455,19 @@ def _fill_packed(ctx: FieldCtx, blocks, twists, lift: int, deep, hit) -> None:
     """``_fill_digits`` for p = 2, where a class index is the concatenation
     of its sm-bit digit codes, so the index of a digit-wise sum is the XOR
     of the indices.  Each twist is packed once; c * twist i over the codes
-    c is the XOR-span of the sm packed products 2^b * twist i; each monic g
-    is then one XOR, and its index reads the block directly.  ``span`` holds the packed sum_{i<d} g_i x^(q^i) o A_U over
-    every g_0..g_{d-1}; the level of its last step is walked, not kept."""
+    c is the F_p-span (``_span_flat``, XOR for p = 2) of the sm packed
+    products 2^b * twist i; each monic g is then one XOR, and its index
+    reads the block directly.  ``span`` holds the packed sum_{i<d} g_i
+    x^(q^i) o A_U over every g_0..g_{d-1}; the level of its last step is
+    walked, not kept."""
     sm, order, mul = ctx.sm, ctx.order, ctx.mul
     span = [0]
     for d, tw in enumerate(twists):
         top = d + lift
         base = _from_base_digits(tw[:top], order)
-        steps = _xor_span([_from_base_digits([mul(1 << b, x) for x in twists[d - 1]], order)
-                           for b in range(sm)] if d else ())
+        packed = [[_from_base_digits([mul(1 << b, x) for x in twists[d - 1]], order)]
+                  for b in range(sm)] if d else []
+        steps = _span_flat(ctx, packed, 1)
         block = blocks[top]
         for s in steps:
             sb = s ^ base

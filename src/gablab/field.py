@@ -69,19 +69,22 @@ hit after the first.  Codes from different contexts must never be mixed;
 the element wrapper enforces this by reference identity of the context.
 
 Four helpers serve every module: ``_combine_rows`` forms F_q-combinations
-of a list of codes (subspace generators, coordinates, subfield members);
-``_base_digits`` / ``_from_base_digits`` convert between an integer and
-its least-significant-first digits in any base (element codes over p,
-class, message and word indices over the field order); ``_xor_span``
-lists every XOR of packed ints (the char-2 reduction tables, the sieve's
-twists); and ``FieldCtx._fp_kernel`` solves for the kernel of an
-F_p-linear map of the top field (F_q, root spaces).
+of a list of codes (subspace generators, coordinates); ``_base_digits`` /
+``_from_base_digits`` convert between an integer and its
+least-significant-first digits in any base (element codes over p, class,
+message and word indices over the field order); ``_span_flat``, the one
+F_p-span kernel, lists every F_p-combination of some rows in index order
+(codewords, F_q and span members, the char-2 reduction tables, the
+sieve's rows); and ``FieldCtx._fp_kernel`` solves for the kernel of an
+F_p-linear map of the top field (F_q, root spaces).  Adding one vector
+to many rows takes its route from ``FieldCtx._translation`` alone.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from bisect import bisect_right
 
 DEFAULT_FIELD_CAP = 1 << 24
@@ -167,12 +170,19 @@ def _from_base_digits(ds, base: int) -> int:
     return x
 
 
-def _xor_span(basis) -> list[int]:
-    """Every XOR of a subset of basis: entry i XORs basis[b] over the set bits b of i."""
-    tab = [0]
-    for b in basis:
-        tab += [x ^ b for x in tab]
-    return tab
+def _span_flat(ctx, units, n: int) -> list[int]:
+    """Every F_p-combination sum(d_l * units[l]) of the length-n rows, by
+    the index sum(d_l * p**l), as one flat list of codes, n per row.  Level
+    l appends p - 1 blocks, block d being block d - 1 plus units[l] (block
+    0 is the list so far) by ``ctx._translation``: n additions a row."""
+    flat = [0] * n
+    for unit in units:
+        op, args = ctx._translation(unit, (ctx.p - 1) * len(flat) // n)
+        block = flat
+        for _ in range(ctx.p - 1):
+            block = list(map(op, itertools.cycle(args), block))
+            flat += block
+    return flat
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +548,8 @@ class FieldCtx:
             if v >> deg:
                 v ^= mint
         cut = (deg - 1) // 2
-        return _xor_span(powers[:cut]), (1 << cut) - 1, _xor_span(powers[cut:]), cut
+        lo, hi = ([[v] for v in half] for half in (powers[:cut], powers[cut:]))
+        return _span_flat(self, lo, 1), (1 << cut) - 1, _span_flat(self, hi, 1), cut
 
     def _modulus_is_irreducible(self) -> bool:
         """Rabin's test, run in F_p[x]/(modulus) itself on the direct route
@@ -637,8 +648,10 @@ class FieldCtx:
         """Inverse of a nonzero code: one lookup on the table route; on the
         direct route a memo hit, else extended Euclid (p = 2) or Fermat's
         a**(order - 2), kept while the memo holds fewer than
-        ``_INV_MEMO_LIMIT`` entries.  A miss refuses a non-code before
-        computing."""
+        ``_INV_MEMO_LIMIT`` entries.  A non-code (a bool or a float
+        included) is refused on both routes before any lookup."""
+        if type(a) is not int or not 0 <= a < self.order:
+            raise ValueError(f"{a!r} is not a nonzero element code of GF({self.p}^{self.sm})")
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         if self._exp is not None:
@@ -646,12 +659,23 @@ class FieldCtx:
         memo = self._inv_memo
         r = memo.get(a)
         if r is None:
-            if type(a) is not int or not 0 < a < self.order:
-                raise ValueError(f"{a!r} is not a nonzero element code of GF({self.p}^{self.sm})")
             r = self._inv_euclid2(a) if self.p == 2 else self._pow_direct(a, self.order - 2)
             if len(memo) < _INV_MEMO_LIMIT:
                 memo[a] = r
         return r
+
+    def _translation(self, vec, uses: int):
+        """(op, operands) with op(operands[j], x) == add(x, vec[j]) for
+        every code x: how to add vec entry by entry to ``uses`` rows.  XOR
+        for p = 2; on the table route, once there are at least as many
+        rows as field elements, a lookup in a table of x -> x + vec[j] per
+        position j; ``add`` otherwise.  This is the one place, outside the
+        arithmetic itself, where the route is chosen."""
+        if self.p == 2:
+            return operator.xor, vec
+        if self._exp is not None and uses >= self.order:
+            return list.__getitem__, [[self.add(x, c) for x in range(self.order)] for c in vec]
+        return self.add, vec
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -694,8 +718,7 @@ class FieldCtx:
     def _subfield_codes(self) -> tuple[int, ...]:
         """Codes of the q elements of F_q inside the top field, ascending."""
         if self._sub_codes is None:
-            combos = itertools.product(range(self.p), repeat=self.s)
-            codes = set(_combine_rows(self, combos, self._subfield_pbasis()))
+            codes = set(_span_flat(self, [[e] for e in self._subfield_pbasis()], 1))
             if len(codes) != self.q:
                 raise AssertionError("subfield enumeration produced a wrong count")
             self._sub_codes = tuple(sorted(codes))

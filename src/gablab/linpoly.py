@@ -19,9 +19,7 @@ annihilates a list of generators and ``_moore_det`` takes Moore minors.
 
 from __future__ import annotations
 
-import itertools
-
-from .field import FieldCtx, FieldElement, _combine_rows, _det, _eliminate, _solve
+from .field import FieldCtx, FieldElement, _det, _eliminate, _solve, _span_flat
 
 NEG_INF = float("-inf")
 
@@ -216,8 +214,8 @@ class SubspaceBasis:
     def element_codes(self) -> frozenset[int]:
         """Codes of all q^dim span members."""
         ctx = self.ctx
-        combos = itertools.product(ctx._subfield_codes(), repeat=self.dim)
-        return frozenset(_combine_rows(ctx, combos, self.codes))
+        lifts = ctx._subfield_pbasis()
+        return frozenset(_span_flat(ctx, [[ctx.mul(e, g)] for g in self.codes for e in lifts], 1))
 
     def contains(self, u) -> bool:
         u = self.ctx.element(u).code

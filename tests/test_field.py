@@ -675,6 +675,33 @@ def test_direct_route_inverse_refuses_non_codes(p, s, m):
     assert ctx._inv_memo == {}
 
 
+@pytest.mark.parametrize("p,s,m", [(2, 1, 4), (3, 1, 3), (2, 2, 2), (3, 1, 4)])
+def test_table_route_inverse_refuses_non_codes(p, s, m):
+    # The one lookup used to read log[-1] (FieldCtx(2, 1, 4).inv(-1) was
+    # 8, the inverse of 15), raise IndexError at the order, and answer a
+    # float or a bool equal to a code.
+    ctx = FieldCtx(p, s, m)
+    for bad in (-1, -ctx.order, ctx.order, ctx.order + 5, 1.0, 2.0, 2.5, True):
+        with pytest.raises(ValueError, match="not a nonzero element code"):
+            ctx.inv(bad)
+    with pytest.raises(ZeroDivisionError):
+        ctx.inv(0)
+
+
+@pytest.mark.parametrize("p,s,m", DIRECT_ROUTES)
+def test_direct_route_inverse_memo_hit_refuses_a_float_or_bool(p, s, m):
+    # 5.0 and True hash like the kept codes 5 and 1, so a memo read
+    # before the check answered them.
+    ctx = FieldCtx(p, s, m)
+    kept = {a: ctx.inv(a) for a in (5, 1)}
+    for bad in (5.0, 1.0, True):
+        with pytest.raises(ValueError, match="not a nonzero element code"):
+            ctx.inv(bad)
+    assert ctx._inv_memo == kept
+    with pytest.raises(ZeroDivisionError):
+        ctx.inv(0)
+
+
 @pytest.mark.parametrize("p,s,m", [(2, 1, 4), (3, 1, 3), (2, 2, 2), (3, 1, 4), (2, 1, 16)])
 def test_table_route_leaves_the_inverse_memo_empty(p, s, m):
     ctx = FieldCtx(p, s, m)

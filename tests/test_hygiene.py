@@ -4,7 +4,10 @@ Every name a module imports is used there, unless its import line says
 ``# noqa: F401`` (a name kept so that outside tooling can patch it in
 that module); ``__init__.py`` only re-exports.  Every private function or
 method defined in the package is referenced somewhere in the package
-besides its own definition.
+besides its own definition.  No module but ``field.py`` reads an
+attribute that a ``FieldCtx`` keeps for choosing its arithmetic route
+(tables, the reduction, the memos, the span automaton): the other
+modules reach the route only through the context's methods.
 """
 
 import ast
@@ -64,3 +67,19 @@ def test_every_private_function_is_referenced():
     dead = [f"{mod}: {node.name}" for mod, node in defined
             if referenced[node.name] <= _name_counts(node)[node.name]]
     assert not dead, f"private functions with no reference: {dead}"
+
+
+# FieldCtx attributes that only field.py may read.
+ROUTE_ATTRS = frozenset({"_exp", "_log", "_zech", "_red", "_n1", "_mod_int", "_inv_memo",
+                         "_span_zero", "_span_rows"})
+
+
+def test_only_field_reads_the_route_attributes():
+    reads = []
+    for path in MODULES:
+        if path.name == "field.py":
+            continue
+        _, tree = _parse(path)
+        reads += [f"{path.name}:{node.lineno}: .{node.attr}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in ROUTE_ATTRS]
+    assert not reads, f"route attributes read outside field.py: {reads}"

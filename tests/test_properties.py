@@ -15,10 +15,13 @@ never interpolates, is checked against the interpolant's own
 classification.  The packed characteristic-2 sieve is
 checked against the digit-list sieve it replaced for p = 2, entry for
 entry, and the code-level annihilator kernel against the roots it must
-have.
+have.  The F_p-span kernel that lists codewords, subfields, spans and
+sieve rows is checked against a sum of digit multiples, and the
+translation route it adds with against ``add``.
 """
 
 import itertools
+import operator
 import random
 from functools import lru_cache
 
@@ -37,7 +40,7 @@ from gablab.code import _weigher  # noqa: E402
 from gablab.deephole import (DEFAULT_SUBSPACE_CAP, _accepting_cover,  # noqa: E402
                              _witness_codes)
 from gablab.field import (_SPAN_AUTOMATON_LIMIT, _TABLE_LIMIT,  # noqa: E402
-                          _combine_rows, gaussian_binomial)
+                          _base_digits, _combine_rows, _span_flat, gaussian_binomial)
 from gablab.linpoly import _annihilator_codes, _eval_codes  # noqa: E402
 
 WORD_LIMIT = 4096
@@ -496,3 +499,47 @@ def test_complete_span_walk_of_gf81_has_one_state_per_subspace():
     for members, row in ctx._span_rows.items():
         assert len(members) == 3 ** row[ctx.order]
         assert all(ctx.add(a, b) in members for a in members for b in members)
+
+
+# (p, s, m) towers for the F_p-span kernel: p in {2, 3, 5}, s in {1, 2},
+# order <= 5**4, and the two direct-route fields of the CI reach steps.
+KERNEL_TOWERS = [(p, s, m) for p in (2, 3, 5) for s in (1, 2) for m in (1, 2, 3)
+                 if p ** (s * m) <= 625] + [(2, 1, 17), (3, 1, 11)]
+
+
+def _span_by_definition(ctx: FieldCtx, units, n: int) -> list[int]:
+    """Row i is sum_l d_l * units[l] over the base-p digits d_l of i, a
+    digit being its own code in F_p, summed with ctx.add and ctx.mul; the
+    rows in index order, flattened."""
+    out = []
+    for i in range(ctx.p ** len(units)):
+        row = [0] * n
+        for d, unit in zip(_base_digits(i, ctx.p, len(units)), units):
+            row = [ctx.add(x, ctx.mul(d, u)) for x, u in zip(row, unit)]
+        out += row
+    return out
+
+
+@pytest.mark.parametrize("tower", KERNEL_TOWERS, ids=lambda t: "-".join(map(str, t)))
+@settings(max_examples=8, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_span_kernel_and_translation_match_their_definitions(tower, data):
+    ctx = _ctx(*tower)
+    p, order = ctx.p, ctx.order
+    n = data.draw(st.integers(1, 4))
+    entry = st.integers(0, order - 1)
+    units = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                               max_size=max(l for l in range(9) if p ** l <= 256)))
+    assert _span_flat(ctx, units, n) == _span_by_definition(ctx, units, n)
+    # Below, at and past the field order: tables exactly on the odd table
+    # route from the order on, XOR for p = 2, add otherwise.
+    vec = data.draw(st.lists(entry, min_size=n, max_size=n))
+    xs = sorted({0, 1, order - 1} | set(random.Random(order).sample(range(order),
+                                                                   min(order, 200))))
+    for uses in (order - 1, order, data.draw(st.integers(0, 2 * order))):
+        op, args = ctx._translation(vec, uses)
+        tables = p != 2 and order <= _TABLE_LIMIT and uses >= order
+        assert (op is list.__getitem__) == tables
+        assert tables or op == (operator.xor if p == 2 else ctx.add)
+        for j, c in enumerate(vec):
+            assert all(op(args[j], x) == ctx.add(x, c) for x in xs)
