@@ -84,7 +84,9 @@ class Word:
         return iter(self.entries)
 
     def __getitem__(self, i):
-        return self.entries[i]
+        if isinstance(i, slice):
+            return self.entries[i]
+        return FieldElement(self.ctx, self.codes[i])
 
     def __eq__(self, other):
         if not isinstance(other, Word):
@@ -104,6 +106,12 @@ def _check_word(code: GabidulinCode, w) -> None:
         raise ValueError("word must live over the code's field context")
     if len(w) != code.n:
         raise ValueError("word length mismatch")
+
+
+def _check_poly(code: GabidulinCode, f) -> None:
+    """Refuse anything but a LinPoly over the code's field."""
+    if not isinstance(f, LinPoly) or f.ctx is not code.ctx:
+        raise ValueError("polynomial must be a LinPoly over the code's field context")
 
 
 def _hamming_codes(codes, limit: int | None = None) -> int:
@@ -158,16 +166,14 @@ class GabidulinCode:
                 f"points={list(self.span.codes)})")
 
     def encode(self, msg: LinPoly) -> Word:
-        if not isinstance(msg, LinPoly) or msg.ctx is not self.ctx:
-            raise ValueError("message must be a LinPoly over the code's field context")
+        _check_poly(self, msg)
         if msg.deg_q >= self.k:
             raise ValueError(f"message q-degree must be < {self.k}")
         return self.evaluate(msg)
 
     def evaluate(self, f: LinPoly) -> Word:
         """Word of f's values on the points, for any f of q-degree < n."""
-        if not isinstance(f, LinPoly) or f.ctx is not self.ctx:
-            raise ValueError("polynomial must be a LinPoly over the code's field context")
+        _check_poly(self, f)
         if f.deg_q >= self.n:
             raise ValueError(f"representative q-degree must be < {self.n}")
         return Word(self.ctx, [_eval_codes(self.ctx, f.codes, g) for g in self.span.codes])

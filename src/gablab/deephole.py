@@ -104,7 +104,7 @@ import math
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from .code import GabidulinCode, Word, _check_metric, _check_word
+from .code import GabidulinCode, Word, _check_metric, _check_poly, _check_word
 from .field import (FieldCtx, FieldElement, _check_int_cap, _combine_rows, _from_base_digits,
                     _solve, _span_flat, gaussian_binomial)
 from .linpoly import (LinPoly, NEG_INF, SubspaceBasis, _annihilator_codes, _eval_codes,
@@ -215,8 +215,7 @@ def equality_witness(code: GabidulinCode, f: LinPoly, metric: str):
     distance == n - deg_q f.
     """
     _check_metric(metric)
-    if f.ctx is not code.ctx:
-        raise ValueError("polynomial must live over the code's field context")
+    _check_poly(code, f)
     d = f.deg_q
     if d is NEG_INF or not code.k <= d < code.n:
         raise ValueError(f"representative q-degree must lie in {code.k}..{code.n - 1}")
@@ -275,8 +274,7 @@ def classify_poly(code: GabidulinCode, f: LinPoly, metric: str,
     """Distance of the word represented by f, by ascending witness search
     from f's values on the points."""
     _check_metric(metric)
-    if f.ctx is not code.ctx:
-        raise ValueError("polynomial must live over the code's field context")
+    _check_poly(code, f)
     if f.deg_q >= code.n:
         raise ValueError("representative q-degree must be < n")
     fvals = [_eval_codes(code.ctx, f.codes, g) for g in code.span.codes]
@@ -330,8 +328,7 @@ def ratio_lemma_check(code: GabidulinCode, f: LinPoly, metric: str):
     agree with :func:`equality_witness` at this degree.
     """
     _check_metric(metric)
-    if f.ctx is not code.ctx:
-        raise ValueError("polynomial must live over the code's field context")
+    _check_poly(code, f)
     k = code.k
     if f.deg_q != k + 1:
         raise ValueError(f"representative q-degree must be exactly {k + 1}")

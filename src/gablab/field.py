@@ -8,6 +8,17 @@ identified by its canonical integer code ``sum(coeffs[i] * p**i)`` where
 polynomial.  Codes biject onto ``range(p**(s*m))`` and are the wire format
 of every file and CLI interface in this package.
 
+One rule reads an element operand at the API edge, ``FieldCtx._code``: an
+element of the same context gives its code, and an int in 0..order-1 that
+is not a bool is a code.  Anything else raises ValueError ("code v out of
+range for ...", "v is not a code of ..." or "mixed field contexts";
+contexts are told apart by identity, never by parameters).
+``FieldCtx.element``, which also takes a coefficient sequence, the six
+binary ``FieldElement`` operators, built from one template
+(``_operator``), and ``LinPoly`` coefficients all read through it.
+``FieldCtx.inv`` checks its argument inline, on the hot path, and refuses
+the same ints, bools and floats.
+
 The modulus is checked, and the default one found, by Rabin's
 irreducibility test run in F_p[x]/(modulus) itself with the field's own
 direct arithmetic (``FieldCtx._set_modulus``); there is no second
@@ -65,8 +76,7 @@ other multiply; odd characteristic takes Fermat's a**(order - 2) and the
 same powers.  Each direct-route context keeps the inverses it computes,
 up to ``_INV_MEMO_LIMIT`` of them, so a pivot that every word inverts
 again (the search's Moore pivots do not depend on the word) costs a dict
-hit after the first.  Codes from different contexts must never be mixed;
-the element wrapper enforces this by reference identity of the context.
+hit after the first.
 
 Four helpers serve every module: ``_combine_rows`` forms F_q-combinations
 of a list of codes (subspace generators, coordinates); ``_base_digits`` /
@@ -361,18 +371,24 @@ class FieldCtx:
 
     # -- element construction ------------------------------------------------
 
-    def element(self, value) -> "FieldElement":
-        """Wrap an integer code, a coefficient sequence or an element."""
+    def _code(self, value) -> int:
+        """The code of an element operand: an element of this context, or an
+        int in 0..order-1 that is not a bool.  Anything else is refused."""
         if isinstance(value, FieldElement):
             if value.ctx is not self:
-                raise ValueError("element belongs to a different field context")
-            return value
-        if isinstance(value, bool):
+                raise ValueError("mixed field contexts")
+            return value.code
+        if isinstance(value, bool) or not isinstance(value, int):
             raise ValueError(f"{value!r} is not a code of {self!r}")
-        if isinstance(value, int):
-            if not 0 <= value < self.order:
-                raise ValueError(f"code {value} out of range for {self!r}")
-            return FieldElement(self, value)
+        if not 0 <= value < self.order:
+            raise ValueError(f"code {value} out of range for {self!r}")
+        return value
+
+    def element(self, value) -> "FieldElement":
+        """Wrap an operand that ``_code`` reads, or a coefficient sequence."""
+        if isinstance(value, (int, FieldElement)):
+            code = self._code(value)
+            return value if isinstance(value, FieldElement) else FieldElement(self, code)
         try:
             coeffs = list(value)
         except TypeError:
@@ -860,11 +876,28 @@ class FieldCtx:
         return [FieldElement(self, c) for c in _combine_rows(self, rows, lifts)]
 
 
+def _operator(code_op: str, reflected: bool = False):
+    """A binary FieldElement operator: ``ctx.<code_op>`` on the two codes,
+    the other operand first when reflected.  The other operand is read by
+    ``FieldCtx._code``; one that is neither an int nor an element gives
+    NotImplemented, so Python raises TypeError for it."""
+    def op(self, other):
+        if not isinstance(other, (int, FieldElement)):
+            return NotImplemented
+        ctx = self.ctx
+        a, b = self.code, ctx._code(other)
+        if reflected:
+            a, b = b, a
+        return FieldElement(ctx, getattr(ctx, code_op)(a, b))
+    return op
+
+
 class FieldElement:
     """An immutable element of a FieldCtx, identified by its integer code.
 
-    Plain ints mixed into arithmetic or comparisons are taken as canonical
-    codes of the same field.
+    The other operand of ``+ - * /`` is read by ``FieldCtx._code``: a plain
+    int is a code of the same field, and a bool is refused.  Comparison
+    with an int compares codes.
     """
 
     __slots__ = ("ctx", "code")
@@ -873,56 +906,12 @@ class FieldElement:
         self.ctx = ctx
         self.code = code
 
-    def _coerce(self, other):
-        if isinstance(other, FieldElement):
-            if other.ctx is not self.ctx:
-                raise ValueError("mixed field contexts in arithmetic")
-            return other.code
-        if isinstance(other, int):
-            if not 0 <= other < self.ctx.order:
-                raise ValueError(f"code {other} out of range")
-            return other
-        return None
-
-    def __add__(self, other):
-        c = self._coerce(other)
-        if c is None:
-            return NotImplemented
-        return FieldElement(self.ctx, self.ctx.add(self.code, c))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        c = self._coerce(other)
-        if c is None:
-            return NotImplemented
-        return FieldElement(self.ctx, self.ctx.sub(self.code, c))
-
-    def __rsub__(self, other):
-        c = self._coerce(other)
-        if c is None:
-            return NotImplemented
-        return FieldElement(self.ctx, self.ctx.sub(c, self.code))
-
-    def __mul__(self, other):
-        c = self._coerce(other)
-        if c is None:
-            return NotImplemented
-        return FieldElement(self.ctx, self.ctx.mul(self.code, c))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        c = self._coerce(other)
-        if c is None:
-            return NotImplemented
-        return FieldElement(self.ctx, self.ctx.div(self.code, c))
-
-    def __rtruediv__(self, other):
-        c = self._coerce(other)
-        if c is None:
-            return NotImplemented
-        return FieldElement(self.ctx, self.ctx.div(c, self.code))
+    __add__ = __radd__ = _operator("add")
+    __sub__ = _operator("sub")
+    __rsub__ = _operator("sub", reflected=True)
+    __mul__ = __rmul__ = _operator("mul")
+    __truediv__ = _operator("div")
+    __rtruediv__ = _operator("div", reflected=True)
 
     def __neg__(self):
         return FieldElement(self.ctx, self.ctx.neg(self.code))

@@ -11,8 +11,13 @@ addition, but does not commute; evaluation is F_q-linear in the argument.
 Right division ``f = h o g + r`` with ``deg_q r < deg_q g`` re-verifies its
 reconstruction identity internally before returning.
 
-The wrappers are the API edge.  Below it each job has one kernel on
-codes, shared by every module: ``_eval_codes`` evaluates (``__call__``,
+The wrappers are the API edge.  A ``LinPoly`` coefficient is read by the
+field's one operand rule (``FieldCtx._code``: an element of the context or
+an in-range int code, never a bool), so a bad one raises the field's own
+message; evaluation and scaling take whatever ``FieldCtx.element`` takes.
+``SubspaceBasis`` stores its generators as codes and an index read wraps
+only the one it returns.  Below the edge each job has one kernel on codes,
+shared by every module: ``_eval_codes`` evaluates (``__call__``,
 annihilators, root spaces, code and deephole words), ``_annihilator_codes``
 annihilates a list of generators and ``_moore_det`` takes Moore minors.
 """
@@ -28,15 +33,7 @@ class LinPoly:
     __slots__ = ("ctx", "codes")
 
     def __init__(self, ctx: FieldCtx, coeffs=()):
-        codes = []
-        for c in coeffs:
-            if isinstance(c, FieldElement):
-                if c.ctx is not ctx:
-                    raise ValueError("coefficient from a different field context")
-                c = c.code
-            elif type(c) is not int or not 0 <= c < ctx.order:
-                raise ValueError(f"coefficient {c!r} is not a code of {ctx!r}")
-            codes.append(c)
+        codes = [ctx._code(c) for c in coeffs]
         while codes and codes[-1] == 0:
             codes.pop()
         self.ctx = ctx
@@ -233,7 +230,9 @@ class SubspaceBasis:
         return iter(self.gens)
 
     def __getitem__(self, i):
-        return self.gens[i]
+        if isinstance(i, slice):
+            return self.gens[i]
+        return FieldElement(self.ctx, self.codes[i])
 
     def __repr__(self):
         return f"SubspaceBasis({list(self.codes)})"

@@ -15,8 +15,8 @@ import random
 import pytest
 
 import gablab.code
-from gablab import (FieldCtx, GabidulinCode, LinPoly, Word, covering_radius_raw,
-                    covering_radius_scan, dist_to_code_exhaustive,
+from gablab import (FieldCtx, FieldElement, GabidulinCode, LinPoly, SubspaceBasis, Word,
+                    covering_radius_raw, covering_radius_scan, dist_to_code_exhaustive,
                     format_code_spec, min_distance, parse_code_spec, weight)
 from gablab.cli import main
 from gablab.code import DEFAULT_ORACLE_CAP
@@ -44,6 +44,26 @@ def test_word_construction_and_arithmetic(gf8, gf16):
         Word(gf8, ())
     with pytest.raises(ValueError):
         Word(gf8, (8,))
+
+
+def test_an_index_read_wraps_one_code(gf16, monkeypatch):
+    # w[i] and basis[i] build the one FieldElement they return, not all n;
+    # a slice still gives the tuple of its elements.
+    w = Word(gf16, (1, 2, 4, 8))
+    basis = SubspaceBasis(gf16, (1, 2, 4, 8))
+    built = []
+    real = FieldElement.__init__
+
+    def counting(self, ctx, code):
+        built.append(code)
+        real(self, ctx, code)
+
+    monkeypatch.setattr(FieldElement, "__init__", counting)
+    for seq in (w, basis):
+        built.clear()
+        assert (seq[2].code, seq[-1].code) == (4, 8)
+        assert built == [4, 8]
+        assert [e.code for e in seq[1:3]] == [2, 4]
 
 
 def test_weight_definitions(gf16):

@@ -108,6 +108,28 @@ def test_classify_rejects_overdegree_and_foreign_polynomials(code24, gf8):
         classify_poly(code24, LinPoly.monomial(code24.ctx, 3), "euclid")
 
 
+POLY_ENTRY_POINTS = {
+    "encode": lambda code, f: code.encode(f),
+    "evaluate": lambda code, f: code.evaluate(f),
+    "classify_poly": lambda code, f: classify_poly(code, f, "rank"),
+    "equality_witness": lambda code, f: equality_witness(code, f, "rank"),
+    "ratio_lemma_check": lambda code, f: ratio_lemma_check(code, f, "rank"),
+}
+
+
+@pytest.mark.parametrize("bad", ["tuple", "list", "None", "other-context"])
+@pytest.mark.parametrize("entry", POLY_ENTRY_POINTS)
+def test_polynomial_entry_points_refuse_non_polynomials_alike(code24, entry, bad):
+    # Each reads its argument by code._check_poly, before its degree check;
+    # a tuple or a list of codes is not a LinPoly, and neither is a LinPoly
+    # of another context with the same parameters.
+    f = {"tuple": (0, 0, 1), "list": [0, 0, 1], "None": None,
+         "other-context": LinPoly(FieldCtx(2, 1, 4), (0, 0, 1))}[bad]
+    with pytest.raises(ValueError, match="^polynomial must be a LinPoly over the code's field "
+                                         "context$"):
+        POLY_ENTRY_POINTS[entry](code24, f)
+
+
 # -- search on a field above the table limit ------------------------------------------------
 
 

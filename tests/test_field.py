@@ -14,7 +14,7 @@ import threading
 
 import pytest
 
-from gablab import BasisSpec, FieldCtx, LinPoly, Word
+from gablab import BasisSpec, FieldCtx, LinPoly, SubspaceBasis, Word
 from gablab.field import (_base_digits, _det, _eliminate, _from_base_digits, _nullspace,
                           _prime_field, _solve)
 
@@ -415,7 +415,7 @@ BINARY_OPS = [operator.add, operator.sub, operator.mul, operator.truediv]
 def test_element_operators_match_the_code_ops(route):
     # Each FieldElement operator, both operand orders, against the code op;
     # then the LinPoly and Word wrappers, and the rejection of mixed
-    # contexts, out-of-range codes and non-field operands.
+    # contexts, out-of-range codes, bools and non-field operands.
     ctx, other = FieldCtx(*ROUTES[route]), FieldCtx(*ROUTES[route])
     assert (ctx._exp is None) == route.startswith("direct")
     rng = random.Random(71)
@@ -450,14 +450,99 @@ def test_element_operators_match_the_code_ops(route):
                 op(x, bad)
             with pytest.raises(ValueError, match=f"code {bad} out of range"):
                 op(bad, x)
+        for bad in (True, False):  # ints to Python, but not codes
+            with pytest.raises(ValueError, match=f"{bad!r} is not a code"):
+                op(x, bad)
+            with pytest.raises(ValueError, match=f"{bad!r} is not a code"):
+                op(bad, x)
         with pytest.raises(TypeError):
             op(x, 1.0)
         with pytest.raises(TypeError):
             op(1.0, x)
-    with pytest.raises(ValueError, match="coefficient from a different field context"):
+    with pytest.raises(ValueError, match="mixed field contexts"):
         LinPoly(ctx, [x, other.element(1)])
-    with pytest.raises(ValueError, match=f"coefficient {ctx.order} is not a code"):
+    with pytest.raises(ValueError, match=f"code {ctx.order} out of range"):
         LinPoly(ctx, [x, ctx.order])
+
+
+# The operand battery: in-range codes, an element, bools, out-of-range
+# ints, a float and an element of another context with equal parameters.
+OPERANDS = ("1", "order-1", "element", "True", "False", "-1", "order", "1.0",
+            "other-context")
+
+
+def _operand(ctx, other, name):
+    return {"1": 1, "order-1": ctx.order - 1, "element": ctx.element(ctx.order - 1),
+            "True": True, "False": False, "-1": -1, "order": ctx.order, "1.0": 1.0,
+            "other-context": other.element(1)}[name]
+
+
+@pytest.mark.parametrize("name", OPERANDS)
+@pytest.mark.parametrize("route", ROUTES)
+def test_element_readers_accept_and_refuse_the_same_operands(route, name):
+    # ctx.element, both operand orders of the four operators, a LinPoly
+    # coefficient, a Word entry and a SubspaceBasis generator read one
+    # operand alike: the same code, or a ValueError with one text (a float
+    # escapes the operators as TypeError, and ctx.element reads a
+    # non-integer as a coefficient sequence, with a text of its own).
+    ctx, other = FieldCtx(*ROUTES[route]), FieldCtx(*ROUTES[route])
+    value, y = _operand(ctx, other, name), ctx.element(2)
+    readers = {
+        "element": lambda v: ctx.element(v).code,
+        "LinPoly": lambda v: LinPoly(ctx, [v]).codes[0],
+        "Word": lambda v: Word(ctx, [v]).codes[0],
+        "SubspaceBasis": lambda v: SubspaceBasis(ctx, [v]).codes[0],
+    }
+    for op in BINARY_OPS:
+        readers[f"y {op.__name__} v"] = lambda v, op=op: op(y, v).code
+        readers[f"v {op.__name__} y"] = lambda v, op=op: op(v, y).code
+    got = {}
+    for label, read in readers.items():
+        try:
+            got[label] = read(value)
+        except (ValueError, TypeError) as exc:
+            got[label] = (type(exc), str(exc))
+    if name in ("1", "order-1", "element"):
+        c = int(value)
+        want = dict.fromkeys(["element", "LinPoly", "Word", "SubspaceBasis"], c)
+        for op, code_op in zip(BINARY_OPS, (ctx.add, ctx.sub, ctx.mul, ctx.div)):
+            want[f"y {op.__name__} v"] = code_op(2, c)
+            want[f"v {op.__name__} y"] = code_op(c, 2)
+        assert got == want
+    elif name == "1.0":
+        assert {label: kind for label, (kind, _) in got.items()} == {
+            label: TypeError if " " in label else ValueError for label in readers}
+    else:
+        refusals = set(got.values())
+        assert len(refusals) == 1
+        kind, text = refusals.pop()
+        assert kind is ValueError
+        assert text == ("mixed field contexts" if name == "other-context"
+                        else f"code {value} out of range for {ctx!r}" if name in ("-1", "order")
+                        else f"{value!r} is not a code of {ctx!r}")
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_inverse_refuses_exactly_the_operands_that_code_refuses(route):
+    # inv keeps its own inline check on the hot path; over ints, bools and
+    # floats it refuses what FieldCtx._code refuses (and 0 by division).
+    ctx = FieldCtx(*ROUTES[route])
+    for value in (-1, 0, 1, 2, ctx.order - 1, ctx.order, ctx.order + 5, True, False,
+                  1.0, 2.0, 2.5):
+        try:
+            ctx._code(value)
+            code_refuses = False
+        except ValueError:
+            code_refuses = True
+        try:
+            ctx.inv(value)
+            inv_refuses = False
+        except ValueError:
+            inv_refuses = True
+        except ZeroDivisionError:
+            assert value == 0
+            inv_refuses = False
+        assert inv_refuses == code_refuses, value
 
 
 def test_basis_spec_validation(gf16, gf4):
