@@ -43,8 +43,7 @@ def _ctx(p: int, s: int, m: int) -> FieldCtx:
 
 @lru_cache(maxsize=None)
 def _code(p: int, s: int, m: int, gcodes: tuple, k: int) -> GabidulinCode:
-    ctx = _ctx(p, s, m)
-    return GabidulinCode(ctx, [ctx.element(c) for c in gcodes], k)
+    return GabidulinCode(_ctx(p, s, m), gcodes, k)
 
 
 def _code24() -> GabidulinCode:

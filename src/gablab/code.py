@@ -69,7 +69,7 @@ class Word:
 
     def __init__(self, ctx: FieldCtx, entries):
         self.ctx = ctx
-        self.codes = tuple(ctx.element(e).code for e in entries)
+        self.codes = tuple(ctx._code(e) for e in entries)
         if not self.codes:
             raise ValueError("a word needs at least one entry")
 
@@ -365,7 +365,7 @@ def parse_code_spec(text: str) -> GabidulinCode:
     ctx = FieldCtx(p, s, m, modulus)
     if len(gcodes) != n:
         raise ValueError(f"code spec declares n={n} but lists {len(gcodes)} points")
-    return GabidulinCode(ctx, [ctx.element(c) for c in gcodes], k)
+    return GabidulinCode(ctx, gcodes, k)
 
 
 def load_code_spec(path) -> GabidulinCode:

@@ -58,13 +58,13 @@ interpolation solved an n x n system.
 Only the right side f(u_j) depends on the word, so each code keeps a plan
 for the search, filled as the search first reaches each level: per
 (level t, metric) every candidate in canonical order with its witness, its
-coefficient rows over the points and its Moore rows, per metric the first
-k-dimensional witness, and, for both metrics, the rows of L.  A level is
-listed whole from ``_candidates`` before it is published, so a level in
-the plan is always complete; a word then builds one right side and runs
-one elimination (on a copy) per candidate it walks.  A level of more than ``_PLAN_LIMIT``
-candidates is not kept: it streams from ``_candidates`` on every walk.
-The subspace cap is checked on every walk, kept level or not.
+coefficient rows over the points and its Moore rows, and, for both
+metrics, the rows of L.  A level is listed whole from ``_candidates``
+before it is published, so a level in the plan is always complete; a word
+then builds one right side and runs one elimination (on a copy) per
+candidate it walks.  A level of more than ``_PLAN_LIMIT`` candidates
+streams from ``_candidates`` on every walk.  The subspace cap is read once
+per search, before any level, and checked against every level walked.
 
 Class scans run no search per class; an annihilator sieve classifies
 every unit (a monic class, one per scalar orbit of nonzero classes) in
@@ -174,15 +174,13 @@ def _candidates(code: GabidulinCode, t: int, metric: str, cap: int | None):
 
 
 def _first_k_witness(code: GabidulinCode, metric: str):
-    """The first k-dimensional candidate's witness.  Level k accepts every
-    candidate, so this one witnesses a word that no higher level accepts;
-    drawing one candidate applies no cap.  The code's plan keeps it."""
-    wit = code._plan.get(("first_k", metric))
-    if wit is None:
-        wit = (next(subspace_bases(code.span, code.k)) if metric == "rank"
-               else tuple(range(code.k)))
-        wit = code._plan.setdefault(("first_k", metric), wit)
-    return wit
+    """The first k-dimensional candidate's witness, for a word that no
+    higher level accepts (level k accepts every candidate).  In canonical
+    order it has pivots 0..k-1 and every free cell 0: the span of the
+    first k points (Hamming: their indices).  No cap applies."""
+    if metric == "rank":
+        return SubspaceBasis._unchecked(code.ctx, code.span.codes[:code.k])
+    return tuple(range(code.k))
 
 
 def _plan_level(code: GabidulinCode, t: int, metric: str, cap: int | None):
@@ -220,7 +218,8 @@ def equality_witness(code: GabidulinCode, f: LinPoly, metric: str):
     if d is NEG_INF or not code.k <= d < code.n:
         raise ValueError(f"representative q-degree must lie in {code.k}..{code.n - 1}")
     ctx, k = code.ctx, code.k
-    top = f.monic()[0].codes[k:]
+    inv = ctx.inv(f.codes[-1])
+    top = tuple(ctx.mul(inv, c) for c in f.codes[k:])
     for wit, gens, _ in _candidates(code, d, metric, DEFAULT_SUBSPACE_CAP):
         if _annihilator_codes(ctx, gens)[k:] == top:
             return wit
@@ -251,9 +250,12 @@ def _ascend(code: GabidulinCode, fvals, d: int | float, metric: str,
     t = k+1 up to d and stop at the first level with no accepting
     candidate.  t* is the last level that accepted and its witness is that
     level's first accepting candidate; when level k+1 rejects, the first
-    k-dimensional candidate witnesses, since level k accepts them all.
+    k-dimensional candidate witnesses, since level k accepts them all.  A
+    non-int cap (None: no cap) is refused first.
     """
     n, k = code.n, code.k
+    if subspace_cap is not None:
+        _check_int_cap(subspace_cap, "subspace")
     if d < k:
         return ClassifyResult(distance=0, bound=0, is_deep_hole=(n == k), witness=None)
     t, wit = k, None
@@ -335,8 +337,7 @@ def ratio_lemma_check(code: GabidulinCode, f: LinPoly, metric: str):
     if k + 1 >= code.n:
         raise ValueError("degree k+1 must stay below the word length")
     ctx = code.ctx
-    f = f.monic()[0]
-    a1 = ctx.neg(f.codes[k] if k < len(f.codes) else 0)
+    a1 = ctx.neg(ctx.div(f.codes[k], f.codes[-1]))
     for wit, gens, _ in _candidates(code, k + 1, metric, DEFAULT_SUBSPACE_CAP):
         if ctx.div(_moore_det(ctx, gens, k), _moore_det(ctx, gens)) == a1:
             return wit
@@ -580,7 +581,7 @@ def family_check(code: GabidulinCode, kind: str, *, a=None, b=None, c=None,
             raise ValueError("k_eq_n_minus_2 family needs k == n - 2")
         if a is None:
             raise ValueError("k_eq_n_minus_2 family needs the coefficient a")
-        ac = ctx.element(a).code
+        ac = ctx._code(a)
         lw = coerce_low(n - 3)
         f = (LinPoly.monomial(ctx, n - 1)
              - LinPoly.monomial(ctx, n - 2, ac) + lw)
@@ -594,7 +595,7 @@ def family_check(code: GabidulinCode, kind: str, *, a=None, b=None, c=None,
             raise ValueError("k1_odd_m family needs odd m")
         if not 3 <= n <= ctx.m:
             raise ValueError("k1_odd_m family needs 3 <= n <= m")
-        cc = ctx.element(c).code if c is not None else 0
+        cc = ctx._code(c) if c is not None else 0
         f = LinPoly(ctx, (cc, 0, 1))
         predicted = PREDICT_DEEP
         params = {"c": cc}
@@ -605,8 +606,8 @@ def family_check(code: GabidulinCode, kind: str, *, a=None, b=None, c=None,
             raise ValueError("binary_quartic family needs k == 1")
         if not 3 <= n <= ctx.m:
             raise ValueError("binary_quartic family needs 3 <= n <= m")
-        bc = ctx.element(b).code if b is not None else 0
-        cc = ctx.element(c).code if c is not None else 0
+        bc = ctx._code(b) if b is not None else 0
+        cc = ctx._code(c) if c is not None else 0
         f = LinPoly(ctx, (cc, bc, 1))
         if metric == "rank":
             span_codes = sorted(code.span.element_codes())
@@ -650,21 +651,20 @@ class QuadricCensus:
 def quadric_v(ctx: FieldCtx, b) -> int:
     """The stepped indicator used in point-count formulas: order-1 at zero,
     -1 elsewhere."""
-    b = ctx.element(b)
-    return ctx.order - 1 if b.code == 0 else -1
+    return ctx.order - 1 if ctx._code(b) == 0 else -1
 
 
 def quadric_census(ctx: FieldCtx, b, materialize: bool = False) -> QuadricCensus:
     """Exhaustive census of x1^2 + x1x2 + x2^2 = b over nonzero pairs."""
     if ctx.p != 2 or ctx.s != 1:
         raise ValueError("the quadric census is defined over fields of order 2^m")
-    b = ctx.element(b)
+    bc = ctx._code(b)
     sols = [] if materialize else None
     count = 0
     for c1 in range(1, ctx.order):
         for c2 in range(1, ctx.order):
-            if _pair_quadric_value(ctx, c1, c2) == b.code:
+            if _pair_quadric_value(ctx, c1, c2) == bc:
                 count += 1
                 if materialize and c1 != c2:
                     sols.append((FieldElement(ctx, c1), FieldElement(ctx, c2)))
-    return QuadricCensus(b=b, count=count, solutions=sols)
+    return QuadricCensus(b=FieldElement(ctx, bc), count=count, solutions=sols)

@@ -8,16 +8,15 @@ identified by its canonical integer code ``sum(coeffs[i] * p**i)`` where
 polynomial.  Codes biject onto ``range(p**(s*m))`` and are the wire format
 of every file and CLI interface in this package.
 
-One rule reads an element operand at the API edge, ``FieldCtx._code``: an
-element of the same context gives its code, and an int in 0..order-1 that
-is not a bool is a code.  Anything else raises ValueError ("code v out of
+One rule, ``FieldCtx._code``, reads every element operand, once: an
+element of the same context gives its code, an int in 0..order-1 that is
+not a bool is a code, and anything else raises ValueError ("code v out of
 range for ...", "v is not a code of ..." or "mixed field contexts";
-contexts are told apart by identity, never by parameters).
-``FieldCtx.element``, which also takes a coefficient sequence, the six
-binary ``FieldElement`` operators, built from one template
-(``_operator``), and ``LinPoly`` coefficients all read through it.
-``FieldCtx.inv`` checks its argument inline, on the hot path, and refuses
-the same ints, bools and floats.
+contexts are told apart by identity).  Every reader in every module keeps
+the code and builds no FieldElement; only ``FieldCtx.element`` also reads
+a coefficient sequence.  ``_element_codes`` reads a sequence of elements
+(a basis, a matrix, Moore columns), and ``FieldCtx.inv`` checks its
+argument inline, on the hot path, refusing the same ints, bools and floats.
 
 The modulus is checked, and the default one found, by Rabin's
 irreducibility test run in F_p[x]/(modulus) itself with the field's own
@@ -857,18 +856,18 @@ class FieldCtx:
 
     def span_dim(self, elems) -> int:
         """Dimension over F_q of the span of the given elements."""
-        return len(self._greedy_codes([self.element(e).code for e in elems]))
+        return len(self._greedy_codes([self._code(e) for e in elems]))
 
     def coords(self, u: "FieldElement", basis: "BasisSpec") -> list["FieldElement"]:
         """Coordinates of u over F_q in the given full basis (exact)."""
-        u = self.element(u)
+        u = self._code(u)
         if not isinstance(basis, BasisSpec):
             basis = BasisSpec(basis)
         if basis.ctx is not self:
             raise ValueError("basis belongs to a different field context")
         lifts = self._subfield_pbasis()
         rows = self._digit_matrix([self.mul(e, beta.code) for beta in basis.elems for e in lifts])
-        sol = _solve(_prime_field(self.p), rows, self._digits(u.code))
+        sol = _solve(_prime_field(self.p), rows, self._digits(u))
         if sol is None:
             raise AssertionError("full basis failed to span the field")
         s = self.s
@@ -897,7 +896,7 @@ class FieldElement:
 
     The other operand of ``+ - * /`` is read by ``FieldCtx._code``: a plain
     int is a code of the same field, and a bool is refused.  Comparison
-    with an int compares codes.
+    with an int compares codes; a bool equals no element.
     """
 
     __slots__ = ("ctx", "code")
@@ -942,7 +941,7 @@ class FieldElement:
     def __eq__(self, other):
         if isinstance(other, FieldElement):
             return other.ctx is self.ctx and other.code == self.code
-        if isinstance(other, int):
+        if isinstance(other, int) and not isinstance(other, bool):
             return self.code == other
         return NotImplemented
 
@@ -956,6 +955,17 @@ class FieldElement:
         return str(self.code)
 
 
+def _element_codes(elems, what: str) -> tuple[FieldCtx, list[int]]:
+    """(context, codes) of a nonempty sequence of FieldElements of one
+    context; ``what`` names the entries in a refusal."""
+    if not all(isinstance(e, FieldElement) for e in elems):
+        raise ValueError(f"{what} must be field elements")
+    ctx = elems[0].ctx
+    if any(e.ctx is not ctx for e in elems):
+        raise ValueError(f"{what} from mixed field contexts")
+    return ctx, [e.code for e in elems]
+
+
 class BasisSpec:
     """A full basis of the top field over F_q (exactly m independent elements)."""
 
@@ -965,14 +975,10 @@ class BasisSpec:
         elems = tuple(elems)
         if not elems:
             raise ValueError("a basis needs at least one element")
-        if not all(isinstance(e, FieldElement) for e in elems):
-            raise ValueError("basis entries must be field elements")
-        ctx = elems[0].ctx
-        if any(e.ctx is not ctx for e in elems):
-            raise ValueError("basis entries from mixed field contexts")
+        ctx, codes = _element_codes(elems, "basis entries")
         if len(elems) != ctx.m:
             raise ValueError(f"a full basis over F_q has {ctx.m} elements, got {len(elems)}")
-        if ctx.span_dim(elems) != ctx.m:
+        if len(ctx._greedy_codes(codes)) != ctx.m:
             raise ValueError("basis elements are linearly dependent over F_q")
         self.ctx = ctx
         self.elems = elems

@@ -11,20 +11,21 @@ addition, but does not commute; evaluation is F_q-linear in the argument.
 Right division ``f = h o g + r`` with ``deg_q r < deg_q g`` re-verifies its
 reconstruction identity internally before returning.
 
-The wrappers are the API edge.  A ``LinPoly`` coefficient is read by the
-field's one operand rule (``FieldCtx._code``: an element of the context or
-an in-range int code, never a bool), so a bad one raises the field's own
-message; evaluation and scaling take whatever ``FieldCtx.element`` takes.
-``SubspaceBasis`` stores its generators as codes and an index read wraps
-only the one it returns.  Below the edge each job has one kernel on codes,
-shared by every module: ``_eval_codes`` evaluates (``__call__``,
-annihilators, root spaces, code and deephole words), ``_annihilator_codes``
-annihilates a list of generators and ``_moore_det`` takes Moore minors.
+The wrappers are the API edge.  Each element operand (coefficient,
+argument, scalar, generator, interpolation value) is read once by
+``FieldCtx._code``, never through a FieldElement, so a bad one raises the
+field's own message; interpolation data has one reader,
+``_interpolation_data``.  ``SubspaceBasis`` stores its generators as codes
+and an index read wraps only the one it returns.  Below the edge each job
+has one kernel on codes, shared by every module: ``_eval_codes``
+evaluates (``__call__``, annihilators, root spaces, code and deephole
+words), ``_annihilator_codes`` annihilates a list of generators and
+``_moore_det`` takes Moore minors.
 """
 
 from __future__ import annotations
 
-from .field import FieldCtx, FieldElement, _det, _eliminate, _solve, _span_flat
+from .field import FieldCtx, FieldElement, _det, _element_codes, _eliminate, _solve, _span_flat
 
 NEG_INF = float("-inf")
 
@@ -73,7 +74,7 @@ class LinPoly:
 
     def __call__(self, u) -> FieldElement:
         ctx = self.ctx
-        return FieldElement(ctx, _eval_codes(ctx, self.codes, ctx.element(u).code))
+        return FieldElement(ctx, _eval_codes(ctx, self.codes, ctx._code(u)))
 
     def _binop(self, other, op):
         if not isinstance(other, LinPoly):
@@ -100,7 +101,7 @@ class LinPoly:
         """Scale every coefficient; composition is spelled .compose()."""
         if isinstance(scalar, LinPoly):
             raise TypeError("use .compose() for the skew product, * is scalar scaling")
-        lam = self.ctx.element(scalar).code
+        lam = self.ctx._code(scalar)
         return LinPoly(self.ctx, [self.ctx.mul(lam, c) for c in self.codes])
 
     __rmul__ = __mul__
@@ -181,7 +182,7 @@ class SubspaceBasis:
     __slots__ = ("ctx", "codes", "_rows")
 
     def __init__(self, ctx: FieldCtx, gens=()):
-        codes = tuple(ctx.element(g).code for g in gens)
+        codes = tuple(ctx._code(g) for g in gens)
         if len(ctx._greedy_codes(codes)) != len(codes):
             raise ValueError("dependent generators cannot form a subspace basis")
         self.ctx = ctx
@@ -215,7 +216,7 @@ class SubspaceBasis:
         return frozenset(_span_flat(ctx, [[ctx.mul(e, g)] for g in self.codes for e in lifts], 1))
 
     def contains(self, u) -> bool:
-        u = self.ctx.element(u).code
+        u = self.ctx._code(u)
         return u == 0 or len(self.ctx._greedy_codes(self.codes + (u,))) == self.dim
 
     def same_span(self, other: "SubspaceBasis") -> bool:
@@ -280,13 +281,10 @@ def matrix_rank(rows) -> int:
         raise ValueError("matrix rows must not be empty")
     if len({len(r) for r in rows}) != 1:
         raise ValueError("matrix rows must have equal lengths")
-    if not all(isinstance(e, FieldElement) for r in rows for e in r):
-        raise ValueError("matrix entries must be field elements")
-    ctx = rows[0][0].ctx
-    if any(e.ctx is not ctx for r in rows for e in r):
-        raise ValueError("matrix entries from mixed field contexts")
-    codes = [[e.code for e in r] for r in rows]
-    return len(_eliminate(ctx, codes, len(codes[0]))[1])
+    ncols = len(rows[0])
+    ctx, flat = _element_codes([e for r in rows for e in r], "matrix entries")
+    codes = [flat[i:i + ncols] for i in range(0, len(flat), ncols)]
+    return len(_eliminate(ctx, codes, ncols)[1])
 
 
 def _moore_det(ctx: FieldCtx, codes, deleted_row: int | None = None) -> int:
@@ -307,17 +305,13 @@ def moore_det(elems, deleted_row=None) -> FieldElement:
     elems = tuple(elems)
     if not elems:
         raise ValueError("a Moore matrix needs at least one column")
-    if not all(isinstance(e, FieldElement) for e in elems):
-        raise ValueError("Moore matrix entries must be field elements")
-    ctx = elems[0].ctx
-    if any(e.ctx is not ctx for e in elems):
-        raise ValueError("Moore matrix entries from mixed field contexts")
+    ctx, codes = _element_codes(elems, "Moore matrix entries")
     n = len(elems)
     if deleted_row is not None and (type(deleted_row) is not int
                                     or not 0 <= deleted_row <= n):
         raise ValueError(f"deleted row exponent must be an integer in 0..{n}, "
                          f"got {deleted_row!r}")
-    return FieldElement(ctx, _moore_det(ctx, [e.code for e in elems], deleted_row))
+    return FieldElement(ctx, _moore_det(ctx, codes, deleted_row))
 
 
 def _annihilator_codes(ctx: FieldCtx, codes) -> tuple[int, ...]:
@@ -360,40 +354,40 @@ def root_space(f: LinPoly) -> SubspaceBasis:
     return SubspaceBasis._unchecked(ctx, kept)
 
 
+def _interpolation_data(points: SubspaceBasis, values) -> tuple[FieldCtx, tuple, list[int]]:
+    """(context, point codes, value codes) of interpolation data: the points
+    a SubspaceBasis of dimension n >= 1, the values n element operands."""
+    if not isinstance(points, SubspaceBasis):
+        raise TypeError("interpolation points must form a SubspaceBasis")
+    ctx = points.ctx
+    values = [ctx._code(v) for v in values]
+    if len(values) != points.dim:
+        raise ValueError("point/value count mismatch")
+    if not values:
+        raise ValueError("interpolation needs at least one point")
+    return ctx, points.codes, values
+
+
 def q_lagrange(points: SubspaceBasis, values) -> LinPoly:
     """The unique linearized polynomial of q-degree < n hitting the data.
 
     points must be independent (a SubspaceBasis of size n); values is the
     element sequence the polynomial must take on them.
     """
-    if not isinstance(points, SubspaceBasis):
-        raise TypeError("interpolation points must form a SubspaceBasis")
-    ctx = points.ctx
-    values = [ctx.element(v).code for v in values]
-    n = points.dim
-    if len(values) != n:
-        raise ValueError("point/value count mismatch")
-    if n == 0:
-        raise ValueError("interpolation needs at least one point")
-    return LinPoly(ctx, _solve(ctx, _moore_rows(ctx, points.codes, n), values))
+    ctx, codes, values = _interpolation_data(points, values)
+    return LinPoly(ctx, _solve(ctx, _moore_rows(ctx, codes, len(codes)), values))
 
 
 def q_lagrange_by_minors(points: SubspaceBasis, values) -> LinPoly:
     """Interpolation through an alternating sum of Moore-minor determinants.
 
     Independent cross-check route for the solver path; quadratic-cost, meant
-    for small n only.
+    for small n only.  The points are a SubspaceBasis, so the Moore
+    determinant below is nonzero.
     """
-    ctx = points.ctx
-    values = [ctx.element(v).code for v in values]
-    n = points.dim
-    if len(values) != n:
-        raise ValueError("point/value count mismatch")
-    codes = points.codes
-    den = _moore_det(ctx, codes)
-    if den == 0:
-        raise ValueError("interpolation points are dependent")
-    inv_den = ctx.inv(den)
+    ctx, codes, values = _interpolation_data(points, values)
+    n = len(codes)
+    inv_den = ctx.inv(_moore_det(ctx, codes))
     total = LinPoly.zero(ctx)
     for i in range(n):
         others = codes[:i] + codes[i + 1:]

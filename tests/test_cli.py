@@ -274,6 +274,22 @@ def test_quadric_count_and_solutions(capsys, spec23):
         assert c1 != c2
 
 
+REACH = "p=2\ns=1\nm=5\nn=5\nk=1\ng=1,2,4,8,16\nmodulus=1,0,1,0,0,1\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("family", "k1_odd_m", "--c", "32"),
+    ("family", "binary_quartic", "--b", "32"),
+    ("quadric", "--b", "32"),
+], ids=["k1_odd_m-c", "binary_quartic-b", "quadric-b"])
+def test_out_of_range_parameter_code_exits_1(capsys, tmp_path, argv):
+    spec = tmp_path / "reach.txt"
+    spec.write_text(REACH)
+    status, out, err = run(capsys, *argv, "--spec", str(spec))
+    assert (status, out) == (1, "")
+    assert err == "error: code 32 out of range for FieldCtx(p=2, s=1, m=5)\n"
+
+
 # -- selftest ------------------------------------------------------------------------------
 
 

@@ -10,6 +10,7 @@ families.
 
 import hashlib
 import random
+import re
 
 import pytest
 
@@ -18,8 +19,8 @@ from gablab import (FieldCtx, FieldElement, GabidulinCode, LinPoly, annihilator,
                     classify_poly, covering_radius_scan,
                     dist_to_code_exhaustive, distance_by_search,
                     equality_witness, excluded_leading_set, family_check,
-                    minor_coeff, quadric_census, quadric_v, ratio_lemma_check,
-                    subspace_bases)
+                    minor_coeff, parse_code_spec, q_lagrange, q_lagrange_by_minors,
+                    quadric_census, quadric_v, ratio_lemma_check, subspace_bases)
 from gablab.deephole import _witness_codes
 from gablab.field import _INV_MEMO_LIMIT, _base_digits, gaussian_binomial
 
@@ -203,10 +204,10 @@ def test_search_evaluates_the_representative_at_most_n_times(monkeypatch):
 
 
 def test_deep_word_search_walks_level_k_plus_1_only(monkeypatch):
-    # A deep hole is settled by one rejected level k+1 plus the first
-    # k-dimensional candidate: [5,2]_2 + 1 = 156 candidates in rank and
-    # C(5,2) + 1 = 11 in Hamming.  Walking down from deg_q f = 4 would
-    # take 31 + 155 + 155 + 1 = 342 in rank.
+    # A deep hole is settled by one rejected level k+1, and the first
+    # k-dimensional witness is read off the code: [5,2]_2 = 155
+    # candidates in rank and C(5,2) = 10 in Hamming.  Walking down from
+    # deg_q f = 4 would take 31 + 155 + 155 + 1 = 342 in rank.
     code, words = _bigfield_words()
     walked = []
     real = deephole._candidates
@@ -217,7 +218,7 @@ def test_deep_word_search_walks_level_k_plus_1_only(monkeypatch):
             yield cand
 
     monkeypatch.setattr(deephole, "_candidates", counting)
-    for metric, most in (("rank", 156), ("hamming", 11)):
+    for metric, most in (("rank", 155), ("hamming", 10)):
         walked.clear()
         res = distance_by_search(code, words[0], metric)
         assert res.is_deep_hole
@@ -242,6 +243,43 @@ def test_search_builds_few_field_elements(monkeypatch):
     res = distance_by_search(code, w, "rank")
     assert res.witness.dim == code.n - res.distance
     assert len(built) <= 30
+
+
+def test_paths_below_the_api_edge_build_no_field_element(monkeypatch):
+    # Int operands are read by FieldCtx._code and kept as codes: parsing a
+    # spec, evaluating, making a word, both interpolation routes, both
+    # witness routes (which normalise f on codes) and a family check on a
+    # parsed spec build no FieldElement at all.
+    built = []
+    real = FieldElement.__init__
+
+    def counting(self, ctx, code):
+        built.append(code)
+        real(self, ctx, code)
+
+    monkeypatch.setattr(FieldElement, "__init__", counting)
+    counts = {}
+
+    def run(label, fn, *args, **kwargs):
+        built.clear()
+        out = fn(*args, **kwargs)
+        counts[label] = len(built)
+        return out
+
+    code = run("parse_code_spec", parse_code_spec,
+               "p=2\ns=1\nm=5\nn=5\nk=1\ng=1,2,4,8,16\nmodulus=1,0,1,0,0,1\n")
+    f = LinPoly(code.ctx, (3, 7, 5))  # q-degree k + 1, lead 5
+    w = run("evaluate", code.evaluate, f)
+    assert run("word", code.word, list(w.codes)) == w
+    assert run("q_lagrange", q_lagrange, code.span, w.codes) == f
+    assert run("q_lagrange_by_minors", q_lagrange_by_minors, code.span, w.codes) == f
+    for metric in ("rank", "hamming"):
+        run(f"equality_witness {metric}", equality_witness, code, f, metric)
+        run(f"ratio_lemma_check {metric}", ratio_lemma_check, code, f, metric)
+        assert run(f"family_check {metric}", family_check, code, "k1_odd_m", c=3,
+                   metric=metric).agree
+    assert counts == dict.fromkeys(counts, 0)
+    assert len(counts) == 11
 
 
 def _direct_route_words(which):
@@ -382,6 +420,19 @@ def test_subspace_cap_is_checked_alike_in_both_metrics(code24, metric, what):
         assert _answer(distance_by_search(code, w, metric, subspace_cap=count)) == expected
 
 
+@pytest.mark.parametrize("metric", ["rank", "hamming"])
+@pytest.mark.parametrize("bad", ["x", True, 1.5])
+def test_subspace_cap_is_read_before_any_level(code24, metric, bad):
+    # A codeword and a class of q-degree k walk no level, yet a cap that
+    # is not an integer is refused for them too, by both entry points.
+    msg = f"^{re.escape(f'subspace cap must be an integer, got {bad!r}')}$"
+    for f in (LinPoly(code24.ctx, (3, 5)), LinPoly.monomial(code24.ctx, code24.k, 7)):
+        with pytest.raises(ValueError, match=msg):
+            classify_poly(code24, f, metric, subspace_cap=bad)
+        with pytest.raises(ValueError, match=msg):
+            distance_by_search(code24, code24.evaluate(f), metric, subspace_cap=bad)
+
+
 # -- equality witnesses ---------------------------------------------------------------
 
 
@@ -454,6 +505,24 @@ def test_ratio_route_equals_annihilator_route_everywhere(gf16):
                     assert w1.same_span(w2)
                 else:
                     assert w1 == w2
+
+
+@pytest.mark.parametrize("metric", ["rank", "hamming"])
+def test_witness_routes_are_invariant_under_scaling(gf27, metric):
+    # Both routes normalise f on codes, one inverse of its lead and then
+    # products: f and lam*f give the same witness for every lam != 0.
+    code = GabidulinCode(gf27, (1, 3, 9), 1)
+    witnessed = 0
+    for a1 in range(gf27.order):
+        for a0 in (0, 4):
+            f = LinPoly(gf27, (a0, a1, 1))
+            want = [_witness_codes(route(code, f, metric))
+                    for route in (equality_witness, ratio_lemma_check)]
+            witnessed += want[0] is not None
+            for lam in range(1, gf27.order):
+                assert [_witness_codes(route(code, f * lam, metric))
+                        for route in (equality_witness, ratio_lemma_check)] == want
+    assert 0 < witnessed < 2 * gf27.order
 
 
 def test_ratio_lemma_check_degree_guards(code24, gf8):

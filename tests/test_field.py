@@ -11,10 +11,11 @@ import operator
 import random
 import sys
 import threading
+from functools import reduce
 
 import pytest
 
-from gablab import BasisSpec, FieldCtx, LinPoly, SubspaceBasis, Word
+from gablab import BasisSpec, FieldCtx, LinPoly, SubspaceBasis, Word, q_lagrange, quadric_v
 from gablab.field import (_base_digits, _det, _eliminate, _from_base_digits, _nullspace,
                           _prime_field, _solve)
 
@@ -466,32 +467,46 @@ def test_element_operators_match_the_code_ops(route):
 
 
 # The operand battery: in-range codes, an element, bools, out-of-range
-# ints, a float and an element of another context with equal parameters.
+# ints, a float, an element of another context with equal parameters and
+# a coefficient sequence.
 OPERANDS = ("1", "order-1", "element", "True", "False", "-1", "order", "1.0",
-            "other-context")
+            "other-context", "(1, 1)")
 
 
 def _operand(ctx, other, name):
     return {"1": 1, "order-1": ctx.order - 1, "element": ctx.element(ctx.order - 1),
             "True": True, "False": False, "-1": -1, "order": ctx.order, "1.0": 1.0,
-            "other-context": other.element(1)}[name]
+            "other-context": other.element(1), "(1, 1)": (1, 1)}[name]
 
 
 @pytest.mark.parametrize("name", OPERANDS)
 @pytest.mark.parametrize("route", ROUTES)
 def test_element_readers_accept_and_refuse_the_same_operands(route, name):
-    # ctx.element, both operand orders of the four operators, a LinPoly
-    # coefficient, a Word entry and a SubspaceBasis generator read one
-    # operand alike: the same code, or a ValueError with one text (a float
-    # escapes the operators as TypeError, and ctx.element reads a
-    # non-integer as a coefficient sequence, with a text of its own).
+    # Every reader of an element operand reads it alike: the same code (a
+    # reader that returns no code gives what that code gives), or a
+    # ValueError with one text.  A float or a sequence escapes the
+    # operators as TypeError, and ctx.element, the one reader of a
+    # coefficient sequence, gives a non-integer a text of its own.
     ctx, other = FieldCtx(*ROUTES[route]), FieldCtx(*ROUTES[route])
     value, y = _operand(ctx, other, name), ctx.element(2)
+    full = ctx._greedy_codes([ctx.p ** j for j in range(ctx.sm)])  # a basis over F_q
+    basis = BasisSpec([ctx.element(c) for c in full])
+
+    def from_coords(v):
+        return reduce(ctx.add, map(ctx.mul, map(int, ctx.coords(v, basis)), full))
+
     readers = {
         "element": lambda v: ctx.element(v).code,
         "LinPoly": lambda v: LinPoly(ctx, [v]).codes[0],
         "Word": lambda v: Word(ctx, [v]).codes[0],
         "SubspaceBasis": lambda v: SubspaceBasis(ctx, [v]).codes[0],
+        "LinPoly.__call__": lambda v: LinPoly.x(ctx)(v).code,
+        "LinPoly.__mul__": lambda v: (LinPoly.x(ctx) * v).codes[0],
+        "contains": lambda v: SubspaceBasis(ctx, full).contains(v),
+        "q_lagrange": lambda v: q_lagrange(SubspaceBasis(ctx, [1]), [v]).codes[0],
+        "span_dim": lambda v: ctx.span_dim([v]),
+        "coords": from_coords,
+        "quadric_v": lambda v: quadric_v(ctx, v),
     }
     for op in BINARY_OPS:
         readers[f"y {op.__name__} v"] = lambda v, op=op: op(y, v).code
@@ -504,7 +519,9 @@ def test_element_readers_accept_and_refuse_the_same_operands(route, name):
             got[label] = (type(exc), str(exc))
     if name in ("1", "order-1", "element"):
         c = int(value)
-        want = dict.fromkeys(["element", "LinPoly", "Word", "SubspaceBasis"], c)
+        want = dict.fromkeys(["element", "LinPoly", "Word", "SubspaceBasis",
+                              "LinPoly.__call__", "LinPoly.__mul__", "q_lagrange", "coords"], c)
+        want.update({"contains": True, "span_dim": 1, "quadric_v": -1})
         for op, code_op in zip(BINARY_OPS, (ctx.add, ctx.sub, ctx.mul, ctx.div)):
             want[f"y {op.__name__} v"] = code_op(2, c)
             want[f"v {op.__name__} y"] = code_op(c, 2)
@@ -512,6 +529,13 @@ def test_element_readers_accept_and_refuse_the_same_operands(route, name):
     elif name == "1.0":
         assert {label: kind for label, (kind, _) in got.items()} == {
             label: TypeError if " " in label else ValueError for label in readers}
+    elif name == "(1, 1)":
+        assert got.pop("element") == 1 + ctx.p
+        for label, (kind, text) in got.items():
+            if " " in label:
+                assert kind is TypeError, label
+            else:
+                assert (kind, text) == (ValueError, f"(1, 1) is not a code of {ctx!r}"), label
     else:
         refusals = set(got.values())
         assert len(refusals) == 1
@@ -520,6 +544,18 @@ def test_element_readers_accept_and_refuse_the_same_operands(route, name):
         assert text == ("mixed field contexts" if name == "other-context"
                         else f"code {value} out of range for {ctx!r}" if name in ("-1", "order")
                         else f"{value!r} is not a code of {ctx!r}")
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_an_element_equals_no_bool(route):
+    # A bool is not a code: it is refused as an operand, and it equals no
+    # element, in either order.  The int codes 0 and 1 still compare equal.
+    ctx = FieldCtx(*ROUTES[route])
+    one, zero = ctx.element(1), ctx.element(0)
+    assert one == 1 and zero == 0 and 1 == one
+    assert not one == True and not True == one  # noqa: E712
+    assert not zero == False and not False == zero  # noqa: E712
+    assert one != True and zero != False  # noqa: E712
 
 
 @pytest.mark.parametrize("route", ROUTES)

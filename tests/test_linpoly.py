@@ -247,6 +247,24 @@ def test_q_lagrange_input_validation(gf16):
         q_lagrange(pts, (gf16.element(1),))  # value count mismatch
 
 
+@pytest.mark.parametrize("route", [q_lagrange, q_lagrange_by_minors], ids=["solve", "minors"])
+def test_both_interpolation_routes_refuse_bad_data_alike(gf16, route):
+    # One reader checks the points' type, reads each value by the field's
+    # operand rule and checks the count and n >= 1, for both routes.
+    pts = SubspaceBasis(gf16, (1, 2))
+    for points, values, kind, text in [
+        ([1, 2], (3, 4), TypeError, "interpolation points must form a SubspaceBasis"),
+        (pts, (3,), ValueError, "point/value count mismatch"),
+        (SubspaceBasis(gf16, ()), (), ValueError, "interpolation needs at least one point"),
+        (pts, (3, 16), ValueError, f"code 16 out of range for {gf16!r}"),
+        (pts, (3, True), ValueError, f"True is not a code of {gf16!r}"),
+        (pts, (3, (1, 1)), ValueError, f"(1, 1) is not a code of {gf16!r}"),
+    ]:
+        with pytest.raises(kind) as exc:
+            route(points, values)
+        assert str(exc.value) == text
+
+
 # -- Moore machinery -------------------------------------------------------------------
 
 

@@ -331,6 +331,22 @@ def test_plan_route_equals_the_streamed_route(case):
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
+@given(case=small_codes_and_words())
+def test_first_k_witness_is_the_first_enumerated_candidate(case):
+    # The first k-dimensional candidate in canonical order has pivots
+    # 0..k-1 and every free cell 0, so the witness is read off the code
+    # for every k, with nothing kept in the plan.
+    code, _ = case
+    for k in range(1, code.n + 1):
+        c = GabidulinCode(code.ctx, code.span.codes, k)
+        first = next(subspace_bases(c.span, k))
+        assert deephole._first_k_witness(c, "rank").codes == first.codes
+        first = next(deephole._candidates(c, k, "hamming", None))[0]
+        assert deephole._first_k_witness(c, "hamming") == first
+        assert c._plan == {}
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
 @given(case=small_codes_and_words(), seed=st.integers(0, 2 ** 32 - 1))
 def test_search_without_interpolation_equals_classify_poly(case, seed):
     # The search reads the q-degree from the functionals a_i(w) and never
