@@ -7,13 +7,15 @@ square-free Moore matrix of the points, the code is F_{q^m}-linear, and
 words of length n correspond one-to-one to polynomials of q-degree < n by
 interpolation (``sigma_inverse``).
 
-The distance functions here enumerate codewords outright and are the
-ground truth the fast search paths in :mod:`gablab.deephole` are tested
-against.  Enumeration order of messages is canonical: coefficient tuples
-ascend with the degree-0 coefficient varying fastest, and reported
-witnesses are the first minimizer in that order.  Codeword i is the
-evaluation of the message whose coefficient codes are the base-order
-digits of i, so a message is rebuilt from its index when it is needed.
+The oracle ``dist_to_code_exhaustive`` enumerates codewords outright and
+is the ground truth the fast search paths in :mod:`gablab.deephole` are
+tested against; ``min_distance`` walks no codeword of its own, but makes
+k - 1 oracle calls on one-step extensions of the code (see there).
+Enumeration order of messages is canonical: coefficient tuples ascend
+with the degree-0 coefficient varying fastest, and reported witnesses are
+the first minimizer in that order.  Codeword i is the evaluation of the
+message whose coefficient codes are the base-order digits of i, so a
+message is rebuilt from its index when it is needed.
 
 Codewords are F_p-linear in the base-p digits d_l of their index i (digit
 l = j*sm + t is digit t of coefficient j): codeword i is sum(d_l * B_l),
@@ -205,16 +207,10 @@ class GabidulinCode:
         ``_CODEWORD_CACHE_LIMIT`` codewords are listed on first use in one
         flat list of entry codes, n per codeword, and later passes are served
         from it; more are streamed (``_span_rows``) from a list of about
-        the square root of their number.  More than ``oracle_cap`` codewords are refused,
-        naming the remedy; with no cap given, more than the fixed
-        ``DEFAULT_ORACLE_CAP``, which the caller cannot raise.  A cap that is
-        not an int is refused."""
+        the square root of their number.  The count is held to
+        ``oracle_cap`` by ``_check_oracle_cap``."""
         count = self.message_count()
-        cap = DEFAULT_ORACLE_CAP if oracle_cap is None else oracle_cap
-        _check_int_cap(cap, "oracle")
-        if count > cap:
-            remedy = "" if oracle_cap is None else "; raise the cap to proceed"
-            raise ValueError(f"{count} codewords exceed the oracle cap {cap}{remedy}")
+        _check_oracle_cap(count, oracle_cap)
         if count > _CODEWORD_CACHE_LIMIT:
             return _span_rows(self.ctx, self._unit_codewords(), self.n)
         if self._cw_cache is None:
@@ -229,6 +225,17 @@ class GabidulinCode:
         moore = _moore_rows(ctx, self.span.codes, self.k)
         return [[ctx.mul(ctx.p ** t, row[i]) for row in moore]
                 for i in range(self.k) for t in range(ctx.sm)]
+
+
+def _check_oracle_cap(count: int, oracle_cap: int | None) -> None:
+    """Refuse a walk of more than ``oracle_cap`` codewords, naming the
+    remedy; with no cap given, of more than the fixed ``DEFAULT_ORACLE_CAP``,
+    which the caller cannot raise.  A cap that is not an int is refused."""
+    cap = DEFAULT_ORACLE_CAP if oracle_cap is None else oracle_cap
+    _check_int_cap(cap, "oracle")
+    if count > cap:
+        remedy = "" if oracle_cap is None else "; raise the cap to proceed"
+        raise ValueError(f"{count} codewords exceed the oracle cap {cap}{remedy}")
 
 
 def _span_rows(ctx: FieldCtx, units, n: int):
@@ -276,18 +283,22 @@ def dist_to_code_exhaustive(code: GabidulinCode, w: Word, metric: str,
 
 def min_distance(code: GabidulinCode, metric: str,
                  oracle_cap: int = DEFAULT_ORACLE_CAP) -> int:
-    """Exhaustive minimum weight over the nonzero codewords (every codeword
-    but the first, the zero message's).  Every one is visited; each weight
-    is taken only up to the best so far."""
+    """Minimum weight over the nonzero codewords, by one-step extensions.
+    For a linear code C and a word u not in C, d(C + <u>) = min(d(C),
+    d(u, C)), as a weight does not change under scaling.  On the same
+    points Gab_(j+1) = Gab_j + <u_j>, u_j the word of x^(q^j), and every
+    nonzero word of Gab_1 is a scalar times the point vector g, so
+    d(Gab_k) = min(wt(g), d(u_1, Gab_1), ..., d(u_(k-1), Gab_(k-1))):
+    k - 1 oracle calls, which walk Q + ... + Q^(k-1) codewords, not Q^k.
+    The cap is held to Q^k, the code's own count, before any call."""
     _check_metric(metric)
-    weigh = _weigher(code.ctx, metric)
-    best = None
-    for cw in itertools.islice(code._codeword_rows(oracle_cap), 1, None):
-        d = weigh(cw, best)
-        if best is None or d < best:
-            best = d
-            if best == 1:
-                break
+    _check_oracle_cap(code.message_count(), oracle_cap)
+    ctx, points = code.ctx, code.span.codes
+    best = _weigher(ctx, metric)(points)
+    for j in range(1, code.k):
+        u = code.word([ctx.frob(g, j) for g in points])
+        d, _ = dist_to_code_exhaustive(GabidulinCode(ctx, points, j), u, metric, oracle_cap)
+        best = min(best, d)
     return best
 
 

@@ -557,23 +557,21 @@ def family_check(code: GabidulinCode, kind: str, *, a=None, b=None, c=None,
     if extra:
         raise ValueError(f"{kind} family does not take {', '.join(extra)}")
     ctx, n, k = code.ctx, code.n, code.k
+    low = LinPoly.zero(ctx) if low is None else low
+    _check_poly(code, low)
     params: dict = {}
 
-    def coerce_low(max_deg: int) -> LinPoly:
-        lw = low if low is not None else LinPoly.zero(ctx)
-        if not isinstance(lw, LinPoly) or lw.ctx is not ctx:
-            raise ValueError("low part must be a LinPoly over the code's field context")
-        if lw.deg_q is not NEG_INF and lw.deg_q > max_deg:
+    def check_low(max_deg: int) -> None:
+        if low.deg_q > max_deg:
             raise ValueError(f"low part must have q-degree <= {max_deg}")
-        return lw
 
     if kind == "frobenius_shift":
         if n != ctx.m:
             raise ValueError("frobenius_shift family needs n == m")
-        lw = coerce_low(k - 1)
-        f = LinPoly.monomial(ctx, n - 1) + lw
+        check_low(k - 1)
+        f = LinPoly.monomial(ctx, n - 1) + low
         predicted = PREDICT_DEEP
-        params = {"low": list(lw.codes)}
+        params = {"low": list(low.codes)}
     elif kind == "k_eq_n_minus_2":
         if n != ctx.m:
             raise ValueError("k_eq_n_minus_2 family needs n == m")
@@ -582,12 +580,12 @@ def family_check(code: GabidulinCode, kind: str, *, a=None, b=None, c=None,
         if a is None:
             raise ValueError("k_eq_n_minus_2 family needs the coefficient a")
         ac = ctx._code(a)
-        lw = coerce_low(n - 3)
+        check_low(n - 3)
         f = (LinPoly.monomial(ctx, n - 1)
-             - LinPoly.monomial(ctx, n - 2, ac) + lw)
+             - LinPoly.monomial(ctx, n - 2, ac) + low)
         predicted = (PREDICT_DEEP if ac not in excluded_leading_set(code)
                      else PREDICT_OPEN)
-        params = {"a": ac, "low": list(lw.codes)}
+        params = {"a": ac, "low": list(low.codes)}
     elif kind == "k1_odd_m":
         if k != 1:
             raise ValueError("k1_odd_m family needs k == 1")

@@ -145,17 +145,6 @@ class LinPoly:
             raise ArithmeticError("right division failed its reconstruction check")
         return h, r
 
-    def monic(self) -> tuple["LinPoly", FieldElement]:
-        """(self / leading, leading); errors on the zero polynomial."""
-        if self.is_zero():
-            raise ValueError("the zero polynomial has no monic normalization")
-        lead = self.codes[-1]
-        if lead == 1:
-            return self, FieldElement(self.ctx, 1)
-        inv = self.ctx.inv(lead)
-        return LinPoly(self.ctx, [self.ctx.mul(inv, c) for c in self.codes]), \
-            FieldElement(self.ctx, lead)
-
     def __eq__(self, other):
         if not isinstance(other, LinPoly):
             return NotImplemented

@@ -211,14 +211,46 @@ def _reference_distance(code, w, metric, greedy_reference):
     return best, best_msg
 
 
+def _extension_min_weight(code, u, metric, greedy_reference):
+    """The minimum weight of C + <u>, walked directly: the full weight of
+    lam*u + c over every codeword c and every lam, (lam, c) != (0, 0)."""
+    ctx = code.ctx
+    return min(_full_weight(ctx, [ctx.add(ctx.mul(lam, a), b) for a, b in zip(u.codes, cw)],
+                            metric, greedy_reference)
+               for lam in range(ctx.order) for mc, cw in code.iter_codewords()
+               if lam or any(mc))
+
+
+# The identity d(u, C) = d(C + <u>) is walked for the first words u not in
+# C where that takes at most EXTENSION_BUDGET weights per word.
+EXTENSION_BUDGET = 8192
+EXTENSION_WORDS = 3
+
+
+# The first five: random points on small towers.  Then every k on one
+# tower per (p, s), p in {2, 3, 5} and s in {1, 2}; GF(25^2) stops at
+# k = 1, as k = 2 is 390,625 codewords, each weighed by the reference.
 @pytest.mark.parametrize("ctx_args,n,k", [
     ((3, 1, 2), 2, 1),   # GF(9)
     ((3, 1, 3), 3, 1),   # GF(27)
     ((3, 1, 3), 3, 2),
     ((2, 1, 4), 4, 2),   # GF(16)
     ((2, 2, 2), 2, 1),   # tower16, q = 4
+    ((2, 1, 3), 3, 1),   # GF(8)
+    ((2, 1, 3), 3, 2),
+    ((2, 1, 3), 3, 3),
+    ((2, 2, 2), 2, 2),
+    ((3, 1, 2), 2, 2),
+    ((3, 2, 2), 2, 1),   # GF(9^2), q = 9
+    ((3, 2, 2), 2, 2),
+    ((5, 1, 2), 2, 1),   # GF(25)
+    ((5, 1, 2), 2, 2),
+    ((5, 2, 2), 2, 1),   # GF(25^2), q = 25
 ])
 def test_bounded_oracles_match_full_weight_reference(ctx_args, n, k, greedy_reference):
+    # The oracle against the full weight of every codeword, and on words
+    # not in the code against the minimum weight of the one-step extension;
+    # min_distance, built on that identity, against its own direct walk.
     ctx = FieldCtx(*ctx_args)
     rng = random.Random(67)
     points = []
@@ -227,12 +259,18 @@ def test_bounded_oracles_match_full_weight_reference(ctx_args, n, k, greedy_refe
         if ctx.span_dim(points + [g]) == len(points) + 1:
             points.append(g)
     code = GabidulinCode(ctx, points, k)
+    walk_extension = ctx.order ** (k + 1) <= EXTENSION_BUDGET
     for metric in ("rank", "hamming"):
+        extended = 0
         for _ in range(12):
             w = code.word([rng.randrange(ctx.order) for _ in range(n)])
             d, msg = dist_to_code_exhaustive(code, w, metric)
             ref_d, ref_msg = _reference_distance(code, w, metric, greedy_reference)
             assert (d, msg.codes) == (ref_d, LinPoly(ctx, ref_msg).codes)
+            if d and walk_extension and extended < EXTENSION_WORDS:
+                assert d == _extension_min_weight(code, w, metric, greedy_reference)
+                extended += 1
+        assert extended == (EXTENSION_WORDS if walk_extension and k < n else 0)
         assert min_distance(code, metric) == min(
             _full_weight(ctx, cw, metric, greedy_reference)
             for mc, cw in code.iter_codewords() if any(mc))

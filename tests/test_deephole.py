@@ -115,11 +115,15 @@ POLY_ENTRY_POINTS = {
     "classify_poly": lambda code, f: classify_poly(code, f, "rank"),
     "equality_witness": lambda code, f: equality_witness(code, f, "rank"),
     "ratio_lemma_check": lambda code, f: ratio_lemma_check(code, f, "rank"),
+    "family_check": lambda code, f: family_check(code, "frobenius_shift", low=f),
 }
 
 
-@pytest.mark.parametrize("bad", ["tuple", "list", "None", "other-context"])
-@pytest.mark.parametrize("entry", POLY_ENTRY_POINTS)
+# family_check's low=None is the zero low part, not a bad value.
+@pytest.mark.parametrize("entry,bad", [
+    (entry, bad) for entry in POLY_ENTRY_POINTS
+    for bad in ("tuple", "list", "None", "other-context")
+    if (entry, bad) != ("family_check", "None")])
 def test_polynomial_entry_points_refuse_non_polynomials_alike(code24, entry, bad):
     # Each reads its argument by code._check_poly, before its degree check;
     # a tuple or a list of codes is not a LinPoly, and neither is a LinPoly

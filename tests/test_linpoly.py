@@ -174,16 +174,6 @@ def test_right_divmod_reconstruction_property(gf16, gf27):
             LinPoly.x(ctx).right_divmod(LinPoly.zero(ctx))
 
 
-def test_monic_normalization(gf27):
-    f = LinPoly(gf27, (5, 0, 2))
-    mon, lead = f.monic()
-    assert lead.code == 2
-    assert mon.coeff(2).code == 1
-    assert mon * lead == f
-    with pytest.raises(ValueError):
-        LinPoly.zero(gf27).monic()
-
-
 # -- annihilators against the ordinary-product oracle -------------------------------
 
 

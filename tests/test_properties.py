@@ -17,10 +17,12 @@ checked against the digit-list sieve it replaced for p = 2, entry for
 entry, and the code-level annihilator kernel against the roots it must
 have.  The F_p-span kernel that lists codewords, subfields, spans and
 sieve rows is checked against a sum of digit multiples, and the
-translation route it adds with against ``add``.
+translation route it adds with against ``add``.  The Hamming class
+histogram at k = 1 is checked against its closed form over set partitions.
 """
 
 import itertools
+import math
 import operator
 import random
 from functools import lru_cache
@@ -37,7 +39,8 @@ from gablab import (NEG_INF, FieldCtx, GabidulinCode, LinPoly, SubspaceBasis,  #
                     distance_by_search, subspace_bases)
 from gablab import deephole  # noqa: E402
 from gablab.code import _weigher  # noqa: E402
-from gablab.deephole import (DEFAULT_SUBSPACE_CAP, _accepting_cover,  # noqa: E402
+from gablab.deephole import (DEFAULT_CLASS_SCAN_CAP, DEFAULT_SUBSPACE_CAP,  # noqa: E402
+                             _accepting_cover,
                              _witness_codes)
 from gablab.field import (_SPAN_AUTOMATON_LIMIT, _TABLE_LIMIT,  # noqa: E402
                           _base_digits, _combine_rows, _span_flat, gaussian_binomial)
@@ -131,6 +134,52 @@ def test_raw_histogram_is_class_histogram_times_class_size(code):
             res = classify_poly(code, LinPoly(code.ctx, codes), metric)
             assert (dist, deep, wit) == (res.distance, res.is_deep_hole,
                                          _witness_codes(res.witness))
+
+
+def _set_partition_block_sizes(n: int) -> list[list[int]]:
+    """The block sizes of every set partition of n elements: each element
+    joins one of the blocks so far or opens a new one."""
+    parts = [[]]
+    for _ in range(n):
+        parts = ([p[:j] + [p[j] + 1] + p[j + 1:] for p in parts for j in range(len(p))]
+                 + [p + [1] for p in parts])
+    return parts
+
+
+def _hamming_k1_histogram(order: int, n: int) -> dict[int, int]:
+    """The Hamming class histogram of any [n, 1] code over F_Q, Q = order,
+    in closed form.  Over the code a*g, a word u is at distance n minus the
+    largest fibre of its ratio vector u_i/g_i, and u -> u/g is a bijection.
+    The maps [n] -> F_Q whose fibres form the set partition pi number
+    Q(Q-1)...(Q-|pi|+1); a class is Q words."""
+    hist: dict[int, int] = {}
+    for sizes in _set_partition_block_sizes(n):
+        d = n - max(sizes)
+        hist[d] = hist.get(d, 0) + math.perm(order, len(sizes))
+    return {d: c // order for d, c in sorted(hist.items())}
+
+
+# (p, s, m, n) for the closed form: n >= 2, fields of order at most 2**16
+# and at most DEFAULT_CLASS_SCAN_CAP classes, so the scan runs uncapped.
+CLOSED_FORM_SHAPES = [(p, s, m, n) for p in (2, 3, 5) for s in (1, 2) for m in range(2, 17)
+                      for n in range(2, m + 1)
+                      if p ** (s * m) <= 1 << 16
+                      and p ** (s * m * (n - 1)) <= DEFAULT_CLASS_SCAN_CAP]
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(shape=st.sampled_from(CLOSED_FORM_SHAPES), data=st.data())
+def test_hamming_k1_histogram_is_the_closed_form(shape, data):
+    p, s, m, n = shape
+    ctx = _ctx(p, s, m)
+    points = data.draw(st.lists(st.integers(1, ctx.order - 1), min_size=n, max_size=n))
+    assume(ctx.span_dim(points) == n)
+    scan = covering_radius_scan(GabidulinCode(ctx, points, 1), "hamming")
+    assert scan.histogram == _hamming_k1_histogram(ctx.order, n)
+    # A deep unit is a monic class at distance n - 1: an injective ratio
+    # vector, up to the scalars.
+    deep_units = sum(deep for block in scan.blocks for _, deep, _ in block)
+    assert deep_units == math.perm(ctx.order - 2, n - 2)
 
 
 # (p, s, m, n) for the search-vs-oracle property: p in {2, 3, 5}, n >= 2
