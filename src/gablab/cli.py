@@ -174,7 +174,7 @@ def _cmd_family(args) -> int:
 
 def _cmd_quadric(args) -> int:
     code = load_code_spec(args.spec)
-    census = quadric_census(code.ctx, args.b, materialize=args.solutions)
+    census = quadric_census(code.ctx, args.b, materialize=args.solutions, cap=args.cap)
     lines = [str(census.count)]
     if args.solutions:
         lines.extend(f"{c1.code},{c2.code}" for c1, c2 in census.solutions)
@@ -247,7 +247,8 @@ def _build_parser() -> argparse.ArgumentParser:
     fam.add_argument("--c", type=int, default=None, help="linear coefficient code")
     fam.add_argument("--low", default=None,
                      help="low-part coefficient codes, degree 0 first")
-    quad = add("quadric", _cmd_quadric, "census of x1^2+x1x2+x2^2 = b over the field")
+    quad = add("quadric", _cmd_quadric, "census of x1^2+x1x2+x2^2 = b over the field",
+               cap=DEFAULT_CLASS_SCAN_CAP)
     quad.add_argument("--b", type=int, required=True, help="right-hand side code")
     quad.add_argument("--solutions", action="store_true",
                       help="also list the distinct-coordinate pairs")

@@ -33,13 +33,16 @@ levels in turn.
 
 Rank weights walk the field's F_q-span automaton where it has one (see
 :mod:`gablab.field`), and reduce with the F_p echelon elsewhere.  The
-oracle weighs x - w, not w - x (a weight does not change under
-negation): each codeword x is translated by -w through
-``FieldCtx._translation``, chosen once per word.  That is one XOR per
+oracles shift the codeword stream itself: ``_codeword_rows`` yields x +
+shift, the cached list translated as it is read, or, when streamed, the
+shift carried in each block's offset, so no entry is translated twice.
+The distance oracle asks for the shift -w and weighs x - w, not w - x (a
+weight does not change under negation); the raw scan asks for the shift
+w and takes the coset w + C, the same set as w - C.  That is one XOR per
 entry for p = 2, and on the odd table route one lookup per entry in a
-table per position, so a codeword then costs a few list lookups and, with
-the automaton, no field operation: its walk stops once the weight reaches
-the best so far.
+table per position, all inside ``map``, so a codeword then costs its
+weight and, with the automaton, no field operation: its walk stops once
+the weight reaches the best so far.
 """
 
 from __future__ import annotations
@@ -199,23 +202,27 @@ class GabidulinCode:
         messages = (m[::-1] for m in itertools.product(range(self.ctx.order), repeat=self.k))
         return zip(messages, self._codeword_rows())
 
-    def _codeword_rows(self, oracle_cap: int | None = None):
-        """The codewords' entry tuples in canonical order: codeword i is the
+    def _codeword_rows(self, oracle_cap: int | None = None, shift=None):
+        """The codewords' entry tuples in canonical order, each plus the
+        vector ``shift`` of n codes when one is given: row i is the
         evaluation of the message whose digits are those of i in base order.
         They are built by linearity (``_span_flat``), one level per base-p
         digit of i, n additions per codeword.  Up to
         ``_CODEWORD_CACHE_LIMIT`` codewords are listed on first use in one
         flat list of entry codes, n per codeword, and later passes are served
-        from it; more are streamed (``_span_rows``) from a list of about
-        the square root of their number.  The count is held to
+        from it, translated by the shift as they are read; more are streamed
+        (``_stream_rows``) from a list of about the square root of their
+        number, the shift folded into each block's offset, so no entry is
+        translated twice.  Each translation runs inside ``map`` by the
+        route ``FieldCtx._translation`` picks.  The count is held to
         ``oracle_cap`` by ``_check_oracle_cap``."""
         count = self.message_count()
         _check_oracle_cap(count, oracle_cap)
         if count > _CODEWORD_CACHE_LIMIT:
-            return _span_rows(self.ctx, self._unit_codewords(), self.n)
+            return _stream_rows(self.ctx, self._unit_codewords(), self.n, shift)
         if self._cw_cache is None:
             self._cw_cache = _span_flat(self.ctx, self._unit_codewords(), self.n)
-        return zip(*[iter(self._cw_cache)] * self.n)
+        return _rows(self.ctx, self._cw_cache, self.n, shift)
 
     def _unit_codewords(self) -> list[list[int]]:
         """The codeword of each unit message, in the order of the base-p
@@ -238,42 +245,50 @@ def _check_oracle_cap(count: int, oracle_cap: int | None) -> None:
         raise ValueError(f"{count} codewords exceed the oracle cap {cap}{remedy}")
 
 
-def _span_rows(ctx: FieldCtx, units, n: int):
+def _rows(ctx: FieldCtx, flat: list[int], n: int, shift):
+    """The rows of ``flat``, n codes each, as tuples, each plus ``shift``
+    (None: as they are), drawn row by row."""
+    if shift is None:
+        return zip(*[iter(flat)] * n)
+    op, args = ctx._translation(shift, len(flat) // n)
+    return zip(*[map(op, itertools.cycle(args), flat)] * n)
+
+
+def _stream_rows(ctx: FieldCtx, units, n: int, shift):
     """The rows of ``_span_flat(ctx, units, n)`` as tuples, in the same
-    order: the flat list of the lower half of the levels (fewer when that
-    would pass ``_CODEWORD_CACHE_LIMIT`` rows, but at least one), translated
-    by each combination of the upper levels in turn, which are streamed the
-    same way.  So about the square root of the rows is held at once."""
+    order, each plus ``shift`` (None: as they are): the flat list of the
+    lower half of the levels (fewer when that would pass
+    ``_CODEWORD_CACHE_LIMIT`` rows, but at least one), translated by each
+    combination of the upper levels in turn, which are streamed the same
+    way with the shift added.  So about the square root of the rows is held
+    at once, and every row is translated once."""
     low = (len(units) + 1) // 2
     while low > 1 and ctx.p ** low > _CODEWORD_CACHE_LIMIT:
         low -= 1
     flat = _span_flat(ctx, units[:low], n)
     if low == len(units):
-        yield from zip(*[iter(flat)] * n)
+        yield from _rows(ctx, flat, n, shift)
         return
-    for offset in _span_rows(ctx, units[low:], n):
-        op, args = ctx._translation(offset, len(flat) // n)
-        yield from zip(*[map(op, itertools.cycle(args), flat)] * n)
+    for offset in _stream_rows(ctx, units[low:], n, shift):
+        yield from _rows(ctx, flat, n, offset)
 
 
 def dist_to_code_exhaustive(code: GabidulinCode, w: Word, metric: str,
                             oracle_cap: int = DEFAULT_ORACLE_CAP) -> tuple[int, LinPoly]:
     """Exact distance by enumerating every codeword, plus the first-closest
-    message polynomial in canonical order.  Every codeword is visited, but
-    its distance is taken only up to the best so far: the entry differences
-    are drawn lazily, and none past that bound is taken.  A difference is
-    taken as x - w_j, the codeword translated by -w (``FieldCtx._translation``,
-    picked once per word), which has the same weight as w - x.  The
-    message is rebuilt from the index of the first closest codeword."""
+    message polynomial in canonical order.  The codeword stream is shifted
+    by -w (``GabidulinCode._codeword_rows``), so each row is x - w, which
+    has the weight of w - x.  Every codeword is visited, but its weight is
+    taken only up to the best so far.  The message is rebuilt from the
+    index of the first closest codeword."""
     _check_metric(metric)
     _check_word(code, w)
     ctx = code.ctx
-    rows = code._codeword_rows(oracle_cap)
-    diff, args = ctx._translation([ctx.neg(a) for a in w.codes], code.message_count())
+    rows = code._codeword_rows(oracle_cap, [ctx.neg(a) for a in w.codes])
     weigh = _weigher(ctx, metric)
     best, best_idx = None, None
-    for idx, cw in enumerate(rows):
-        d = weigh(map(diff, args, cw), best)
+    for idx, diff in enumerate(rows):
+        d = weigh(diff, best)
         if best is None or d < best:
             best, best_idx = d, idx
             if d == 0:
@@ -307,27 +322,26 @@ def covering_radius_raw(code: GabidulinCode, metric: str) -> tuple[int, dict[int
 
     Independent of the class-based scan and of any polynomial theory: it
     walks all order**n words by index (entry 0 the lowest base-order
-    digit).  A word w's distance is the least weight in its coset w - C,
-    and every member of that coset has the same distance, so each unseen
-    word's coset is built with ``ctx.sub``, each member's weight is taken
-    once, and the minimum is credited to every member not yet seen.  That
-    is order**n weight computations in all, not order**n * |C|; every
-    member is visited, its weight taken only up to the coset's best so far.
+    digit).  A word w's distance is the least weight in its coset w + C
+    (the same set as w - C, C being linear), and every member of that coset
+    has the same distance, so each unseen word's coset is the codeword
+    stream shifted by w, each member's weight is taken once, and the
+    minimum is credited to every member not yet seen.  That is order**n
+    weight computations in all, not order**n * |C|; every member is
+    visited, its weight taken only up to the coset's best so far.
     """
     _check_metric(metric)
     ctx, n, order = code.ctx, code.n, code.ctx.order
     total = order ** n
     if total > DEFAULT_WORD_SCAN_CAP:
         raise ValueError(f"{total} words exceed the scan cap {DEFAULT_WORD_SCAN_CAP}")
-    cws = list(code._codeword_rows())
-    sub, weigh = ctx.sub, _weigher(ctx, metric)
+    weigh = _weigher(ctx, metric)
     seen = bytearray(total)
     hist: dict[int, int] = {}
     for idx in range(total):
         if seen[idx]:
             continue
-        wc = _base_digits(idx, order, n)
-        coset = [[sub(a, b) for a, b in zip(wc, cw)] for cw in cws]
+        coset = list(code._codeword_rows(shift=_base_digits(idx, order, n)))
         d = None
         for member in coset:
             d = weigh(member, d)

@@ -652,10 +652,16 @@ def quadric_v(ctx: FieldCtx, b) -> int:
     return ctx.order - 1 if ctx._code(b) == 0 else -1
 
 
-def quadric_census(ctx: FieldCtx, b, materialize: bool = False) -> QuadricCensus:
-    """Exhaustive census of x1^2 + x1x2 + x2^2 = b over nonzero pairs."""
+def quadric_census(ctx: FieldCtx, b, materialize: bool = False,
+                   cap: int = DEFAULT_CLASS_SCAN_CAP) -> QuadricCensus:
+    """Exhaustive census of x1^2 + x1x2 + x2^2 = b over nonzero pairs.
+    The (order - 1)**2 pairs are held to ``cap`` before the first is drawn."""
     if ctx.p != 2 or ctx.s != 1:
         raise ValueError("the quadric census is defined over fields of order 2^m")
+    _check_int_cap(cap, "quadric")
+    pairs = (ctx.order - 1) ** 2
+    if pairs > cap:
+        raise ValueError(f"{pairs} pairs exceed the quadric cap {cap}; raise the cap to proceed")
     bc = ctx._code(b)
     sols = [] if materialize else None
     count = 0

@@ -378,7 +378,7 @@ CAP_DEFAULTS = {
     "dist": DEFAULT_ORACLE_CAP, "search": DEFAULT_SUBSPACE_CAP,
     "classify": DEFAULT_SUBSPACE_CAP, "mindist": DEFAULT_ORACLE_CAP,
     "radius": DEFAULT_CLASS_SCAN_CAP, "census": DEFAULT_CLASS_SCAN_CAP,
-    "family": DEFAULT_SUBSPACE_CAP, "quadric": None, "selftest": None,
+    "family": DEFAULT_SUBSPACE_CAP, "quadric": DEFAULT_CLASS_SCAN_CAP, "selftest": None,
 }
 
 

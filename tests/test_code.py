@@ -328,26 +328,44 @@ LINEARITY_CODES = [((2, 1, 3), 3, 1), ((2, 1, 3), 3, 2), ((2, 1, 3), 3, 3),
 
 
 @pytest.mark.parametrize("ctx_args,n,k", LINEARITY_CODES)
-def test_codewords_by_linearity_match_the_one_by_one_evaluator(ctx_args, n, k, monkeypatch):
+def test_codewords_by_linearity_match_the_one_by_one_evaluator(ctx_args, n, k, monkeypatch,
+                                                                greedy_reference):
     # The cached flat list, then the streams forced by the cache limits 1,
     # p, p^2 + 1 and one short of the codeword count (those below it), each
-    # under an oracle cap of exactly that count.
+    # under an oracle cap of exactly that count.  Each also shifted by a
+    # random vector, entry by entry against the reference rows; and in each
+    # forced stream the oracle's answers on three random words per metric
+    # equal the full-weight reference, taken once from the cached list.
     ctx = FieldCtx(*ctx_args)
     points = [ctx.p ** i for i in range(n)]
     code = GabidulinCode(ctx, points, k)
     count = code.message_count()
+    rng = random.Random(f"linearity/{ctx_args}/{n}/{k}")
     ref = list(_codewords_one_by_one(code, range(count)))
+    shift = [rng.randrange(ctx.order) for _ in range(n)]
+    shifted = [tuple(ctx.add(x, c) for x, c in zip(cw, shift)) for cw in ref]
     assert list(code._codeword_rows(oracle_cap=count)) == ref
+    assert list(code._codeword_rows(oracle_cap=count, shift=shift)) == shifted
     assert code._cw_cache == [x for cw in ref for x in cw]
     assert [mc for mc, _ in code.iter_codewords()] == [
         tuple(_base_digits(i, ctx.order, k)) for i in range(count)]
+    answers = []
+    for metric in ("rank", "hamming"):
+        for _ in range(3):
+            w = code.word([rng.randrange(ctx.order) for _ in range(n)])
+            ref_d, ref_msg = _reference_distance(code, w, metric, greedy_reference)
+            answers.append((w, metric, ref_d, LinPoly(ctx, ref_msg).codes))
     for limit in sorted({x for x in (1, ctx.p, ctx.p ** 2 + 1, count - 1) if x < count}):
         monkeypatch.setattr(gablab.code, "_CODEWORD_CACHE_LIMIT", limit)
         fresh = GabidulinCode(ctx, points, k)
         assert list(fresh._codeword_rows(oracle_cap=count)) == ref
+        assert list(fresh._codeword_rows(oracle_cap=count, shift=shift)) == shifted
         assert fresh._cw_cache is None
         with pytest.raises(ValueError, match="raise the cap to proceed"):
             fresh._codeword_rows(oracle_cap=count - 1)
+        for w, metric, ref_d, ref_codes in answers:
+            d, msg = dist_to_code_exhaustive(fresh, w, metric)
+            assert (d, msg.codes) == (ref_d, ref_codes)
 
 
 def test_codewords_at_the_cache_limit_and_the_oracle_cap():
@@ -422,7 +440,7 @@ def test_odd_characteristic_oracle_answers_match_pinned_digest():
     assert hashlib.sha256(repr(answers).encode()).hexdigest()[:16] == "f7d1ff4b9b05ffec"
 
 
-def test_covering_radius_raw_frozen_gf8(gf8_code):
+def test_covering_radius_raw_frozen_gf8(gf8_code, monkeypatch):
     radius, hist = covering_radius_raw(gf8_code, "rank")
     assert radius == 2
     assert hist == {0: 8, 1: 392, 2: 112}
@@ -430,6 +448,12 @@ def test_covering_radius_raw_frozen_gf8(gf8_code):
     assert radius_h == 2
     assert sum(hist_h.values()) == 512
     assert hist_h[0] == 8
+    # Every coset streamed (cache limit 1), on a fresh code: the same answers.
+    monkeypatch.setattr(gablab.code, "_CODEWORD_CACHE_LIMIT", 1)
+    fresh = GabidulinCode(gf8_code.ctx, gf8_code.span.codes, gf8_code.k)
+    assert covering_radius_raw(fresh, "rank") == (radius, hist)
+    assert covering_radius_raw(fresh, "hamming") == (radius_h, hist_h)
+    assert fresh._cw_cache is None
 
 
 def test_packed_scan_matches_per_word_oracle(gf8_code):

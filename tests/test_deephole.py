@@ -806,6 +806,28 @@ def test_quadric_census_rejects_odd_characteristic_and_towers(gf27, tower16):
         quadric_census(tower16, 1)
 
 
+def test_quadric_census_holds_its_pairs_to_the_cap(monkeypatch):
+    # GF(2^10): 1,046,529 pairs, under the default cap, and q - 3 solutions
+    # at b != 0 (m even); one pair less is refused.  GF(2^11): 4,190,209
+    # pairs, refused by default before the first pair is drawn.  A cap that
+    # is not an int is refused.
+    gf1024 = FieldCtx(2, 1, 10)
+    assert quadric_census(gf1024, 1).count == 1021
+    with pytest.raises(ValueError) as exc:
+        quadric_census(gf1024, 1, cap=1046528)
+    assert str(exc.value) == ("1046529 pairs exceed the quadric cap 1046528; "
+                              "raise the cap to proceed")
+    monkeypatch.setattr(deephole, "_pair_quadric_value", None)
+    with pytest.raises(ValueError) as exc:
+        quadric_census(FieldCtx(2, 1, 11), 1)
+    assert str(exc.value) == ("4190209 pairs exceed the quadric cap 1048576; "
+                              "raise the cap to proceed")
+    for bad in (True, 8.0, "8"):
+        with pytest.raises(ValueError) as exc:
+            quadric_census(gf1024, 1, cap=bad)
+        assert str(exc.value) == f"quadric cap must be an integer, got {bad!r}"
+
+
 def test_quadric_v_steps(gf8):
     assert quadric_v(gf8, 0) == 7
     assert quadric_v(gf8, 3) == -1
