@@ -31,23 +31,24 @@ Larger codes stream theirs: the list of the lower half of the levels,
 bounded by the same limit, is translated by each combination of the upper
 levels in turn.
 
-Rank weights walk the field's F_q-span automaton where it has one (see
-:mod:`gablab.field`), and reduce with the F_p echelon elsewhere.  The
-oracles shift the codeword stream itself: ``_codeword_rows`` yields x +
-shift, the cached list translated as it is read, or, when streamed, the
-shift carried in each block's offset, so no entry is translated twice.
-The distance oracle asks for the shift -w and weighs x - w, not w - x (a
-weight does not change under negation); the raw scan asks for the shift
-w and takes the coset w + C, the same set as w - C.  That is one XOR per
-entry for p = 2, and on the odd table route one lookup per entry in a
-table per position, all inside ``map``, so a codeword then costs its
-weight and, with the automaton, no field operation: its walk stops once
-the weight reaches the best so far.
+The oracles shift the codeword stream itself: ``_codeword_rows`` yields
+x + shift, the cached list translated as it is read, or, when streamed,
+the shift carried in each block's offset, so no entry is translated
+twice.  The distance oracle asks for the shift -w and weighs x - w, not
+w - x (a weight does not change under negation); the raw scan asks for
+the shift w and takes the coset w + C, the same set as w - C.  That is
+one XOR per entry for p = 2, and on the odd table route one lookup per
+entry in a table per position, all inside ``map``.  Each stream is then
+weighed in one call of its metric's kernel (``_least_weight``), which
+returns the least weight and the first row with it: for rank
+``FieldCtx._least_rank`` (see :mod:`gablab.field`), and for Hamming the
+first row with the most zeros, counted at C speed.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 
 from .field import (FieldCtx, FieldElement, _base_digits, _check_int_cap, _from_base_digits,
                     _span_flat)
@@ -119,30 +120,22 @@ def _check_poly(code: GabidulinCode, f) -> None:
         raise ValueError("polynomial must be a LinPoly over the code's field context")
 
 
-def _hamming_codes(codes, limit: int | None = None) -> int:
-    """min(number of nonzero codes, limit), drawing none past the point
-    where the count reaches limit (None: the full count)."""
-    w = 0
-    if limit != 0:
-        for c in codes:
-            if c:
-                w += 1
-                if w == limit:
-                    break
-    return w
-
-
-def _weigher(ctx: FieldCtx, metric: str):
-    """The function (codes, limit=None) -> min(weight, limit) of the metric
-    over ctx; it draws no code past the point where the weight reaches
-    limit.  Loops pick it once and call it per codeword."""
-    return ctx._rank_codes if metric == "rank" else _hamming_codes
+def _least_weight(ctx: FieldCtx, metric: str, rows, n: int) -> tuple[int, int]:
+    """(least weight, index of the first row with it) over a nonempty
+    iterable of rows of n codes each.  Rank is ``FieldCtx._least_rank``;
+    Hamming counts each row's zeros at C speed and takes the first row
+    with the most, so it weighs every row whole."""
+    if metric == "rank":
+        return ctx._least_rank(rows)
+    idx, zeros = max(enumerate(map(operator.countOf, rows, itertools.repeat(0))),
+                     key=operator.itemgetter(1))
+    return n - zeros, idx
 
 
 def weight(w: Word, metric: str) -> int:
     """Rank weight (span dimension over F_q) or Hamming weight of a word."""
     _check_metric(metric)
-    return _weigher(w.ctx, metric)(w.codes)
+    return _least_weight(w.ctx, metric, [w.codes], len(w))[0]
 
 
 class GabidulinCode:
@@ -278,21 +271,14 @@ def dist_to_code_exhaustive(code: GabidulinCode, w: Word, metric: str,
     """Exact distance by enumerating every codeword, plus the first-closest
     message polynomial in canonical order.  The codeword stream is shifted
     by -w (``GabidulinCode._codeword_rows``), so each row is x - w, which
-    has the weight of w - x.  Every codeword is visited, but its weight is
-    taken only up to the best so far.  The message is rebuilt from the
+    has the weight of w - x, and the metric's kernel (``_least_weight``)
+    weighs the whole stream in one call.  The message is rebuilt from the
     index of the first closest codeword."""
     _check_metric(metric)
     _check_word(code, w)
     ctx = code.ctx
     rows = code._codeword_rows(oracle_cap, [ctx.neg(a) for a in w.codes])
-    weigh = _weigher(ctx, metric)
-    best, best_idx = None, None
-    for idx, diff in enumerate(rows):
-        d = weigh(diff, best)
-        if best is None or d < best:
-            best, best_idx = d, idx
-            if d == 0:
-                break
+    best, best_idx = _least_weight(ctx, metric, rows, code.n)
     return best, LinPoly(ctx, _base_digits(best_idx, ctx.order, code.k))
 
 
@@ -309,7 +295,7 @@ def min_distance(code: GabidulinCode, metric: str,
     _check_metric(metric)
     _check_oracle_cap(code.message_count(), oracle_cap)
     ctx, points = code.ctx, code.span.codes
-    best = _weigher(ctx, metric)(points)
+    best = _least_weight(ctx, metric, [points], code.n)[0]
     for j in range(1, code.k):
         u = code.word([ctx.frob(g, j) for g in points])
         d, _ = dist_to_code_exhaustive(GabidulinCode(ctx, points, j), u, metric, oracle_cap)
@@ -326,25 +312,22 @@ def covering_radius_raw(code: GabidulinCode, metric: str) -> tuple[int, dict[int
     (the same set as w - C, C being linear), and every member of that coset
     has the same distance, so each unseen word's coset is the codeword
     stream shifted by w, each member's weight is taken once, and the
-    minimum is credited to every member not yet seen.  That is order**n
-    weight computations in all, not order**n * |C|; every member is
-    visited, its weight taken only up to the coset's best so far.
+    minimum, one ``_least_weight`` call per coset, is credited to every
+    member not yet seen.  That is order**n weight computations in all, not
+    order**n * |C|.
     """
     _check_metric(metric)
     ctx, n, order = code.ctx, code.n, code.ctx.order
     total = order ** n
     if total > DEFAULT_WORD_SCAN_CAP:
         raise ValueError(f"{total} words exceed the scan cap {DEFAULT_WORD_SCAN_CAP}")
-    weigh = _weigher(ctx, metric)
     seen = bytearray(total)
     hist: dict[int, int] = {}
     for idx in range(total):
         if seen[idx]:
             continue
         coset = list(code._codeword_rows(shift=_base_digits(idx, order, n)))
-        d = None
-        for member in coset:
-            d = weigh(member, d)
+        d = _least_weight(ctx, metric, coset, n)[0]
         for member in coset:
             j = _from_base_digits(member, order)
             if not seen[j]:

@@ -48,12 +48,14 @@ only.  The odd-characteristic echelon (``FieldCtx._greedy_codes``)
 reduces codes, not digit lists: with ``sub`` and ``mul`` on the table
 route, and with the digit kernel on the direct route.
 
-Rank weights (``FieldCtx._rank_codes``) walk a memoized F_q-span
-automaton on table-route fields whose complete automaton is small.  A
+Rank weights (``FieldCtx._least_rank``: the least F_q-rank over rows of
+codes, and the first row with it) walk a memoized F_q-span automaton,
+inline, on table-route fields whose complete automaton is small.  A
 state is an F_q-subspace of the top field, keyed by its member set; it
 carries its dimension, and its transition on a code c leads to the state
-of its span with c.  The rank of a code list is the dimension reached
-from the zero space, and the walk stops once that reaches a limit.
+of its span with c.  A row's rank is the dimension reached from the zero
+space; its walk stops once that reaches the least so far, and the stream
+stops at a row of rank 0.
 States are made on first reach, with their members' transitions to
 themselves; a transition out of a state is made on first reach for all
 codes leading to the same next state.  Every state is a true subspace,
@@ -834,25 +836,38 @@ class FieldCtx:
             row[x] = nxt
         return nxt
 
-    def _rank_codes(self, codes, limit: int | None = None) -> int:
-        """min(F_q-rank, limit) of an iterable of codes, drawing none past
-        the point where the rank reaches limit (None: the full rank).
+    def _least_rank(self, rows) -> tuple[int, int]:
+        """(least F_q-rank, index of the first row with it) over a nonempty
+        iterable of code rows.  A row's codes are drawn only until its rank
+        reaches the least so far, and no row past the first of rank 0.
 
-        Where the span automaton exists (``_span_zero``) the rank is the
-        dimension of the state a walk from the zero space reaches, one
-        memoized transition per code; elsewhere it is the length of the
-        greedy independent sublist.
+        Where the span automaton exists (``_span_zero``) a row's rank is the
+        dimension of the state its walk from the zero space reaches, one
+        memoized transition per code, walked inline; elsewhere it is the
+        length of the row's greedy independent sublist.
         """
-        state = self._span_zero
-        if state is None:
-            return len(self._greedy_codes(codes, limit))
-        order = self.order
-        if limit != 0:
-            for c in codes:
-                state = state[c] or self._span_step(state, c)
-                if state[order] == limit:
+        best, first = self.m + 1, None
+        zero = self._span_zero
+        if zero is None:
+            for idx, row in enumerate(rows):
+                d = len(self._greedy_codes(row, best))
+                if d < best:
+                    best, first = d, idx
+                    if not d:
+                        break
+            return best, first
+        order, step = self.order, self._span_step
+        for idx, row in enumerate(rows):
+            state = zero
+            for c in row:
+                state = state[c] or step(state, c)
+                if state[order] >= best:
                     break
-        return state[order]
+            else:
+                best, first = state[order], idx
+                if not best:
+                    break
+        return best, first
 
     def span_dim(self, elems) -> int:
         """Dimension over F_q of the span of the given elements."""

@@ -230,6 +230,13 @@ EXTENSION_WORDS = 3
 # The first five: random points on small towers.  Then every k on one
 # tower per (p, s), p in {2, 3, 5} and s in {1, 2}; GF(25^2) stops at
 # k = 1, as k = 2 is 390,625 codewords, each weighed by the reference.
+# Last, GF(3^4) n = 4 k = 2, the shape of the oracle-odd benchmark.  On
+# the towers of ECHELON_TOWERS the oracle also runs on a context
+# built with the span automaton off, so both rank routes meet the
+# reference on one code.
+ECHELON_TOWERS = {(2, 1, 4), (3, 1, 4)}
+
+
 @pytest.mark.parametrize("ctx_args,n,k", [
     ((3, 1, 2), 2, 1),   # GF(9)
     ((3, 1, 3), 3, 1),   # GF(27)
@@ -246,12 +253,20 @@ EXTENSION_WORDS = 3
     ((5, 1, 2), 2, 1),   # GF(25)
     ((5, 1, 2), 2, 2),
     ((5, 2, 2), 2, 1),   # GF(25^2), q = 25
+    ((3, 1, 4), 4, 2),   # GF(81)
 ])
-def test_bounded_oracles_match_full_weight_reference(ctx_args, n, k, greedy_reference):
+def test_bounded_oracles_match_full_weight_reference(ctx_args, n, k, greedy_reference,
+                                                     monkeypatch):
     # The oracle against the full weight of every codeword, and on words
     # not in the code against the minimum weight of the one-step extension;
     # min_distance, built on that identity, against its own direct walk.
     ctx = FieldCtx(*ctx_args)
+    routes = [ctx]
+    if ctx_args in ECHELON_TOWERS:
+        assert ctx._span_zero is not None
+        monkeypatch.setattr(gablab.field, "_SPAN_AUTOMATON_LIMIT", 0)
+        routes.append(FieldCtx(*ctx_args))
+        assert routes[1]._span_zero is None
     rng = random.Random(67)
     points = []
     while len(points) < n:
@@ -267,6 +282,10 @@ def test_bounded_oracles_match_full_weight_reference(ctx_args, n, k, greedy_refe
             d, msg = dist_to_code_exhaustive(code, w, metric)
             ref_d, ref_msg = _reference_distance(code, w, metric, greedy_reference)
             assert (d, msg.codes) == (ref_d, LinPoly(ctx, ref_msg).codes)
+            for other in routes[1:]:
+                on = GabidulinCode(other, points, k)
+                d, msg = dist_to_code_exhaustive(on, on.word(w.codes), metric)
+                assert (d, msg.codes) == (ref_d, LinPoly(other, ref_msg).codes)
             if d and walk_extension and extended < EXTENSION_WORDS:
                 assert d == _extension_min_weight(code, w, metric, greedy_reference)
                 extended += 1

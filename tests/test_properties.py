@@ -6,7 +6,8 @@ field arithmetic, so agreement on random codes checks both.  The
 same holds for the single-word search and the codeword-enumerating
 oracle, checked on towers with random irreducible moduli.  The rank
 echelon and the span automaton are checked against an elimination over
-the prime field, the class scan's rows against the per-class witness
+the prime field, the least-weight kernels against the brute-force first
+minimum on both rank routes, the class scan's rows against the per-class witness
 search, and that search, which walks the levels upward, against a
 top-down reference descent that accepts by Ore's criterion, and its
 per-code plan of candidates against the streamed enumeration.  The
@@ -38,7 +39,8 @@ from gablab import (NEG_INF, FieldCtx, GabidulinCode, LinPoly, SubspaceBasis,  #
                     covering_radius_scan, dist_to_code_exhaustive,
                     distance_by_search, subspace_bases)
 from gablab import deephole  # noqa: E402
-from gablab.code import _weigher  # noqa: E402
+from gablab import field  # noqa: E402
+from gablab.code import _least_weight  # noqa: E402
 from gablab.deephole import (DEFAULT_CLASS_SCAN_CAP, DEFAULT_SUBSPACE_CAP,  # noqa: E402
                              _accepting_cover,
                              _witness_codes)
@@ -443,23 +445,48 @@ WEIGHT_TOWERS = [(p, s, m) for p in (2, 3, 5) for s in (1, 2) for m in (1, 2, 3)
                  if p ** (s * m) <= 625]
 
 
+def _limit_row(ctx: FieldCtx, metric: str, limit: int, length: int) -> list[int]:
+    """A row of ``length`` codes of weight ``limit``: 1, x, ..., x^(limit-1)
+    for rank (F_q-independent while limit <= m, as x generates the top
+    field over F_q), limit ones for Hamming; zeros pad it."""
+    row = [ctx.p ** j for j in range(limit)] if metric == "rank" else [1] * limit
+    return row + [0] * (length - limit)
+
+
 @settings(max_examples=80, derandomize=True, deadline=None)
 @given(tower=st.sampled_from(WEIGHT_TOWERS), data=st.data())
 def test_bounded_weight_is_the_full_weight_capped(tower, data):
+    # A row after one of weight `limit` is weighed only up to that limit:
+    # the kernel returns min(full, limit), and the first row on a tie.
     ctx = _ctx(*tower)
     codes = data.draw(st.lists(st.integers(0, ctx.order - 1), max_size=6))
     for metric in ("rank", "hamming"):
-        weigh = _weigher(ctx, metric)
+        def weigh(row):
+            return _least_weight(ctx, metric, [row], len(row))[0]
+
         full = weigh(codes)
-        for limit in range(len(codes) + 2):
-            it = iter(codes)
-            assert weigh(it, limit) == min(full, limit)
+        it = iter(codes)
+        assert _least_weight(ctx, metric, [it], len(codes)) == (full, 0)
+        assert list(it) == []  # the first row is walked whole
+        top = len(codes) + 1 if metric == "hamming" else min(len(codes) + 1, ctx.m)
+        for limit in range(top + 1):
+            length = max(len(codes), limit)
+            padded = codes + [0] * (length - len(codes))
+            it = iter(padded)
+            rows = [_limit_row(ctx, metric, limit, length), it]
+            assert weigh(rows[0]) == limit
+            assert _least_weight(ctx, metric, rows, length) == (
+                min(full, limit), 0 if limit <= full else 1)
+            drawn = length - len(list(it))
+            if metric == "hamming":
+                # Zeros are counted at C speed over the whole row.
+                assert drawn == length
+                continue
             # Codes are drawn only up to the shortest prefix whose weight
             # reaches the limit.
-            drawn = len(codes) - len(list(it))
-            assert drawn == next((j for j in range(len(codes) + 1)
-                                  if weigh(codes[:j]) >= limit),
-                                 len(codes))
+            assert drawn == next((j for j in range(length + 1)
+                                  if weigh(padded[:j]) >= limit),
+                                 length)
 
 
 # (p, s, m) towers with p in {2, 3, 5, 7}, s in {1, 2} and order <= 7**4.
@@ -535,9 +562,74 @@ def test_span_automaton_rank_matches_the_echelon(tower, data, greedy_reference):
     perm = data.draw(st.permutations(range(len(base) + len(combos))))
     codes = _dependent_codes(ctx, base, combos, perm)
     ref = greedy_reference(ctx, codes)
-    for limit in [None] + list(range(len(codes) + 1)):
-        rank = ctx._rank_codes(codes, limit)
-        assert rank == len(ctx._greedy_codes(codes, limit)) == len(ref[:limit])
+    assert ctx._least_rank([codes]) == (len(ctx._greedy_codes(codes)), 0) == (len(ref), 0)
+    for limit in range(len(codes) + 1):
+        assert len(ctx._greedy_codes(codes, limit)) == len(ref[:limit])
+        if limit <= ctx.m:
+            # After a row of rank `limit`, the row's rank capped at it.
+            rank, _ = ctx._least_rank([_limit_row(ctx, "rank", limit, limit), codes])
+            assert rank == len(ref[:limit])
+
+
+@lru_cache(maxsize=None)
+def _echelon_ctx(p: int, s: int, m: int) -> FieldCtx:
+    """The tower built with the span automaton off, so ranks take the
+    echelon route."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(field, "_SPAN_AUTOMATON_LIMIT", 0)
+        return FieldCtx(p, s, m)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(tower=st.sampled_from(sorted(set(WEIGHT_TOWERS) | set(SPAN_TOWERS))),
+       data=st.data())
+def test_least_weight_is_the_first_minimum(tower, data, greedy_reference):
+    # Each kernel against the brute-force minimum and its first index, on
+    # rows with repeats (tied minima) and perhaps a zero row.  The rank
+    # kernel, on both routes, draws no row past the first of rank 0, and
+    # a row's codes only until its rank reaches the least so far.
+    ctx = _ctx(*tower)
+    n = data.draw(st.integers(1, 4))
+    pool = data.draw(st.lists(st.integers(0, ctx.order - 1), min_size=1, max_size=3))
+    entry = st.one_of(st.sampled_from(pool), st.integers(0, ctx.order - 1))
+    rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=5))
+    rows += data.draw(st.lists(st.sampled_from(rows), max_size=3))
+    rows = data.draw(st.permutations(rows))
+    if data.draw(st.booleans()):
+        rows.insert(data.draw(st.integers(0, len(rows))), [0] * n)
+
+    hamming = [sum(1 for c in row if c) for row in rows]
+    least = min(hamming)
+    assert _least_weight(ctx, "hamming", rows, n) == (least, hamming.index(least))
+
+    def rank(codes):
+        return len(greedy_reference(ctx, codes))
+
+    ranks = [rank(row) for row in rows]
+    least = min(ranks)
+    stop = ranks.index(0) + 1 if 0 in ranks else len(rows)
+    # Codes drawn from row i: the shortest prefix whose rank reaches the
+    # least rank of the rows before it, or the whole row.
+    expect = [next((j for j in range(n + 1) if i and rank(row[:j]) >= min(ranks[:i])), n)
+              for i, row in enumerate(rows[:stop])]
+    echelon = _echelon_ctx(*tower)
+    assert echelon._span_zero is None
+    assert (ctx._span_zero is not None) == (tower in SPAN_TOWERS)
+    for route in (ctx, echelon):
+        drawn = []
+
+        def counted(row, i):
+            for c in row:
+                drawn[i] += 1
+                yield c
+
+        def stream():
+            for i, row in enumerate(rows):
+                drawn.append(0)
+                yield counted(row, i)
+
+        assert route._least_rank(stream()) == (least, ranks.index(least))
+        assert drawn == expect
 
 
 def test_span_automaton_size_rule():
