@@ -50,7 +50,7 @@ from __future__ import annotations
 import itertools
 import operator
 
-from .field import (FieldCtx, FieldElement, _base_digits, _check_int_cap, _from_base_digits,
+from .field import (FieldCtx, FieldElement, _base_digits, _check_cap, _from_base_digits,
                     _span_flat)
 from .linpoly import LinPoly, SubspaceBasis, _eval_codes, _moore_rows, q_lagrange
 
@@ -208,7 +208,8 @@ class GabidulinCode:
         number, the shift folded into each block's offset, so no entry is
         translated twice.  Each translation runs inside ``map`` by the
         route ``FieldCtx._translation`` picks.  The count is held to
-        ``oracle_cap`` by ``_check_oracle_cap``."""
+        ``oracle_cap`` (None: the fixed ``DEFAULT_ORACLE_CAP``) by
+        ``_check_oracle_cap``."""
         count = self.message_count()
         _check_oracle_cap(count, oracle_cap)
         if count > _CODEWORD_CACHE_LIMIT:
@@ -228,14 +229,10 @@ class GabidulinCode:
 
 
 def _check_oracle_cap(count: int, oracle_cap: int | None) -> None:
-    """Refuse a walk of more than ``oracle_cap`` codewords, naming the
-    remedy; with no cap given, of more than the fixed ``DEFAULT_ORACLE_CAP``,
-    which the caller cannot raise.  A cap that is not an int is refused."""
-    cap = DEFAULT_ORACLE_CAP if oracle_cap is None else oracle_cap
-    _check_int_cap(cap, "oracle")
-    if count > cap:
-        remedy = "" if oracle_cap is None else "; raise the cap to proceed"
-        raise ValueError(f"{count} codewords exceed the oracle cap {cap}{remedy}")
+    """Hold ``count`` codewords to ``oracle_cap`` by the one guard; None is
+    the fixed ``DEFAULT_ORACLE_CAP``, whose refusal names no remedy."""
+    _check_cap(DEFAULT_ORACLE_CAP if oracle_cap is None else oracle_cap, "oracle", count,
+               "codewords", fixed=oracle_cap is None)
 
 
 def _rows(ctx: FieldCtx, flat: list[int], n: int, shift):
@@ -314,13 +311,13 @@ def covering_radius_raw(code: GabidulinCode, metric: str) -> tuple[int, dict[int
     stream shifted by w, each member's weight is taken once, and the
     minimum, one ``_least_weight`` call per coset, is credited to every
     member not yet seen.  That is order**n weight computations in all, not
-    order**n * |C|.
+    order**n * |C|.  The words are held to the fixed
+    ``DEFAULT_WORD_SCAN_CAP``, whose refusal names no remedy.
     """
     _check_metric(metric)
     ctx, n, order = code.ctx, code.n, code.ctx.order
     total = order ** n
-    if total > DEFAULT_WORD_SCAN_CAP:
-        raise ValueError(f"{total} words exceed the scan cap {DEFAULT_WORD_SCAN_CAP}")
+    _check_cap(DEFAULT_WORD_SCAN_CAP, "scan", total, "words", fixed=True)
     seen = bytearray(total)
     hist: dict[int, int] = {}
     for idx in range(total):

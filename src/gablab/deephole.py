@@ -65,6 +65,10 @@ then builds one right side and runs one elimination (on a copy) per
 candidate it walks.  A level of more than ``_PLAN_LIMIT`` candidates
 streams from ``_candidates`` on every walk.  The subspace cap is read once
 per search, before any level, and checked against every level walked.
+``equality_witness``, ``ratio_lemma_check`` and the sieve take no cap and
+hold each level to the fixed ``DEFAULT_SUBSPACE_CAP``, whose refusal names
+no remedy.  Every cap here goes through the one guard,
+``gablab.field._check_cap``.
 
 Class scans run no search per class; an annihilator sieve classifies
 every unit (a monic class, one per scalar orbit of nonzero classes) in
@@ -105,12 +109,12 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .code import GabidulinCode, Word, _check_metric, _check_poly, _check_word
-from .field import (FieldCtx, FieldElement, _check_int_cap, _combine_rows, _from_base_digits,
+from .field import (FieldCtx, FieldElement, _check_cap, _combine_rows, _from_base_digits,
                     _solve, _span_flat, gaussian_binomial)
 from .linpoly import (LinPoly, NEG_INF, SubspaceBasis, _annihilator_codes, _eval_codes,
                       _moore_det, _moore_rows)
 from .linpoly import q_lagrange  # noqa: F401  unused; bench/gabtrace.py patches it here
-from .subspaces import _check_cap, subspace_bases
+from .subspaces import subspace_bases
 
 DEFAULT_SUBSPACE_CAP = 10 ** 6
 DEFAULT_CLASS_SCAN_CAP = 1 << 20
@@ -145,24 +149,23 @@ class ClassifyResult:
     witness: object = None
 
 
-def _level_size(code: GabidulinCode, t: int, metric: str, cap: int | None) -> int:
-    """Number of t-level candidates, refused when above ``cap`` (None: no
-    cap): [n, t]_q subspaces in the rank metric, C(n, t) subsets in Hamming."""
+def _level_size(code: GabidulinCode, t: int, metric: str) -> tuple[int, str]:
+    """Number of t-level candidates and what they are: [n, t]_q subspaces in
+    the rank metric, C(n, t) subsets in Hamming."""
     if metric == "rank":
-        count, what = gaussian_binomial(code.n, t, code.ctx.q), "subspaces"
-    else:
-        count, what = math.comb(code.n, t), "subsets"
-    _check_cap(count, cap, what)
-    return count
+        return gaussian_binomial(code.n, t, code.ctx.q), "candidate subspaces"
+    return math.comb(code.n, t), "candidate subsets"
 
 
-def _candidates(code: GabidulinCode, t: int, metric: str, cap: int | None):
+def _candidates(code: GabidulinCode, t: int, metric: str, fixed_cap: bool = False):
     """(witness, generator codes, coefficient rows over the points) for
     every t-dimensional candidate, canonical order.  Rank: each subspace of
     the point span is its own witness, with its RREF rows.  Hamming: each
-    t-subset of the points, as an index tuple, with its unit rows.  More
-    than ``cap`` candidates are refused before the first is drawn."""
-    _level_size(code, t, metric, cap)
+    t-subset of the points, as an index tuple, with its unit rows.  With
+    ``fixed_cap`` more than ``DEFAULT_SUBSPACE_CAP`` candidates are refused
+    before the first is drawn, naming no remedy: no such caller takes a cap."""
+    if fixed_cap:
+        _check_cap(DEFAULT_SUBSPACE_CAP, "subspace", *_level_size(code, t, metric), fixed=True)
     if metric == "rank":
         for sub in subspace_bases(code.span, t):
             yield sub, sub.codes, sub._rows
@@ -186,17 +189,20 @@ def _first_k_witness(code: GabidulinCode, metric: str):
 def _plan_level(code: GabidulinCode, t: int, metric: str, cap: int | None):
     """The t-level candidates in canonical order as (witness, coefficient
     rows over the points, Moore rows) triples; the Moore row of generator
-    u_j is u_j^(q^i) for i < k.  The cap is checked on every call.  A level
-    of at most ``_PLAN_LIMIT`` candidates is listed whole on first use and
-    only then published in the code's plan, so a plan level is always
-    complete; a larger level is a fresh stream on each call."""
-    count = _level_size(code, t, metric, cap)
+    u_j is u_j^(q^i) for i < k.  The level is held to ``cap`` (None: no
+    cap) on every call.  A level of at most ``_PLAN_LIMIT`` candidates is
+    listed whole on first use and only then published in the code's plan,
+    so a plan level is always complete; a larger level is a fresh stream on
+    each call."""
+    count, what = _level_size(code, t, metric)
+    if cap is not None:
+        _check_cap(cap, "subspace", count, what)
     level = code._plan.get((t, metric))
     if level is not None:
         return level
     ctx, k = code.ctx, code.k
     level = ((wit, rows, _moore_rows(ctx, gens, k))
-             for wit, gens, rows in _candidates(code, t, metric, None))
+             for wit, gens, rows in _candidates(code, t, metric))
     if count > _PLAN_LIMIT:
         return level
     return code._plan.setdefault((t, metric), list(level))
@@ -220,7 +226,7 @@ def equality_witness(code: GabidulinCode, f: LinPoly, metric: str):
     ctx, k = code.ctx, code.k
     inv = ctx.inv(f.codes[-1])
     top = tuple(ctx.mul(inv, c) for c in f.codes[k:])
-    for wit, gens, _ in _candidates(code, d, metric, DEFAULT_SUBSPACE_CAP):
+    for wit, gens, _ in _candidates(code, d, metric, fixed_cap=True):
         if _annihilator_codes(ctx, gens)[k:] == top:
             return wit
     return None
@@ -255,7 +261,7 @@ def _ascend(code: GabidulinCode, fvals, d: int | float, metric: str,
     """
     n, k = code.n, code.k
     if subspace_cap is not None:
-        _check_int_cap(subspace_cap, "subspace")
+        _check_cap(subspace_cap, "subspace")
     if d < k:
         return ClassifyResult(distance=0, bound=0, is_deep_hole=(n == k), witness=None)
     t, wit = k, None
@@ -338,7 +344,7 @@ def ratio_lemma_check(code: GabidulinCode, f: LinPoly, metric: str):
         raise ValueError("degree k+1 must stay below the word length")
     ctx = code.ctx
     a1 = ctx.neg(ctx.div(f.codes[k], f.codes[-1]))
-    for wit, gens, _ in _candidates(code, k + 1, metric, DEFAULT_SUBSPACE_CAP):
+    for wit, gens, _ in _candidates(code, k + 1, metric, fixed_cap=True):
         if ctx.div(_moore_det(ctx, gens, k), _moore_det(ctx, gens)) == a1:
             return wit
     return None
@@ -417,7 +423,7 @@ def _sieve(code: GabidulinCode, metric: str) -> list[list[tuple]]:
     deep = (n - k, True, _witness_codes(_first_k_witness(code, metric)))
     blocks = [[deep] * ctx.order ** j for j in range(n - k)]
     for t in range(n - 1, k, -1):
-        for wit, gens, _ in _candidates(code, t, metric, DEFAULT_SUBSPACE_CAP):
+        for wit, gens, _ in _candidates(code, t, metric, fixed_cap=True):
             a = _annihilator_codes(ctx, gens)
             # twists[i]: the class part (q-degrees k..n-1) of x^(q^i) o A_U.
             twists = [([0] * i + [frob(c, i) for c in a] + [0] * (n - 1 - t - i))[k:]
@@ -485,12 +491,9 @@ def covering_radius_scan(code: GabidulinCode, metric: str,
     order - 1 scalar multiples (see the module docstring).
     """
     _check_metric(metric)
-    _check_int_cap(scan_cap, "scan")
     order = code.ctx.order
     total = order ** (code.n - code.k)
-    if total > scan_cap:
-        raise ValueError(
-            f"{total} classes exceed the scan cap {scan_cap}; raise the cap to proceed")
+    _check_cap(scan_cap, "scan", total, "classes")
     blocks = _sieve(code, metric)
     counts = collections.Counter()
     for block in blocks:
@@ -658,10 +661,7 @@ def quadric_census(ctx: FieldCtx, b, materialize: bool = False,
     The (order - 1)**2 pairs are held to ``cap`` before the first is drawn."""
     if ctx.p != 2 or ctx.s != 1:
         raise ValueError("the quadric census is defined over fields of order 2^m")
-    _check_int_cap(cap, "quadric")
-    pairs = (ctx.order - 1) ** 2
-    if pairs > cap:
-        raise ValueError(f"{pairs} pairs exceed the quadric cap {cap}; raise the cap to proceed")
+    _check_cap(cap, "quadric", (ctx.order - 1) ** 2, "pairs")
     bc = ctx._code(b)
     sols = [] if materialize else None
     count = 0

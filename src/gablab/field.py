@@ -88,7 +88,8 @@ F_p-span kernel, lists every F_p-combination of some rows in index order
 (codewords, F_q and span members, the char-2 reduction tables, the
 sieve's rows); and ``FieldCtx._fp_kernel`` solves for the kernel of an
 F_p-linear map of the top field (F_q, root spaces).  Adding one vector
-to many rows takes its route from ``FieldCtx._translation`` alone.
+to many rows takes its route from ``FieldCtx._translation`` alone.  Every
+enumeration in the package is held to its cap by ``_check_cap``.
 """
 
 from __future__ import annotations
@@ -122,11 +123,18 @@ _SPAN_AUTOMATON_LIMIT = 1 << 15
 _INV_MEMO_LIMIT = 1 << 12
 
 
-def _check_int_cap(cap, name: str) -> None:
-    """Refuse a cap that is not an int (a bool or a float included) before
-    any count is compared with it."""
+def _check_cap(cap, name: str, count: int | None = None, what: str = "",
+               fixed: bool = False) -> None:
+    """The one enumeration guard.  Refuse a cap that is not an int (a bool
+    or a float included), then a ``count`` of ``what`` above it, before the
+    first item is drawn; with no count the cap is only read.  The refusal
+    names the remedy unless the cap is ``fixed``, one the caller did not
+    pass and so cannot raise."""
     if type(cap) is not int:
         raise ValueError(f"{name} cap must be an integer, got {cap!r}")
+    if count is not None and count > cap:
+        remedy = "" if fixed else "; raise the cap to proceed"
+        raise ValueError(f"{count} {what} exceed the {name} cap {cap}{remedy}")
 
 
 def gaussian_binomial(n: int, t: int, q: int) -> int:

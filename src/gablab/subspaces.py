@@ -15,30 +15,21 @@ from __future__ import annotations
 
 import itertools
 
-from .field import _check_int_cap, _combine_rows, gaussian_binomial
+from .field import _check_cap, _combine_rows, gaussian_binomial
 from .linpoly import SubspaceBasis
 
 
-def _check_cap(count: int, cap: int | None, what: str) -> None:
-    """Refuse a cap that is not an integer (None is no cap) and a count of
-    candidate ``what`` above it."""
-    if cap is None:
-        return
-    _check_int_cap(cap, "subspace")
-    if count > cap:
-        raise ValueError(
-            f"{count} candidate {what} exceed the cap {cap}; raise the cap to proceed")
-
-
 def subspace_bases(ambient: SubspaceBasis, t: int, cap: int | None = None):
-    """Yield each t-dim subspace of span(ambient) once, canonical order."""
+    """Yield each t-dim subspace of span(ambient) once, canonical order.
+    More than ``cap`` of them (None: no cap) are refused before the first."""
     if not isinstance(ambient, SubspaceBasis):
         raise TypeError("ambient space must be a SubspaceBasis")
     ctx = ambient.ctx
     n = ambient.dim
     if type(t) is not int or not 0 <= t <= n:
         raise ValueError(f"subspace dimension must be an integer in 0..{n}, got {t!r}")
-    _check_cap(gaussian_binomial(n, t, ctx.q), cap, "subspaces")
+    if cap is not None:
+        _check_cap(cap, "subspace", gaussian_binomial(n, t, ctx.q), "candidate subspaces")
     scalars = ctx._subfield_codes()
     for pivots in itertools.combinations(range(n), t):
         pivot_set = set(pivots)

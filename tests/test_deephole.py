@@ -14,13 +14,15 @@ import re
 
 import pytest
 
-from gablab import deephole
+import gablab.code
+from gablab import deephole, subspaces
 from gablab import (FieldCtx, FieldElement, GabidulinCode, LinPoly, annihilator,
-                    classify_poly, covering_radius_scan,
+                    classify_poly, covering_radius_raw, covering_radius_scan,
                     dist_to_code_exhaustive, distance_by_search,
                     equality_witness, excluded_leading_set, family_check,
-                    minor_coeff, parse_code_spec, q_lagrange, q_lagrange_by_minors,
-                    quadric_census, quadric_v, ratio_lemma_check, subspace_bases)
+                    min_distance, minor_coeff, parse_code_spec, q_lagrange,
+                    q_lagrange_by_minors, quadric_census, quadric_v, ratio_lemma_check,
+                    subspace_bases)
 from gablab.deephole import _witness_codes
 from gablab.field import _INV_MEMO_LIMIT, _base_digits, gaussian_binomial
 
@@ -415,7 +417,8 @@ def test_subspace_cap_is_checked_alike_in_both_metrics(code24, metric, what):
             with pytest.raises(ValueError, match=f"^subspace cap must be an integer, got {bad}$"):
                 distance_by_search(code, w, metric, subspace_cap=bad)
         for cap in (-1, count - 1):
-            msg = f"{count} candidate {what} exceed the cap {cap}; raise the cap to proceed"
+            msg = (f"{count} candidate {what} exceed the subspace cap {cap}; "
+                   "raise the cap to proceed")
             with pytest.raises(ValueError) as exc:
                 distance_by_search(code, w, metric, subspace_cap=cap)
             assert str(exc.value) == msg
@@ -435,6 +438,99 @@ def test_subspace_cap_is_read_before_any_level(code24, metric, bad):
             classify_poly(code24, f, metric, subspace_cap=bad)
         with pytest.raises(ValueError, match=msg):
             distance_by_search(code24, code24.evaluate(f), metric, subspace_cap=bad)
+
+
+# Every enumerating entry point, on GF(2^4) with code24's points and k = 2:
+# (call with the cap, count, what is counted, the cap's name, the module
+# constant that holds a fixed cap or None when the caller passes it, the
+# first thing drawn after the guard).  Level 3 holds [4,3]_2 = 15 subspaces
+# or C(4,3) = 4 subsets; the code has 16^2 = 256 codewords and classes, the
+# field 15^2 = 225 quadric pairs, and there are 16^4 = 65,536 words.
+_DEG3 = (0, 0, 0, 1)
+CAP_ENTRIES = {
+    "search-rank": (
+        lambda code, cap: distance_by_search(code, code.word([1, 2, 4, 9]), "rank", cap),
+        15, "candidate subspaces", "subspace", None, (deephole, "_candidates")),
+    "search-hamming": (
+        lambda code, cap: distance_by_search(code, code.word([1, 2, 4, 9]), "hamming", cap),
+        4, "candidate subsets", "subspace", None, (deephole, "_candidates")),
+    "classify_poly": (
+        lambda code, cap: classify_poly(code, LinPoly(code.ctx, _DEG3), "rank", cap),
+        15, "candidate subspaces", "subspace", None, (deephole, "_candidates")),
+    "family_check": (
+        lambda code, cap: family_check(code, "frobenius_shift", subspace_cap=cap),
+        15, "candidate subspaces", "subspace", None, (deephole, "_candidates")),
+    "subspace_bases": (
+        lambda code, cap: list(subspace_bases(code.span, 3, cap)),
+        15, "candidate subspaces", "subspace", None, (subspaces, "_combine_rows")),
+    "dist_to_code_exhaustive": (
+        lambda code, cap: dist_to_code_exhaustive(code, code.word([1, 0, 0, 0]), "rank", cap),
+        256, "codewords", "oracle", None, (gablab.code, "_span_flat")),
+    "min_distance": (
+        lambda code, cap: min_distance(code, "rank", cap),
+        256, "codewords", "oracle", None, (gablab.code, "_least_weight")),
+    "covering_radius_scan": (
+        lambda code, cap: covering_radius_scan(code, "rank", cap),
+        256, "classes", "scan", None, (deephole, "_sieve")),
+    "quadric_census": (
+        lambda code, cap: quadric_census(code.ctx, 1, cap=cap),
+        225, "pairs", "quadric", None, (deephole, "_pair_quadric_value")),
+    "equality_witness": (
+        lambda code, _: equality_witness(code, LinPoly(code.ctx, _DEG3), "rank"),
+        15, "candidate subspaces", "subspace", (deephole, "DEFAULT_SUBSPACE_CAP"),
+        (deephole, "subspace_bases")),
+    "ratio_lemma_check": (
+        lambda code, _: ratio_lemma_check(code, LinPoly(code.ctx, _DEG3), "rank"),
+        15, "candidate subspaces", "subspace", (deephole, "DEFAULT_SUBSPACE_CAP"),
+        (deephole, "subspace_bases")),
+    "sieve": (
+        lambda code, _: covering_radius_scan(code, "rank"),
+        15, "candidate subspaces", "subspace", (deephole, "DEFAULT_SUBSPACE_CAP"),
+        (deephole, "subspace_bases")),
+    "covering_radius_raw": (
+        lambda code, _: covering_radius_raw(code, "rank"),
+        65536, "words", "scan", (gablab.code, "DEFAULT_WORD_SCAN_CAP"),
+        (GabidulinCode, "_codeword_rows")),
+    "iter_codewords": (
+        lambda code, _: list(code.iter_codewords()),
+        256, "codewords", "oracle", (gablab.code, "DEFAULT_ORACLE_CAP"),
+        (gablab.code, "_span_flat")),
+    "dist_to_code_exhaustive-None": (
+        lambda code, _: dist_to_code_exhaustive(code, code.word([1, 0, 0, 0]), "rank", None),
+        256, "codewords", "oracle", (gablab.code, "DEFAULT_ORACLE_CAP"),
+        (gablab.code, "_span_flat")),
+}
+
+
+def _drawn(*args, **kwargs):
+    raise AssertionError("drawn before the cap was checked")
+
+
+@pytest.mark.parametrize("entry", list(CAP_ENTRIES))
+def test_every_cap_follows_one_rule(monkeypatch, code24, entry):
+    # A cap that is not an int, and a count one above the cap, are refused
+    # before the first draw; only a cap the caller passed names the remedy.
+    # A cap equal to the count runs.  Each call gets a fresh code, so no
+    # plan or codeword list is left over from an earlier one.
+    call, count, what, name, fixed, draw = CAP_ENTRIES[entry]
+
+    def run(cap, guarded):
+        with monkeypatch.context() as patch:
+            if fixed:
+                patch.setattr(*fixed, cap)
+            if guarded:
+                patch.setattr(*draw, _drawn)
+            return call(GabidulinCode(code24.ctx, code24.span.codes, 2), cap)
+
+    for bad in (True, 2.5, "8"):
+        with pytest.raises(ValueError) as exc:
+            run(bad, guarded=True)
+        assert str(exc.value) == f"{name} cap must be an integer, got {bad!r}"
+    with pytest.raises(ValueError) as exc:
+        run(count - 1, guarded=True)
+    remedy = "" if fixed else "; raise the cap to proceed"
+    assert str(exc.value) == f"{count} {what} exceed the {name} cap {count - 1}{remedy}"
+    run(count, guarded=False)
 
 
 # -- equality witnesses ---------------------------------------------------------------

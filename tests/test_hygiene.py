@@ -7,7 +7,9 @@ method defined in the package is referenced somewhere in the package
 besides its own definition.  No module but ``field.py`` reads an
 attribute that a ``FieldCtx`` keeps for choosing its arithmetic route
 (tables, the reduction, the memos, the span automaton): the other
-modules reach the route only through the context's methods.
+modules reach the route only through the context's methods.  No module
+but ``field.py`` forms the text of a cap refusal: every enumeration is
+held to its cap by the one guard there.
 """
 
 import ast
@@ -83,3 +85,20 @@ def test_only_field_reads_the_route_attributes():
         reads += [f"{path.name}:{node.lineno}: .{node.attr}" for node in ast.walk(tree)
                   if isinstance(node, ast.Attribute) and node.attr in ROUTE_ATTRS]
     assert not reads, f"route attributes read outside field.py: {reads}"
+
+
+# Phrases of a cap refusal, which only field.py's guard may form.
+CAP_PHRASES = ("exceed the", "cap must be an integer")
+
+
+def test_one_module_forms_cap_refusals():
+    formed = []
+    for path in MODULES:
+        if path.name == "field.py":
+            continue
+        _, tree = _parse(path)
+        docs = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Expr)}
+        formed += [f"{path.name}:{node.lineno}: {node.value!r}" for node in ast.walk(tree)
+                   if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                   and id(node) not in docs and any(ph in node.value for ph in CAP_PHRASES)]
+    assert not formed, f"cap refusals formed outside field.py: {formed}"

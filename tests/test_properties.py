@@ -392,7 +392,7 @@ def test_first_k_witness_is_the_first_enumerated_candidate(case):
         c = GabidulinCode(code.ctx, code.span.codes, k)
         first = next(subspace_bases(c.span, k))
         assert deephole._first_k_witness(c, "rank").codes == first.codes
-        first = next(deephole._candidates(c, k, "hamming", None))[0]
+        first = next(deephole._candidates(c, k, "hamming"))[0]
         assert deephole._first_k_witness(c, "hamming") == first
         assert c._plan == {}
 
