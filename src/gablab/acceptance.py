@@ -323,15 +323,16 @@ CRITERIA: tuple[tuple[int, str, object], ...] = (
 
 def run_all(numbers=None, seed: int = 0) -> list[CriterionResult]:
     """Run the selected criteria (all by default), catching assertion
-    failures into results instead of raising.  A number that names no
-    criterion is an error."""
-    wanted = set(numbers) if numbers else None
-    unknown = sorted(wanted - {num for num, _, _ in CRITERIA}) if wanted else []
+    failures into results instead of raising.  A number that is not an
+    int (a bool included) or names no criterion is an error."""
+    wanted = list(numbers or ())
+    unknown = ([x for x in wanted if type(x) is not int]
+               or sorted(set(wanted) - {num for num, _, _ in CRITERIA}))
     if unknown:
         raise ValueError(f"no matching criteria: {', '.join(map(str, unknown))}")
     results = []
     for num, title, fn in CRITERIA:
-        if wanted is not None and num not in wanted:
+        if wanted and num not in wanted:
             continue
         try:
             detail = fn(rng_for(seed, num))

@@ -123,12 +123,17 @@ def _check_poly(code: GabidulinCode, f) -> None:
 def _least_weight(ctx: FieldCtx, metric: str, rows, n: int) -> tuple[int, int]:
     """(least weight, index of the first row with it) over a nonempty
     iterable of rows of n codes each.  Rank is ``FieldCtx._least_rank``;
-    Hamming counts each row's zeros at C speed and takes the first row
-    with the most, so it weighs every row whole."""
+    Hamming counts zeros at C speed in blocks of 1,024 rows, keeps the first
+    row with the most, and stops after a block with a row of weight 0."""
     if metric == "rank":
         return ctx._least_rank(rows)
-    idx, zeros = max(enumerate(map(operator.countOf, rows, itertools.repeat(0))),
-                     key=operator.itemgetter(1))
+    counts = map(operator.countOf, rows, itertools.repeat(0))
+    zeros, idx, start = -1, 0, 0
+    while zeros < n and (block := list(itertools.islice(counts, 1024))):
+        top = max(block)
+        if top > zeros:
+            zeros, idx = top, start + block.index(top)
+        start += len(block)
     return n - zeros, idx
 
 

@@ -29,10 +29,11 @@ accepts at the same levels with the same first witness in canonical order,
 which is why class scans classify one monic class per orbit.
 
 ``_candidates`` yields every candidate as (witness, generator codes,
-coefficient rows over the points), with no SubspaceBasis, LinPoly or
-FieldElement built: the search reads the rows and the generators' Moore
-rows, the sieve and ``equality_witness`` their annihilator, and
-``ratio_lemma_check`` their Moore determinants.
+coefficient rows over the points), with no LinPoly or FieldElement built; a
+rank witness is the SubspaceBasis that ``subspace_bases`` yields, built
+unchecked.  The search reads the rows and the generators' Moore rows, the
+sieve and ``equality_witness`` their annihilator, and ``ratio_lemma_check``
+their Moore determinants.
 
 The search never evaluates f on a candidate.  Every candidate generator
 is an F_q-combination u = sum_j c_j g_j of the points, and f is
@@ -51,9 +52,9 @@ Nor does ``distance_by_search`` interpolate the word: the ascent needs f
 only through its values and deg_q f.  f's coefficients are a = L w, with
 L the inverse of the transposed Moore matrix of the points, so deg_q f is
 the first i from n-1 down to k with a_i(w) = sum_j L[i][j] w_j nonzero,
-and a codeword has none.  L is found once per code, one solve on codes
-per column; a random word then costs one functional, n products, where
-interpolation solved an n x n system.
+and a codeword has none.  L is found once per code, read off one
+elimination of [M | I]; a random word then costs one functional, n
+products, where interpolation solved an n x n system.
 
 Only the right side f(u_j) depends on the word, so each code keeps a plan
 for the search, filled as the search first reaches each level: per
@@ -109,8 +110,8 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .code import GabidulinCode, Word, _check_metric, _check_poly, _check_word
-from .field import (FieldCtx, FieldElement, _check_cap, _combine_rows, _from_base_digits,
-                    _solve, _span_flat, gaussian_binomial)
+from .field import (FieldCtx, FieldElement, _check_cap, _combine_rows, _eliminate,
+                    _from_base_digits, _solve, _span_flat, gaussian_binomial)
 from .linpoly import (LinPoly, NEG_INF, SubspaceBasis, _annihilator_codes, _eval_codes,
                       _moore_det, _moore_rows)
 from .linpoly import q_lagrange  # noqa: F401  unused; bench/gabtrace.py patches it here
@@ -293,15 +294,15 @@ def _top_functionals(code: GabidulinCode) -> list[list[int]]:
     """Rows n-1 down to k of L, the inverse of the transposed Moore matrix
     M (row j: g_j^(q^i), i < n) of the points.  A word's interpolant has
     coefficients a = L * w, so row i is the functional a_i.  L is found
-    once per code, column c as the solution of M x = e_c; the code's plan
-    keeps the rows."""
+    once per code: M is invertible, so one elimination of [M | I] reduces
+    it to [I | L]; the code's plan keeps the rows."""
     rows = code._plan.get("functionals")
     if rows is None:
         ctx, n, k = code.ctx, code.n, code.k
         moore = _moore_rows(ctx, code.span.codes, n)
-        cols = [_solve(ctx, moore, [int(i == c) for i in range(n)]) for c in range(n)]
-        rows = code._plan.setdefault(
-            "functionals", [[col[i] for col in cols] for i in range(n - 1, k - 1, -1)])
+        red = _eliminate(ctx, [r + [int(i == j) for i in range(n)]
+                               for j, r in enumerate(moore)], n)[0]
+        rows = code._plan.setdefault("functionals", [red[i][n:] for i in range(n - 1, k - 1, -1)])
     return rows
 
 

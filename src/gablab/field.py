@@ -205,24 +205,27 @@ def _span_flat(ctx, units, n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Linear algebra.  ``_eliminate`` (forward elimination) with
-# ``_back_substitute`` is the one Gaussian elimination: determinants,
-# solves, ranks and null spaces of code matrices run it over their own
-# FieldCtx, and F_p digit matrices run it over ``_prime_field(p)``, whose
-# codes are the digits.  F_q-ranks and greedy bases, the hot ones, use the
-# one incremental F_p echelon in ``FieldCtx._greedy_codes`` instead.
+# Linear algebra.  ``_eliminate`` is the one Gaussian elimination: it
+# takes a copy to reduced echelon form, and determinants, solves, ranks,
+# null spaces and inverses are read off that one pass.  Code matrices run
+# it over their own FieldCtx, and F_p digit matrices over
+# ``_prime_field(p)``, whose codes are the digits.  F_q-ranks and greedy
+# bases, the hot ones, use the one incremental F_p echelon in
+# ``FieldCtx._greedy_codes`` instead.
 
 
 def _eliminate(ctx, rows, ncols: int):
-    """Echelon form of a copy of a code matrix over ctx.
+    """Reduced echelon form of a copy of a code matrix over ctx.
 
     Columns 0..ncols-1 are taken in turn; a column's pivot is the first row
     at or below the current rank with a nonzero entry there.  It is swapped
     up, scaled to a leading 1 (one inversion per pivot, a memo hit on the
-    direct route for a pivot seen before) and subtracted from the rows
-    below.  Columns from ``ncols`` on, an augmented right-hand side, ride
-    along unpivoted.  Returns the rows, the pivot columns, the pivot
-    entries before scaling and the number of row swaps.
+    direct route for a pivot seen before) and subtracted from every other
+    row, so each pivot column is the unit vector of its pivot row; clearing
+    above touches no row below, so the pivots are forward elimination's.
+    Columns from ``ncols`` on, an augmented right-hand side, ride along
+    unpivoted.  Returns the rows, the pivot columns, the pivot entries
+    before scaling and the number of row swaps.
     """
     rows = [list(r) for r in rows]
     mul, sub = ctx.mul, ctx.sub
@@ -239,25 +242,12 @@ def _eliminate(ctx, rows, ncols: int):
         leads.append(top[c])
         inv = ctx.inv(top[c])
         top[c:] = [1] + [mul(inv, x) for x in top[c + 1:]]
-        for row in rows[r + 1:]:
+        for row in rows:
             f = row[c]
-            if f:
+            if f and row is not top:
                 row[c:] = [0] + [sub(a, mul(f, b)) for a, b in zip(row[c + 1:], top[c + 1:])]
         pivots.append(c)
     return rows, pivots, leads, swaps
-
-
-def _back_substitute(ctx, rows, pivots, x: list[int], rhs) -> list[int]:
-    """Set the pivot entries of x, last pivot first, so that echelon row i
-    times x equals rhs[i]; the free entries of x stay as given."""
-    mul, sub = ctx.mul, ctx.sub
-    for i in range(len(pivots) - 1, -1, -1):
-        row, acc = rows[i], rhs[i]
-        for j in range(pivots[i] + 1, len(x)):
-            if x[j]:
-                acc = sub(acc, mul(row[j], x[j]))
-        x[pivots[i]] = acc
-    return x
 
 
 def _det(ctx, rows) -> int:
@@ -275,10 +265,10 @@ def _solve(ctx, rows, rhs) -> list[int] | None:
     """One solution of rows * x = rhs with free entries 0, or None."""
     n = len(rows[0])
     red, pivots, _, _ = _eliminate(ctx, [list(r) + [b] for r, b in zip(rows, rhs)], n)
-    col = [row[n] for row in red]
-    if any(col[len(pivots):]):
+    if any(row[n] for row in red[len(pivots):]):
         return None
-    return _back_substitute(ctx, red, pivots, [0] * n, col)
+    sol = {c: row[n] for row, c in zip(red, pivots)}
+    return [sol.get(j, 0) for j in range(n)]
 
 
 def _combine_rows(ctx, rows, codes) -> list[int]:
@@ -298,16 +288,17 @@ def _combine_rows(ctx, rows, codes) -> list[int]:
 
 
 def _nullspace(ctx, rows) -> list[list[int]]:
-    """Basis of rows * x = 0: per free column f, the x with x[f] = 1 and
-    every other free entry 0, ascending in f."""
+    """Basis of rows * x = 0: per free column f, the x with x[f] = 1,
+    every other free entry 0 and x[pivot_i] = -row_i[f], ascending in f."""
     n = len(rows[0])
     red, pivots, _, _ = _eliminate(ctx, rows, n)
     out = []
     for f in range(n):
         if f not in pivots:
-            x = [0] * n
-            x[f] = 1
-            out.append(_back_substitute(ctx, red, pivots, x, [0] * len(pivots)))
+            x = [int(j == f) for j in range(n)]
+            for row, c in zip(red, pivots):
+                x[c] = ctx.neg(row[f])
+            out.append(x)
     return out
 
 

@@ -61,6 +61,13 @@ def test_criterion_11_rank_weight_basis_invariance():
     _run(11)
 
 
+@pytest.mark.parametrize("numbers", [[True], [1.0], [1, True], [2, 1.0]])
+def test_run_all_refuses_a_number_that_is_not_an_int(numbers):
+    # True == 1.0 == 1, so a set lookup alone would run criterion 1.
+    with pytest.raises(ValueError, match="no matching criteria"):
+        acceptance.run_all(numbers)
+
+
 def test_run_all_aggregates_everything():
     results = acceptance.run_all()
     assert [r.number for r in results] == list(range(1, 12))

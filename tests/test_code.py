@@ -194,6 +194,14 @@ def test_distance_zero_iff_codeword(code24):
         assert msg.codes == LinPoly(code24.ctx, mc).codes
 
 
+def test_hamming_kernel_stops_after_the_block_with_a_weight_zero_row(gf16):
+    # A row of weight 0 is the least weight there is: the kernel returns
+    # it and leaves the rest of a long stream undrawn.
+    rows = iter([[1, 2, 3]] * 3 + [[0, 0, 0]] + [[0, 5, 0]] * 9_996)
+    assert gablab.code._least_weight(gf16, "hamming", rows, 3) == (0, 3)
+    assert len(list(rows)) > 0
+
+
 def _full_weight(ctx, codes, metric, greedy_reference):
     if metric == "rank":
         return len(greedy_reference(ctx, codes))

@@ -617,6 +617,15 @@ def _mat_vec(ctx, rows, x) -> list[int]:
     return out
 
 
+def _assert_reduced(ctx, rows, ncols) -> int:
+    """Check that _eliminate reduces fully, each pivot column the unit
+    vector of its pivot row, and return the rank."""
+    red, pivots, _, _ = _eliminate(ctx, rows, ncols)
+    for i, c in enumerate(pivots):
+        assert [row[c] for row in red] == [int(j == i) for j in range(len(red))]
+    return len(pivots)
+
+
 @pytest.mark.parametrize("field", ["gf16", "gf27", "tower16", "F3"])
 def test_elimination_against_independent_references(request, field, leibniz_det):
     ctx = _prime_field(3) if field == "F3" else request.getfixturevalue(field)
@@ -633,6 +642,7 @@ def test_elimination_against_independent_references(request, field, leibniz_det)
             elif trial % 4 == 3:
                 rows[0][0] = 0                    # forces a row swap
             assert _det(ctx, rows) == leibniz_det(ctx, rows)
+            _assert_reduced(ctx, rows, n)
     for nr, nc in ((3, 3), (4, 4), (2, 4), (4, 2), (3, 5)):
         for _ in range(15):
             rows = rand(nr, nc)
@@ -644,7 +654,7 @@ def test_elimination_against_independent_references(request, field, leibniz_det)
             b[zero_row] = ctx.add(b[zero_row], 1)
             assert _solve(ctx, rows, b) is None   # 0 = nonzero is inconsistent
             null = _nullspace(ctx, rows)
-            rank = len(_eliminate(ctx, rows, nc)[1])
+            rank = _assert_reduced(ctx, rows, nc)
             assert len(null) == nc - rank
             for v in null:
                 assert any(v) and not any(_mat_vec(ctx, rows, v))

@@ -421,6 +421,21 @@ def test_search_without_interpolation_equals_classify_poly(case, seed):
                         _witness_codes(want.witness)))
 
 
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(code=sieve_codes())
+def test_top_functionals_invert_the_moore_matrix(code):
+    # The word of x^(q^i') on the points has interpolant coefficients
+    # e_i', so its functionals a_i, i = n-1 down to k, are the unit vector
+    # delta(i, i'): L * M = I on every kept row of L, at every k.
+    ctx, n, points = code.ctx, code.n, code.span.codes
+    for k in range(1, n + 1):
+        rows = deephole._top_functionals(GabidulinCode(ctx, points, k))
+        for i2 in range(n):
+            word = [ctx.frob(g, i2) for g in points]
+            assert _combine_rows(ctx, rows, word) == [int(i == i2)
+                                                      for i in range(n - 1, k - 1, -1)]
+
+
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(case=small_codes_and_words())
 def test_accepting_levels_form_a_prefix(case):
