@@ -19,6 +19,17 @@ The word search therefore walks t upward from k+1 and stops at the first
 level with no accepting candidate; a deep hole is settled by one rejected
 level k+1, where a walk down from deg_q f would reject every level above.
 
+In the rank metric the ascent has one decoding rung, run once when level
+k+1 accepts below deg_q f.  A Welch-Berlekamp decoder (Loidreau 2005),
+one ``_nullspace`` of an n x (2tau+k+1) system with tau = (n-k) // 2,
+finds the codeword c within tau of the word when there is one; the code
+is MRD, so there is at most one, and rank(w - c) is the distance.  The
+witness is then the only candidate of its level that accepts, the
+F_q-kernel of w - c on the point span, with no level above k+1 walked.
+When no codeword lies within tau the distance is at least tau + 1, so
+the walk stops at level n - tau - 1.  A deep word is settled at level
+k+1 and never reaches the rung.  Hamming keeps the plain walk.
+
 Scaling f by a nonzero field scalar lam scales the word and permutes the
 code (the code is F_{q^m}-linear), and both weights are invariant under
 entry scaling, so distance is constant on scalar orbits.  The witness is
@@ -65,7 +76,8 @@ before it is published, so a level in the plan is always complete; a word
 then builds one right side and runs one elimination (on a copy) per
 candidate it walks.  A level of more than ``_PLAN_LIMIT`` candidates
 streams from ``_candidates`` on every walk.  The subspace cap is read once
-per search, before any level, and checked against every level walked.
+per search, before any level, and checked against each level the search
+walks; a level the decoding rung skips is not walked and not checked.
 ``equality_witness``, ``ratio_lemma_check`` and the sieve take no cap and
 hold each level to the fixed ``DEFAULT_SUBSPACE_CAP``, whose refusal names
 no remedy.  Every cap here goes through the one guard,
@@ -111,7 +123,8 @@ from operator import itemgetter
 
 from .code import GabidulinCode, Word, _check_metric, _check_poly, _check_word
 from .field import (FieldCtx, FieldElement, _check_cap, _combine_rows, _eliminate,
-                    _from_base_digits, _solve, _span_flat, gaussian_binomial)
+                    _from_base_digits, _nullspace, _prime_field, _solve, _span_flat,
+                    gaussian_binomial)
 from .linpoly import (LinPoly, NEG_INF, SubspaceBasis, _annihilator_codes, _eval_codes,
                       _moore_det, _moore_rows)
 from .linpoly import q_lagrange  # noqa: F401  unused; bench/gabtrace.py patches it here
@@ -248,6 +261,69 @@ def _accepting_cover(code: GabidulinCode, fvals, t: int, metric: str,
     return None
 
 
+def _decoder_points(code: GabidulinCode) -> list[list[int]]:
+    """Row j: -g_j^(q^i) for i < tau + k, the point part of the decoder's
+    system (tau = (n-k) // 2), found once per code and kept in its plan."""
+    rows = code._plan.get("decoder")
+    if rows is None:
+        ctx, k = code.ctx, code.k
+        moore = _moore_rows(ctx, code.span.codes, (code.n - k) // 2 + k)
+        rows = code._plan.setdefault("decoder", [[ctx.neg(x) for x in r] for r in moore])
+    return rows
+
+
+def _decode_within_tau(code: GabidulinCode, fvals) -> SubspaceBasis | None:
+    """The ascent's witness for a word within tau = (n-k) // 2 of the code
+    in the rank metric, or None when no codeword lies that close.
+
+    Welch-Berlekamp (Loidreau 2005): any nonzero kernel vector (V, N) of
+    the n x (2tau+k+1) system V(w_j) = N(g_j), V of q-degree <= tau and N
+    of q-degree < tau+k, one ``_nullspace``.  V = 0 would make N vanish on
+    the n-dimensional point span, so V != 0.  If c = f(g) has rank(w - c)
+    <= tau, R = N - V o f vanishes on the span of the sum a_j g_j with
+    sum a_j (w_j - c_j) = 0, of dimension >= n - tau above R's q-degree
+    < tau + k <= n - tau, so N = V o f and f (q-degree < k) is N's left
+    quotient by V, read from the top.  The code is MRD, so c is then the
+    only codeword within tau and r = rank(w - c) is the distance.  The one
+    rank check decides: an empty kernel, or a quotient that is not exact,
+    leaves no codeword within tau.
+
+    Exactly one (n-r)-dimensional candidate then accepts: an agreeing v
+    puts v(g) within r of w, so v(g) = c, and the candidate lies in the
+    (n-r)-dimensional {sum a_j g_j : sum a_j e_j = 0}, e = w - c.  That
+    F_q-kernel is the F_p-kernel of the digits of the lifts beta*e_j (beta
+    in ``_subfield_pbasis``) combined back to F_q, and its RREF rows are
+    those ``subspace_bases`` yields for it."""
+    ctx, n, k = code.ctx, code.n, code.k
+    tau, frob, mul, sub = (n - k) // 2, ctx.frob, ctx.mul, ctx.sub
+    points = _decoder_points(code)
+    kernel = _nullspace(ctx, [w + g for w, g in zip(_moore_rows(ctx, fvals, tau + 1), points)])
+    if not kernel:
+        return None
+    v, nn = kernel[0][:tau + 1], kernel[0][tau + 1:]
+    dv = max(i for i, c in enumerate(v) if c)
+    lead, back = ctx.inv(v[dv]), -dv % ctx.m
+    f = [0] * k
+    for j in range(k - 1, -1, -1):
+        # (V o f)_{dv+j} = sum_i V_i f_{dv+j-i}^(q^i); f_l is known for l > j.
+        acc = nn[dv + j]
+        for i in range(max(0, dv + j - k + 1), dv):
+            if f[dv + j - i]:
+                acc = sub(acc, mul(v[i], frob(f[dv + j - i], i)))
+        f[j] = frob(mul(lead, acc), back)
+    # The point rows hold -g_j^(q^i), so they combine to -f(g_j).
+    err = [ctx.add(w, c) for w, c in zip(fvals, _combine_rows(ctx, [r[:k] for r in points], f))]
+    if len(ctx._greedy_codes(err, tau + 1)) > tau:
+        return None
+    lifts, s = ctx._subfield_pbasis(), ctx.s
+    digits = ctx._digit_matrix([e if b == 1 else mul(b, e) for e in err for b in lifts])
+    rows = [_combine_rows(ctx, [x[j * s:(j + 1) * s] for j in range(n)], lifts)
+            for x in _nullspace(_prime_field(ctx.p), digits)]
+    red, pivots, _, _ = _eliminate(ctx, rows, n)
+    rows = red[:len(pivots)]
+    return SubspaceBasis._unchecked(ctx, _combine_rows(ctx, rows, code.span.codes), rows)
+
+
 def _ascend(code: GabidulinCode, fvals, d: int | float, metric: str,
             subspace_cap: int | None) -> ClassifyResult:
     """The ascent for a word whose polynomial f has q-degree d (NEG_INF or
@@ -259,18 +335,31 @@ def _ascend(code: GabidulinCode, fvals, d: int | float, metric: str,
     level's first accepting candidate; when level k+1 rejects, the first
     k-dimensional candidate witnesses, since level k accepts them all.  A
     non-int cap (None: no cap) is refused first.
+
+    In the rank metric, once level k+1 accepts below d, the decoding rung
+    (``_decode_within_tau``) runs once.  A word within tau = (n-k) // 2 of
+    the code takes its distance and witness from it, with no level above
+    k+1 walked; any other word has t* <= n - tau - 1, so the walk stops
+    there.  (k+1 < d <= n-1 gives n - k >= 3, so tau >= 1 and that stop
+    is at least k+1.)  A deep word never reaches the rung.
     """
     n, k = code.n, code.k
     if subspace_cap is not None:
         _check_cap(subspace_cap, "subspace")
     if d < k:
         return ClassifyResult(distance=0, bound=0, is_deep_hole=(n == k), witness=None)
-    t, wit = k, None
-    while t < d:
+    t, wit, top = k, None, d
+    while t < top:
         above = _accepting_cover(code, fvals, t + 1, metric, subspace_cap)
         if above is None:
             break
         t, wit = t + 1, above
+        if t == k + 1 < d and metric == "rank":
+            near = _decode_within_tau(code, fvals)
+            if near is not None:
+                t, wit = near.dim, near
+                break
+            top = min(d, n - (n - k) // 2 - 1)
     if wit is None:
         wit = _first_k_witness(code, metric)
     dist = n - t

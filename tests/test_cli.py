@@ -139,6 +139,22 @@ def test_search_cap_skips_the_level_k_witness(capsys, tmp_path, metric, word, ca
         assert (status, out, err) == (0, expected, "")
 
 
+@pytest.mark.parametrize("cap,expected", [
+    # Level 3 (k + 1) holds [8,3]_2 = 97,155 subspaces and accepts; the
+    # decoding rung then settles the word, so level 4's 200,787 are never
+    # walked and never held to the cap.
+    ("100000", (0, "distance=1 bound=1 deep_hole=false witness=33,2,36,8,16,64,128\n", "")),
+    ("97154", (1, "", "error: 97155 candidate subspaces exceed the subspace cap 97154;"
+                      " raise the cap to proceed\n")),
+], ids=["above-level-3", "below-level-3"])
+def test_search_cap_holds_only_the_levels_walked(capsys, tmp_path, cap, expected):
+    # GF(2^17), n = 8, k = 2: a codeword plus an error of rank 1.
+    spec = tmp_path / "code17n8.txt"
+    spec.write_text("p=2\ns=1\nm=17\nn=8\nk=2\ng=1,2,4,8,16,32,64,128\n")
+    assert run(capsys, "search", "--spec", str(spec), "--metric", "rank", "--word",
+               "1004,1996,4051,7808,14720,24835,35328,13312", "--cap", cap) == expected
+
+
 def test_search_and_dist_agree(capsys, spec24):
     for word in ("1,2,3,4", "9,0,0,1", "15,15,15,15"):
         _, out_d, _ = run(capsys, "dist", "--spec", spec24, "--word", word)

@@ -455,6 +455,99 @@ def test_accepting_levels_form_a_prefix(case):
             assert accepting[-1] == code.n - classify_poly(code, f, metric).distance
 
 
+# (p, s, m, n) for the decoding-rung property: p in {2, 3, 5}, s in {1, 2},
+# 4 <= n <= min(m, 6) (n - k >= 3 needs n >= 4), fields of order at most
+# 4096 and at most RUNG_BUDGET candidates on the levels 2..n-1 the
+# walk-only reference may draw at k = 1.
+RUNG_BUDGET = 3000
+RUNG_SHAPES = [(p, s, m, n) for p in (2, 3, 5) for s in (1, 2) for m in range(4, 7)
+               for n in range(4, min(m, 6) + 1)
+               if p ** (s * m) <= 4096
+               and sum(gaussian_binomial(n, t, p ** s) for t in range(2, n)) <= RUNG_BUDGET]
+
+
+@st.composite
+def rung_codes_and_words(draw):
+    """A tower of RUNG_SHAPES with its default modulus, random independent
+    points, a random k with n - k >= 3, and words: one codeword plus an
+    error of F_q-rank exactly r for each r in 0..tau+1 (tau = (n-k) // 2),
+    and one uniform word."""
+    p, s, m, n = draw(st.sampled_from(RUNG_SHAPES))
+    ctx = _ctx(p, s, m)
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    points = []
+    while len(points) < n:
+        g = rng.randrange(1, ctx.order)
+        if ctx.span_dim(points + [g]) == len(points) + 1:
+            points.append(g)
+    code = GabidulinCode(ctx, points, draw(st.integers(1, n - 3)))
+    scalars = ctx._subfield_codes()
+    words = [[rng.randrange(ctx.order) for _ in range(n)]]
+    for r in range((n - code.k) // 2 + 2):
+        err = [0] * n
+        while ctx.span_dim(err) != r:
+            betas = [rng.randrange(1, ctx.order) for _ in range(r)]
+            err = [_combine_rows(ctx, [[rng.choice(scalars) for _ in betas]], betas)[0]
+                   for _ in range(n)]
+        msg = LinPoly(ctx, [rng.randrange(ctx.order) for _ in range(code.k)])
+        words.append([ctx.add(a, b) for a, b in zip(code.encode(msg).codes, err)])
+    return code, [code.word(w) for w in words]
+
+
+def _walk_only(code, w):
+    """Reference for the decoding rung: the rank ascent with no rung, every
+    level k+1..deg_q f walked by ``_accepting_cover`` until one rejects, as
+    (distance, bound, deep flag, witness codes)."""
+    n, k, d = code.n, code.k, code.sigma_inverse(w).deg_q
+    if d is NEG_INF or d < k:
+        return 0, 0, n == k, None
+    t, wit = k, deephole._first_k_witness(code, "rank")
+    while t < d:
+        above = _accepting_cover(code, w.codes, t + 1, "rank", None)
+        if above is None:
+            break
+        t, wit = t + 1, above
+    return n - t, n - d, t == k, _witness_codes(wit)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(case=rung_codes_and_words())
+def test_decoding_rung_equals_the_walk(case):
+    # Both entry points take the rung through the shared ascent; each must
+    # give the walk's distance, bound, flag and witness codes, and the
+    # oracle's distance where it is short enough to run.
+    code, words = case
+    ctx, n, k = code.ctx, code.n, code.k
+    for w in words:
+        want = _walk_only(code, w)
+        for res in (distance_by_search(code, w, "rank"),
+                    classify_poly(code, code.sigma_inverse(w), "rank")):
+            assert (res.distance, res.bound, res.is_deep_hole,
+                    _witness_codes(res.witness)) == want
+        if ctx.order ** k <= CODEWORD_LIMIT:
+            assert dist_to_code_exhaustive(code, w, "rank")[0] == want[0]
+
+
+@pytest.mark.parametrize("m,k,points,word", [
+    (6, 2, [62, 60, 41, 53, 7, 8], [53, 50, 3, 14, 4, 1]),
+    (6, 1, [27, 46, 63, 25, 31], [5, 58, 10, 37, 5]),
+    (6, 2, [2, 17, 56, 11, 5, 8], [60, 3, 40, 53, 17, 26]),
+], ids=["n6k2", "n5k1", "n6k2-second"])
+def test_decoding_rung_declines_a_word_past_tau(m, k, points, word):
+    # Over GF(2^m), n - k even: each word lies tau + 1 from more than one
+    # codeword, and the quotient the rung reads off its kernel vector is
+    # one of them, but not the one whose candidate comes first.  The rung
+    # must decline (its rank check admits r <= tau only), and the walk's
+    # first witness at level n - tau - 1 stands.
+    code = GabidulinCode(_ctx(2, 1, m), points, k)
+    w = code.word(word)
+    assert deephole._decode_within_tau(code, w.codes) is None
+    want = _walk_only(code, w)
+    assert want[0] == (code.n - k) // 2 + 1
+    res = distance_by_search(code, w, "rank")
+    assert (res.distance, res.bound, res.is_deep_hole, _witness_codes(res.witness)) == want
+
+
 # (p, s, m) towers with p in {2, 3, 5} and s in {1, 2}, order <= 5**4.
 WEIGHT_TOWERS = [(p, s, m) for p in (2, 3, 5) for s in (1, 2) for m in (1, 2, 3)
                  if p ** (s * m) <= 625]
