@@ -24,21 +24,24 @@ p**t at q-degree j.  So the codewords, in canonical order, are the rows
 of the field's F_p-span kernel (``gablab.field._span_flat``) on the B_l:
 the list so far is followed by p - 1 blocks, each the one before plus B_l,
 so a codeword costs n additions and no multiplication, each added the way
-``FieldCtx._translation`` picks (XOR, a lookup table or ``add``).  Codes with
-at most ``_CODEWORD_CACHE_LIMIT`` codewords list them on first use in one
-flat list of entry codes, n per codeword; the messages are not stored.
-Larger codes stream theirs: the list of the lower half of the levels,
-bounded by the same limit, is translated by each combination of the upper
-levels in turn.
+``FieldCtx._translation`` picks (XOR, a row of the addition table or
+``add``).  Codes with at most ``_CODEWORD_CACHE_LIMIT`` codewords list them
+on first use in n columns, one list of entry codes per position; the
+messages are not stored.  Larger codes stream theirs: the columns of the
+lower half of the levels, bounded by the same limit, are translated by
+each combination of the upper levels in turn.
 
 The oracles shift the codeword stream itself: ``_codeword_rows`` yields
-x + shift, the cached list translated as it is read, or, when streamed,
-the shift carried in each block's offset, so no entry is translated
-twice.  The distance oracle asks for the shift -w and weighs x - w, not
-w - x (a weight does not change under negation); the raw scan asks for
-the shift w and takes the coset w + C, the same set as w - C.  That is
-one XOR per entry for p = 2, and on the odd table route one lookup per
-entry in a table per position, all inside ``map``.  Each stream is then
+x + shift, the cached columns translated as they are read, or, when
+streamed, the shift carried in each block's offset, so no entry is
+translated twice.  The distance oracle asks for the shift -w and weighs
+x - w, not w - x (a weight does not change under negation); the raw scan
+asks for the shift w and takes the coset w + C, the same set as w - C.
+Each row is drawn as one ``zip`` of a ``map`` per column: one XOR per
+entry for p = 2, and on the odd table route one lookup per entry in the
+row x -> x + shift_j of the field's addition table, read by that row's
+bound ``__getitem__``, the rows kept in the context's memo so a repeated
+addend builds none.  Each stream is then
 weighed in one call of its metric's kernel (``_least_weight``), which
 returns the least weight and the first row with it: for rank
 ``FieldCtx._least_rank`` (see :mod:`gablab.field`), and for Hamming the
@@ -206,13 +209,14 @@ class GabidulinCode:
         evaluation of the message whose digits are those of i in base order.
         They are built by linearity (``_span_flat``), one level per base-p
         digit of i, n additions per codeword.  Up to
-        ``_CODEWORD_CACHE_LIMIT`` codewords are listed on first use in one
-        flat list of entry codes, n per codeword, and later passes are served
-        from it, translated by the shift as they are read; more are streamed
-        (``_stream_rows``) from a list of about the square root of their
-        number, the shift folded into each block's offset, so no entry is
-        translated twice.  Each translation runs inside ``map`` by the
-        route ``FieldCtx._translation`` picks.  The count is held to
+        ``_CODEWORD_CACHE_LIMIT`` codewords are listed on first use in n
+        columns, one list of entry codes per position, and later passes are
+        served from them, translated by the shift as they are read
+        (``_rows``); more are streamed (``_stream_rows``) from columns of
+        about the square root of their number, the shift folded into each
+        block's offset, so no entry is translated twice.  Each translation
+        runs inside ``map`` by the route ``FieldCtx._translation`` picks.
+        The count is held to
         ``oracle_cap`` (None: the fixed ``DEFAULT_ORACLE_CAP``) by
         ``_check_oracle_cap``."""
         count = self.message_count()
@@ -220,8 +224,8 @@ class GabidulinCode:
         if count > _CODEWORD_CACHE_LIMIT:
             return _stream_rows(self.ctx, self._unit_codewords(), self.n, shift)
         if self._cw_cache is None:
-            self._cw_cache = _span_flat(self.ctx, self._unit_codewords(), self.n)
-        return _rows(self.ctx, self._cw_cache, self.n, shift)
+            self._cw_cache = _columns(self.ctx, self._unit_codewords(), self.n)
+        return _rows(self.ctx, self._cw_cache, shift)
 
     def _unit_codewords(self) -> list[list[int]]:
         """The codeword of each unit message, in the order of the base-p
@@ -240,18 +244,29 @@ def _check_oracle_cap(count: int, oracle_cap: int | None) -> None:
                "codewords", fixed=oracle_cap is None)
 
 
-def _rows(ctx: FieldCtx, flat: list[int], n: int, shift):
-    """The rows of ``flat``, n codes each, as tuples, each plus ``shift``
-    (None: as they are), drawn row by row."""
+def _rows(ctx: FieldCtx, cols: list[list[int]], shift):
+    """The rows of the columns ``cols``, one list of codes per position, as
+    tuples, each plus ``shift`` (None: as they are), drawn row by row: one
+    ``zip`` of a ``map`` per column, over the column's row of the addition
+    table on the odd table route and over the translation's operator
+    otherwise (``FieldCtx._translation``)."""
     if shift is None:
-        return zip(*[iter(flat)] * n)
-    op, args = ctx._translation(shift, len(flat) // n)
-    return zip(*[map(op, itertools.cycle(args), flat)] * n)
+        return zip(*cols)
+    op, args = ctx._translation(shift, len(cols[0]))
+    if op is list.__getitem__:
+        return zip(*[map(row.__getitem__, col) for row, col in zip(args, cols)])
+    return zip(*[map(op, itertools.repeat(c), col) for c, col in zip(args, cols)])
+
+
+def _columns(ctx: FieldCtx, units, n: int) -> list[list[int]]:
+    """``_span_flat(ctx, units, n)`` as n columns, one list per position."""
+    flat = _span_flat(ctx, units, n)
+    return [flat[j::n] for j in range(n)]
 
 
 def _stream_rows(ctx: FieldCtx, units, n: int, shift):
     """The rows of ``_span_flat(ctx, units, n)`` as tuples, in the same
-    order, each plus ``shift`` (None: as they are): the flat list of the
+    order, each plus ``shift`` (None: as they are): the columns of the
     lower half of the levels (fewer when that would pass
     ``_CODEWORD_CACHE_LIMIT`` rows, but at least one), translated by each
     combination of the upper levels in turn, which are streamed the same
@@ -260,12 +275,12 @@ def _stream_rows(ctx: FieldCtx, units, n: int, shift):
     low = (len(units) + 1) // 2
     while low > 1 and ctx.p ** low > _CODEWORD_CACHE_LIMIT:
         low -= 1
-    flat = _span_flat(ctx, units[:low], n)
+    cols = _columns(ctx, units[:low], n)
     if low == len(units):
-        yield from _rows(ctx, flat, n, shift)
+        yield from _rows(ctx, cols, shift)
         return
     for offset in _stream_rows(ctx, units[low:], n, shift):
-        yield from _rows(ctx, flat, n, offset)
+        yield from _rows(ctx, cols, offset)
 
 
 def dist_to_code_exhaustive(code: GabidulinCode, w: Word, metric: str,

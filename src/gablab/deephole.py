@@ -283,10 +283,11 @@ def _decode_within_tau(code: GabidulinCode, fvals) -> SubspaceBasis | None:
     <= tau, R = N - V o f vanishes on the span of the sum a_j g_j with
     sum a_j (w_j - c_j) = 0, of dimension >= n - tau above R's q-degree
     < tau + k <= n - tau, so N = V o f and f (q-degree < k) is N's left
-    quotient by V, read from the top.  The code is MRD, so c is then the
-    only codeword within tau and r = rank(w - c) is the distance.  The one
-    rank check decides: an empty kernel, or a quotient that is not exact,
-    leaves no codeword within tau.
+    quotient by V, read from the top, each coefficient a (deg_q V)-th root
+    of the q-power map (``FieldCtx._frob_root``).  The code is MRD, so c
+    is then the only codeword within tau and r = rank(w - c) is the
+    distance.  The one rank check decides: an empty kernel, or a quotient
+    that is not exact, leaves no codeword within tau.
 
     Exactly one (n-r)-dimensional candidate then accepts: an agreeing v
     puts v(g) within r of w, so v(g) = c, and the candidate lies in the
@@ -302,7 +303,7 @@ def _decode_within_tau(code: GabidulinCode, fvals) -> SubspaceBasis | None:
         return None
     v, nn = kernel[0][:tau + 1], kernel[0][tau + 1:]
     dv = max(i for i, c in enumerate(v) if c)
-    lead, back = ctx.inv(v[dv]), -dv % ctx.m
+    lead = ctx.inv(v[dv])
     f = [0] * k
     for j in range(k - 1, -1, -1):
         # (V o f)_{dv+j} = sum_i V_i f_{dv+j-i}^(q^i); f_l is known for l > j.
@@ -310,7 +311,7 @@ def _decode_within_tau(code: GabidulinCode, fvals) -> SubspaceBasis | None:
         for i in range(max(0, dv + j - k + 1), dv):
             if f[dv + j - i]:
                 acc = sub(acc, mul(v[i], frob(f[dv + j - i], i)))
-        f[j] = frob(mul(lead, acc), back)
+        f[j] = ctx._frob_root(mul(lead, acc), dv)
     # The point rows hold -g_j^(q^i), so they combine to -f(g_j).
     err = [ctx.add(w, c) for w, c in zip(fvals, _combine_rows(ctx, [r[:k] for r in points], f))]
     if len(ctx._greedy_codes(err, tau + 1)) > tau:

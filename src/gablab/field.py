@@ -28,7 +28,8 @@ the same field.
 
 A ``FieldCtx`` is immutable after construction, apart from memos filled
 on first use (the subfield basis, the span automaton, the direct route's
-inverses) that never change an answer, and every operation is a pure
+inverses, the odd table route's addition rows, the inverse q-power
+tables) that never change an answer, and every operation is a pure
 function of element codes, so contexts and elements can be shared freely
 between threads and worker processes.
 Fields up to the table limit build, once at construction, a
@@ -88,8 +89,16 @@ F_p-span kernel, lists every F_p-combination of some rows in index order
 (codewords, F_q and span members, the char-2 reduction tables, the
 sieve's rows); and ``FieldCtx._fp_kernel`` solves for the kernel of an
 F_p-linear map of the top field (F_q, root spaces).  Adding one vector
-to many rows takes its route from ``FieldCtx._translation`` alone.  Every
-enumeration in the package is held to its cap by ``_check_cap``.
+to many rows takes its route from ``FieldCtx._translation`` alone: XOR in
+characteristic 2, ``add`` on the direct route or for fewer rows than field
+elements, and otherwise one row x -> x + c of the addition table per
+position, read by lookup.  An odd table-route context keeps those rows,
+up to ``_ADD_ROW_MEMO_LIMIT`` codes in all, so the oracle's many shifts of
+one codeword list (one per word, per coset, per streamed block) build a
+row only for an addend not seen before.  The i-th root of the q-power map
+(``FieldCtx._frob_root``) is i reads of the F_p-linear map x -> x^(q^(m-1))
+from two half tables, as ``_red`` is read.  Every enumeration in the
+package is held to its cap by ``_check_cap``.
 """
 
 from __future__ import annotations
@@ -121,6 +130,14 @@ _SPAN_AUTOMATON_LIMIT = 1 << 15
 # that miss at once may each store, passing the bound by less than their
 # number; every entry is the true inverse, so no answer depends on it.
 _INV_MEMO_LIMIT = 1 << 12
+
+# An odd table-route field keeps the rows x -> x + c of its addition table
+# that ``FieldCtx._translation`` builds while they hold at most this many
+# codes in all, about 2 MB of list slots: every row of GF(3^4) (81 x 81
+# codes) or GF(7^3), 419 of GF(5^4)'s 625, 4 of GF(3^10)'s.  Later rows are
+# built and not kept.  Threads that miss at once may each store, passing
+# the bound by less than their number of rows; every row is the true one.
+_ADD_ROW_MEMO_LIMIT = 1 << 18
 
 
 def _check_cap(cap, name: str, count: int | None = None, what: str = "",
@@ -326,8 +343,8 @@ class FieldCtx:
     __slots__ = (
         "p", "s", "m", "q", "sm", "order", "modulus",
         "_mod_int", "_red", "_n1", "_exp", "_log", "_zech",
-        "_sub_pbasis", "_sub_codes", "_inv_memo",
-        "_span_zero", "_span_rows",
+        "_sub_pbasis", "_sub_codes", "_inv_memo", "_add_rows",
+        "_unfrob", "_span_zero", "_span_rows",
     )
 
     def __init__(self, p: int, s: int, m: int, modulus=None):
@@ -354,6 +371,8 @@ class FieldCtx:
         self._n1 = order - 1
         self._exp = self._log = self._zech = self._red = None
         self._inv_memo = {}
+        self._add_rows = {}
+        self._unfrob = None
         self._set_modulus(modulus)
         if order <= _TABLE_LIMIT:
             self._build_tables()
@@ -684,14 +703,28 @@ class FieldCtx:
         """(op, operands) with op(operands[j], x) == add(x, vec[j]) for
         every code x: how to add vec entry by entry to ``uses`` rows.  XOR
         for p = 2; on the table route, once there are at least as many
-        rows as field elements, a lookup in a table of x -> x + vec[j] per
-        position j; ``add`` otherwise.  This is the one place, outside the
-        arithmetic itself, where the route is chosen."""
+        rows as field elements, a lookup in the row x -> x + vec[j] of the
+        addition table per position j; ``add`` otherwise.  The rows come
+        from a per-context memo: a missing one is built by ``add`` and kept
+        while the memo holds no more than ``_ADD_ROW_MEMO_LIMIT`` codes in
+        all, so a context that translates by the same addends again (the
+        oracle's words, a coset scan, the blocks of a stream) builds each
+        row once.  This is the one place, outside the arithmetic itself,
+        where the route is chosen."""
         if self.p == 2:
             return operator.xor, vec
-        if self._exp is not None and uses >= self.order:
-            return list.__getitem__, [[self.add(x, c) for x in range(self.order)] for c in vec]
-        return self.add, vec
+        if self._exp is None or uses < self.order:
+            return self.add, vec
+        memo, order = self._add_rows, self.order
+        rows = []
+        for c in vec:
+            row = memo.get(c)
+            if row is None:
+                row = [self.add(x, c) for x in range(order)]
+                if (len(memo) + 1) * order <= _ADD_ROW_MEMO_LIMIT:
+                    memo[c] = row
+            rows.append(row)
+        return list.__getitem__, rows
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -717,6 +750,23 @@ class FieldCtx:
         if self._exp is None:
             return self._pow_direct(a, self.q ** i)
         return self._exp[self._log[a] * self.q ** i % self._n1] if a else 0
+
+    def _frob_root(self, a: int, i: int) -> int:
+        """a**(q**(-i)), the code whose i-fold q-power is a, for i >= 0, as
+        i reads of the inverse q-power map x -> x**(q**(m-1)).  That map is
+        F_p-linear, so for a = lo + P*hi with P = p**(sm // 2) it is the sum
+        of two reads from half tables spanned (``_span_flat``) from its
+        values on the powers of p, made on first use and kept: 256 + 512
+        codes at GF(2^17), where ``frob`` by m - i is (m - i)*s squarings."""
+        if self._unfrob is None:
+            p, h = self.p, self.sm // 2
+            images = [[self.frob(p ** t, self.m - 1)] for t in range(self.sm)]
+            self._unfrob = (_span_flat(self, images[:h], 1), _span_flat(self, images[h:], 1),
+                            p ** h)
+        lo, hi, P = self._unfrob
+        for _ in range(i):
+            a = self.add(lo[a % P], hi[a // P])
+        return a
 
     # -- the middle field -----------------------------------------------------
 

@@ -15,6 +15,7 @@ import random
 import pytest
 
 import gablab.code
+import gablab.field
 from gablab import (FieldCtx, FieldElement, GabidulinCode, LinPoly, SubspaceBasis, Word,
                     covering_radius_raw, covering_radius_scan, dist_to_code_exhaustive,
                     format_code_spec, min_distance, parse_code_spec, weight)
@@ -305,17 +306,19 @@ def test_bounded_oracles_match_full_weight_reference(ctx_args, n, k, greedy_refe
 
 def test_codeword_cache_survives_an_early_stop():
     # The first oracle call meets a codeword and stops at distance 0; the
-    # enumeration it started must still fill the cache, which holds every
-    # codeword's n entries in one flat list, in canonical order.
+    # enumeration it started must still fill the cache, which holds the
+    # codewords' entries in n columns, one list per position, in canonical
+    # order.
     ctx = FieldCtx(3, 1, 3)
     code = GabidulinCode(ctx, (1, 3, 9), 2)
     cw = code.encode(LinPoly(ctx, (5, 7)))
     d, msg = dist_to_code_exhaustive(code, cw, "rank")
     assert (d, msg.codes) == (0, (5, 7))
-    assert code._cw_cache is not None and len(code._cw_cache) == 729 * 3
+    assert code._cw_cache is not None and [len(col) for col in code._cw_cache] == [729] * 3
     fresh = GabidulinCode(ctx, (1, 3, 9), 2)
     msgs = [(c0, c1) for c1 in range(27) for c0 in range(27)]
-    assert code._cw_cache == [x for mc in msgs for x in fresh.encode(LinPoly(ctx, mc)).codes]
+    assert code._cw_cache == [list(col) for col in zip(*[fresh.encode(LinPoly(ctx, mc)).codes
+                                                         for mc in msgs])]
     rng = random.Random(71)
     for metric in ("rank", "hamming"):
         for _ in range(4):
@@ -357,7 +360,7 @@ LINEARITY_CODES = [((2, 1, 3), 3, 1), ((2, 1, 3), 3, 2), ((2, 1, 3), 3, 3),
 @pytest.mark.parametrize("ctx_args,n,k", LINEARITY_CODES)
 def test_codewords_by_linearity_match_the_one_by_one_evaluator(ctx_args, n, k, monkeypatch,
                                                                 greedy_reference):
-    # The cached flat list, then the streams forced by the cache limits 1,
+    # The cached columns, then the streams forced by the cache limits 1,
     # p, p^2 + 1 and one short of the codeword count (those below it), each
     # under an oracle cap of exactly that count.  Each also shifted by a
     # random vector, entry by entry against the reference rows; and in each
@@ -373,7 +376,7 @@ def test_codewords_by_linearity_match_the_one_by_one_evaluator(ctx_args, n, k, m
     shifted = [tuple(ctx.add(x, c) for x, c in zip(cw, shift)) for cw in ref]
     assert list(code._codeword_rows(oracle_cap=count)) == ref
     assert list(code._codeword_rows(oracle_cap=count, shift=shift)) == shifted
-    assert code._cw_cache == [x for cw in ref for x in cw]
+    assert code._cw_cache == [list(col) for col in zip(*ref)]
     assert [mc for mc, _ in code.iter_codewords()] == [
         tuple(_base_digits(i, ctx.order, k)) for i in range(count)]
     answers = []
@@ -395,6 +398,34 @@ def test_codewords_by_linearity_match_the_one_by_one_evaluator(ctx_args, n, k, m
             assert (d, msg.codes) == (ref_d, ref_codes)
 
 
+def test_addition_row_memo_holds_to_its_limit():
+    # GF(3^10), order 59,049, n = 3, k = 1: 59,049 cached codewords, so
+    # every shift of the oracle stream takes one addition-table row per
+    # position.  Over fresh addends the context's memo keeps rows while
+    # they fit in _ADD_ROW_MEMO_LIMIT codes and never holds more; a kept
+    # row is served again, a row past the limit is built and dropped, and
+    # the shifted stream starts with the shift itself (codeword 0).
+    ctx = FieldCtx(3, 1, 10)
+    code = GabidulinCode(ctx, (1, 3, 9), 1)
+    limit, memo = gablab.field._ADD_ROW_MEMO_LIMIT, ctx._add_rows
+    assert 0 < limit // ctx.order < 12
+    addends = random.Random(59049).sample(range(ctx.order), 12)
+    for j in range(0, 12, 3):
+        shift = addends[j:j + 3]
+        rows = code._codeword_rows(shift=shift)
+        assert len(memo) * ctx.order <= limit
+        assert next(rows) == tuple(shift)
+        assert next(rows) == tuple(ctx.add(col[1], c) for col, c in zip(code._cw_cache, shift))
+    assert len(memo) == limit // ctx.order
+    assert set(memo) == set(addends[:len(memo)])
+    kept, dropped = addends[0], addends[-1]
+    _, (row,) = ctx._translation([kept], ctx.order)
+    assert row is memo[kept]
+    _, (row,) = ctx._translation([dropped], ctx.order)
+    assert dropped not in memo and row[0] == dropped and len(row) == ctx.order
+    assert len(memo) == limit // ctx.order
+
+
 def test_codewords_at_the_cache_limit_and_the_oracle_cap():
     # GF(2^8), n = k = 2: exactly _CODEWORD_CACHE_LIMIT codewords, all
     # cached.  GF(2^10), n = k = 2: exactly DEFAULT_ORACLE_CAP, streamed
@@ -403,7 +434,7 @@ def test_codewords_at_the_cache_limit_and_the_oracle_cap():
     assert code.message_count() == gablab.code._CODEWORD_CACHE_LIMIT
     ref = list(_codewords_one_by_one(code, range(code.message_count())))
     assert list(code._codeword_rows()) == ref
-    assert len(code._cw_cache) == 2 * len(ref)
+    assert code._cw_cache == [list(col) for col in zip(*ref)]
     code = GabidulinCode(FieldCtx(2, 1, 10), (1, 2), 2)
     assert code.message_count() == DEFAULT_ORACLE_CAP
     sample, got = [], []

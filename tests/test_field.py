@@ -194,6 +194,22 @@ def test_frobenius_iterate_reduces_mod_m(gf16):
         gf16.frob(3, -1)
 
 
+@pytest.mark.parametrize("p,s,m", [(2, 1, 4), (2, 2, 3), (3, 1, 4), (5, 2, 2), (7, 1, 1),
+                                   (2, 1, 17), (3, 1, 11), (3, 2, 6)])
+def test_frobenius_root_inverts_the_q_power_map(p, s, m):
+    # Table-route and direct-route fields, both characteristics: the i-th
+    # root read from the half tables is the code whose i-fold q-power is
+    # the argument, for every i up to m, and undoes frob(., i).
+    ctx = FieldCtx(p, s, m)
+    rng = random.Random(f"root/{p}/{s}/{m}")
+    codes = [0, 1, ctx.order - 1] + [rng.randrange(ctx.order) for _ in range(30)]
+    for i in range(m + 1):
+        for a in codes:
+            root = ctx._frob_root(a, i)
+            assert ctx.frob(root, i) == a
+            assert ctx._frob_root(ctx.frob(a, i), i) == a
+
+
 def test_subfield_is_fixed_field_of_frobenius(gf16, tower16):
     # q = 2: two elements; q = 4 inside GF(16): four, closed under + and *.
     assert [e.code for e in gf16.subfield_elements()] == [0, 1]

@@ -73,7 +73,7 @@ def test_every_private_function_is_referenced():
 
 # FieldCtx attributes that only field.py may read.
 ROUTE_ATTRS = frozenset({"_exp", "_log", "_zech", "_red", "_n1", "_mod_int", "_inv_memo",
-                         "_span_zero", "_span_rows"})
+                         "_add_rows", "_unfrob", "_span_zero", "_span_rows"})
 
 
 def test_only_field_reads_the_route_attributes():

@@ -18,7 +18,9 @@ checked against the digit-list sieve it replaced for p = 2, entry for
 entry, and the code-level annihilator kernel against the roots it must
 have.  The F_p-span kernel that lists codewords, subfields, spans and
 sieve rows is checked against a sum of digit multiples, and the
-translation route it adds with against ``add``.  The Hamming class
+translation route it adds with against ``add``; the oracle on the odd
+table route's addition rows, under every state of their memo, against
+the full-weight reference of ``test_code``.  The Hamming class
 histogram at k = 1 is checked against its closed form over set partitions.
 """
 
@@ -38,6 +40,7 @@ from gablab import (NEG_INF, FieldCtx, GabidulinCode, LinPoly, SubspaceBasis,  #
                     annihilator, classify_poly, covering_radius_raw,
                     covering_radius_scan, dist_to_code_exhaustive,
                     distance_by_search, subspace_bases)
+import gablab.code  # noqa: E402
 from gablab import deephole  # noqa: E402
 from gablab import field  # noqa: E402
 from gablab.code import _least_weight  # noqa: E402
@@ -47,6 +50,7 @@ from gablab.deephole import (DEFAULT_CLASS_SCAN_CAP, DEFAULT_SUBSPACE_CAP,  # no
 from gablab.field import (_SPAN_AUTOMATON_LIMIT, _TABLE_LIMIT,  # noqa: E402
                           _base_digits, _combine_rows, _span_flat, gaussian_binomial)
 from gablab.linpoly import _annihilator_codes, _eval_codes  # noqa: E402
+from test_code import _reference_distance  # noqa: E402
 
 WORD_LIMIT = 4096
 
@@ -808,3 +812,75 @@ def test_span_kernel_and_translation_match_their_definitions(tower, data):
         assert tables or op == (operator.xor if p == 2 else ctx.add)
         for j, c in enumerate(vec):
             assert all(op(args[j], x) == ctx.add(x, c) for x in xs)
+
+
+# Odd table-route towers for the oracle's addition rows: p in {3, 5, 7},
+# s in {1, 2}, order at most 7^4.  Drawn codes hold at most ROW_BUDGET
+# codewords, far under the oracle cap, since the reference weighs each one
+# in Python; one example is the oracle-odd benchmark's shape, GF(3^4) n = 4
+# k = 2 (6,561 codewords).
+ROW_TOWERS = [(p, s, m) for p in (3, 5, 7) for s in (1, 2) for m in (1, 2, 3, 4)
+              if p ** (s * m) <= 7 ** 4]
+ROW_BUDGET = 2500
+
+
+@st.composite
+def row_route_codes(draw):
+    """A code on a ``ROW_TOWERS`` tower with at most ``ROW_BUDGET``
+    codewords, and two or three words of its length."""
+    p, s, m = draw(st.sampled_from(ROW_TOWERS))
+    ctx = _ctx(p, s, m)
+    n, k = draw(st.sampled_from([(n, k) for n in range(1, m + 1) for k in range(1, n + 1)
+                                 if ctx.order ** k <= ROW_BUDGET]))
+    points = draw(st.lists(st.integers(1, ctx.order - 1), min_size=n, max_size=n))
+    assume(ctx.span_dim(points) == n)
+    words = draw(st.lists(st.lists(st.integers(0, ctx.order - 1), min_size=n, max_size=n),
+                          min_size=2, max_size=3))
+    return GabidulinCode(ctx, points, k), words
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(case=row_route_codes())
+@example(case=(GabidulinCode(_ctx(3, 1, 4), (1, 3, 9, 27), 2),
+               [[5, 17, 40, 66], [1, 3, 9, 27], [0, 0, 0, 80]]))
+@example(case=(GabidulinCode(_ctx(3, 2, 2), (1, 3), 1), [[40, 7], [0, 80]]))
+def test_oracle_on_the_addition_rows_equals_the_reference(case, greedy_reference):
+    # The oracle translates each cached column, or each streamed block of
+    # at least the field order, through the addition-table rows of its
+    # context's memo.  Its distance and message must equal the full-weight
+    # reference's with the memo cold (a fresh context per word), warm (one
+    # context across the words, and the shared one across examples), kept
+    # to no row (limit 0) and to one row (limit = order), each on the
+    # cached columns and on streams forced by the cache limits 1 (blocks
+    # of p rows, below the order: ``add``) and the order (blocks of order
+    # rows: the memo).  The shifted rows themselves must equal the
+    # codewords plus the word entry by entry, since a weight cannot see a
+    # permutation of the positions.
+    code, words = case
+    ctx, points, k = code.ctx, code.span.codes, code.k
+    count = code.message_count()
+    codewords = [cw for _, cw in code.iter_codewords()]
+    refs = {}
+    for w in words:
+        refs[tuple(w)] = [tuple(ctx.add(x, c) for x, c in zip(cw, w)) for cw in codewords]
+        for metric in ("rank", "hamming"):
+            d, msg = _reference_distance(code, code.word(w), metric, greedy_reference)
+            refs[tuple(w), metric] = (d, LinPoly(ctx, msg).codes)
+    cache_limits = [None] + [x for x in (1, ctx.order) if x < count]
+    for mode in ("cold", "warm", "none", "one"):
+        for cache_limit in cache_limits:
+            with pytest.MonkeyPatch.context() as mp:
+                if mode in ("none", "one"):
+                    mp.setattr(field, "_ADD_ROW_MEMO_LIMIT", 0 if mode == "none" else ctx.order)
+                if cache_limit is not None:
+                    mp.setattr(gablab.code, "_CODEWORD_CACHE_LIMIT", cache_limit)
+                shared = code if mode == "warm" else GabidulinCode(
+                    FieldCtx(ctx.p, ctx.s, ctx.m), points, k)
+                for w in words:
+                    here = (GabidulinCode(FieldCtx(ctx.p, ctx.s, ctx.m), points, k)
+                            if mode == "cold" else shared)
+                    for metric in ("rank", "hamming"):
+                        d, msg = dist_to_code_exhaustive(here, here.word(w), metric)
+                        assert (d, msg.codes) == refs[tuple(w), metric], (mode, cache_limit)
+                    assert list(here._codeword_rows(shift=w)) == refs[tuple(w)]
+                    assert len(here.ctx._add_rows) * ctx.order <= field._ADD_ROW_MEMO_LIMIT
