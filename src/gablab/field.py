@@ -90,15 +90,12 @@ F_p-span kernel, lists every F_p-combination of some rows in index order
 sieve's rows); and ``FieldCtx._fp_kernel`` solves for the kernel of an
 F_p-linear map of the top field (F_q, root spaces).  Adding one vector
 to many rows takes its route from ``FieldCtx._translation`` alone: XOR in
-characteristic 2, ``add`` on the direct route or for fewer rows than field
-elements, and otherwise one row x -> x + c of the addition table per
-position, read by lookup.  An odd table-route context keeps those rows,
-up to ``_ADD_ROW_MEMO_LIMIT`` codes in all, so the oracle's many shifts of
-one codeword list (one per word, per coset, per streamed block) build a
-row only for an addend not seen before.  The i-th root of the q-power map
-(``FieldCtx._frob_root``) is i reads of the F_p-linear map x -> x^(q^(m-1))
-from two half tables, as ``_red`` is read.  Every enumeration in the
-package is held to its cap by ``_check_cap``.
+characteristic 2, ``add``, or rows x -> x + c of the addition table, built
+digit-wise and kept in a bounded per-context memo on the odd table route.
+The i-th root of the q-power map (``FieldCtx._frob_root``) is i reads of
+the F_p-linear map x -> x^(q^(m-1)) from two half tables, as ``_red`` is
+read.  Every enumeration in the package is held to its cap by
+``_check_cap``.
 """
 
 from __future__ import annotations
@@ -223,47 +220,54 @@ def _span_flat(ctx, units, n: int) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # Linear algebra.  ``_eliminate`` is the one Gaussian elimination: it
-# takes a copy to reduced echelon form, and determinants, solves, ranks,
-# null spaces and inverses are read off that one pass.  Code matrices run
-# it over their own FieldCtx, and F_p digit matrices over
-# ``_prime_field(p)``, whose codes are the digits.  F_q-ranks and greedy
-# bases, the hot ones, use the one incremental F_p echelon in
-# ``FieldCtx._greedy_codes`` instead.
+# takes a copy to reduced echelon form in a loop trimmed to the field
+# operations the reduction needs, and determinants, solves, ranks, null
+# spaces and inverses are read off that one pass.  Code matrices run it
+# over their own FieldCtx, and F_p digit matrices over ``_prime_field(p)``,
+# whose codes are the digits.  F_q-ranks and greedy bases, the hot ones,
+# use the one incremental F_p echelon in ``FieldCtx._greedy_codes``.
 
 
 def _eliminate(ctx, rows, ncols: int):
     """Reduced echelon form of a copy of a code matrix over ctx.
 
-    Columns 0..ncols-1 are taken in turn; a column's pivot is the first row
-    at or below the current rank with a nonzero entry there.  It is swapped
-    up, scaled to a leading 1 (one inversion per pivot, a memo hit on the
-    direct route for a pivot seen before) and subtracted from every other
-    row, so each pivot column is the unit vector of its pivot row; clearing
-    above touches no row below, so the pivots are forward elimination's.
-    Columns from ``ncols`` on, an augmented right-hand side, ride along
-    unpivoted.  Returns the rows, the pivot columns, the pivot entries
-    before scaling and the number of row swaps.
-    """
+    Columns 0..ncols-1 are taken in turn until every row holds a pivot; a
+    column's pivot is the first row at or below the current rank with a
+    nonzero entry there, found by a plain scan.  It is swapped up, scaled
+    to a leading 1 unless it is 1 already (one inversion, a memo hit on the
+    direct route for a pivot seen before), and its tail, sliced once, is
+    subtracted from every other row, so each pivot column is the unit
+    vector of its pivot row.  Clearing above touches no row below, so the
+    pivots are forward elimination's.  Columns from ``ncols`` on ride along
+    (a right side).  Returns the rows, the pivot columns, the pivot entries
+    before scaling and the number of row swaps."""
     rows = [list(r) for r in rows]
     mul, sub = ctx.mul, ctx.sub
     pivots, leads, swaps = [], [], 0
     for c in range(ncols):
         r = len(pivots)
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
+        for piv in range(r, len(rows)):
+            if rows[piv][c]:
+                break
+        else:
             continue
         if piv != r:
             rows[r], rows[piv] = rows[piv], rows[r]
             swaps += 1
         top = rows[r]
         leads.append(top[c])
-        inv = ctx.inv(top[c])
-        top[c:] = [1] + [mul(inv, x) for x in top[c + 1:]]
+        tail = top[c + 1:]
+        if top[c] != 1:
+            inv = ctx.inv(top[c])
+            tail = [mul(inv, x) for x in tail]
+            top[c:] = [1] + tail
         for row in rows:
             f = row[c]
             if f and row is not top:
-                row[c:] = [0] + [sub(a, mul(f, b)) for a, b in zip(row[c + 1:], top[c + 1:])]
+                row[c:] = [0] + [sub(a, mul(f, b)) for a, b in zip(row[c + 1:], tail)]
         pivots.append(c)
+        if len(pivots) == len(rows):
+            break
     return rows, pivots, leads, swaps
 
 
@@ -272,34 +276,35 @@ def _det(ctx, rows) -> int:
     _, pivots, leads, swaps = _eliminate(ctx, rows, len(rows))
     if len(pivots) < len(rows):
         return 0
-    det = 1
-    for v in leads:
-        det = ctx.mul(det, v)
+    det = functools.reduce(ctx.mul, leads, 1)
     return ctx.neg(det) if swaps % 2 else det
 
 
 def _solve(ctx, rows, rhs) -> list[int] | None:
     """One solution of rows * x = rhs with free entries 0, or None."""
     n = len(rows[0])
-    red, pivots, _, _ = _eliminate(ctx, [list(r) + [b] for r, b in zip(rows, rhs)], n)
+    red, pivots, _, _ = _eliminate(ctx, [[*r, b] for r, b in zip(rows, rhs)], n)
     if any(row[n] for row in red[len(pivots):]):
         return None
-    sol = {c: row[n] for row, c in zip(red, pivots)}
-    return [sol.get(j, 0) for j in range(n)]
+    sol = [0] * n
+    for row, c in zip(red, pivots):
+        sol[c] = row[n]
+    return sol
 
 
 def _combine_rows(ctx, rows, codes) -> list[int]:
     """sum_j row[j] * codes[j] for each row of coefficient codes: the
     F_q-combinations of a basis that subspace rows, coordinates and
-    subfield members denote.  A coefficient 1 costs one addition and no
-    multiplication, a coefficient 0 nothing."""
+    subfield members denote.  A coefficient 1 costs no multiplication, a
+    coefficient 0 nothing, and a term added to a zero sum no addition."""
     add, mul = ctx.add, ctx.mul
     out = []
     for row in rows:
         acc = 0
         for c, x in zip(row, codes):
             if c:
-                acc = add(acc, x if c == 1 else mul(c, x))
+                x = x if c == 1 else mul(c, x)
+                acc = add(acc, x) if acc else x
         out.append(acc)
     return out
 
@@ -309,13 +314,12 @@ def _nullspace(ctx, rows) -> list[list[int]]:
     every other free entry 0 and x[pivot_i] = -row_i[f], ascending in f."""
     n = len(rows[0])
     red, pivots, _, _ = _eliminate(ctx, rows, n)
-    out = []
-    for f in range(n):
-        if f not in pivots:
-            x = [int(j == f) for j in range(n)]
-            for row, c in zip(red, pivots):
-                x[c] = ctx.neg(row[f])
-            out.append(x)
+    neg, out = ctx.neg, []
+    for f in sorted(set(range(n)).difference(pivots)):
+        x = [int(j == f) for j in range(n)]
+        for row, c in zip(red, pivots):
+            x[c] = neg(row[f])
+        out.append(x)
     return out
 
 
@@ -362,23 +366,17 @@ class FieldCtx:
             raise ValueError(f"field order {p}^{sm} exceeds the cap {DEFAULT_FIELD_CAP}")
         if not _is_prime(p):
             raise ValueError(f"p must be prime, got {p}")
-        self.p = p
-        self.s = s
-        self.m = m
-        self.sm = sm
+        self.p, self.s, self.m, self.sm = p, s, m, sm
         self.q = p ** s
         self.order = order = p ** sm
         self._n1 = order - 1
         self._exp = self._log = self._zech = self._red = None
-        self._inv_memo = {}
-        self._add_rows = {}
+        self._inv_memo, self._add_rows = {}, {}
         self._unfrob = None
         self._set_modulus(modulus)
         if order <= _TABLE_LIMIT:
             self._build_tables()
-        self._sub_pbasis = None
-        self._sub_codes = None
-        self._span_zero = self._span_rows = None
+        self._sub_pbasis = self._sub_codes = self._span_zero = self._span_rows = None
         subspaces = sum(gaussian_binomial(m, t, self.q) for t in range(m + 1))
         if self._exp is not None and subspaces * order <= _SPAN_AUTOMATON_LIMIT:
             # The zero space; the other states appear as walks reach them.
@@ -704,24 +702,25 @@ class FieldCtx:
         every code x: how to add vec entry by entry to ``uses`` rows.  XOR
         for p = 2; on the table route, once there are at least as many
         rows as field elements, a lookup in the row x -> x + vec[j] of the
-        addition table per position j; ``add`` otherwise.  The rows come
-        from a per-context memo: a missing one is built by ``add`` and kept
-        while the memo holds no more than ``_ADD_ROW_MEMO_LIMIT`` codes in
-        all, so a context that translates by the same addends again (the
-        oracle's words, a coset scan, the blocks of a stream) builds each
-        row once.  This is the one place, outside the arithmetic itself,
-        where the route is chosen."""
+        addition table per position j; ``add`` otherwise.  A missing row is
+        built digit-wise, adding c's base-p digits one level at a time, and
+        kept while the memo holds at most ``_ADD_ROW_MEMO_LIMIT`` codes, so
+        repeated addends (the oracle's words, a coset scan, the blocks of a
+        stream) build each row once.  This is the one place, outside the
+        arithmetic itself, where the route is chosen."""
         if self.p == 2:
             return operator.xor, vec
         if self._exp is None or uses < self.order:
             return self.add, vec
-        memo, order = self._add_rows, self.order
+        memo, p = self._add_rows, self.p
         rows = []
         for c in vec:
             row = memo.get(c)
             if row is None:
-                row = [self.add(x, c) for x in range(order)]
-                if (len(memo) + 1) * order <= _ADD_ROW_MEMO_LIMIT:
+                row = [0]
+                for t, d in enumerate(self._digits(c)):
+                    row = [v + x for v in [(e + d) % p * p ** t for e in range(p)] for x in row]
+                if (len(memo) + 1) * self.order <= _ADD_ROW_MEMO_LIMIT:
                     memo[c] = row
             rows.append(row)
         return list.__getitem__, rows

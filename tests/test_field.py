@@ -642,9 +642,76 @@ def _assert_reduced(ctx, rows, ncols) -> int:
     return len(pivots)
 
 
-@pytest.mark.parametrize("field", ["gf16", "gf27", "tower16", "F3"])
+def _reference_eliminate(ctx, rows, ncols: int):
+    """The elimination before its loop was trimmed, kept as the reference
+    for the trimmed one: a generator per pivot search, an inversion and a
+    scaling for every pivot (a pivot of 1 included), every column visited."""
+    rows = [list(r) for r in rows]
+    mul, sub = ctx.mul, ctx.sub
+    pivots, leads, swaps = [], [], 0
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            swaps += 1
+        top = rows[r]
+        leads.append(top[c])
+        inv = ctx.inv(top[c])
+        top[c:] = [1] + [mul(inv, x) for x in top[c + 1:]]
+        for row in rows:
+            f = row[c]
+            if f and row is not top:
+                row[c:] = [0] + [sub(a, mul(f, b)) for a, b in zip(row[c + 1:], top[c + 1:])]
+        pivots.append(c)
+    return rows, pivots, leads, swaps
+
+
+def _reference_readers(ctx, rows, rhs):
+    """(solve, null space, det) read off ``_reference_eliminate`` as the
+    readers first read them: the solution through a dict, free columns by
+    list membership, the determinant as a running product from 1."""
+    n = len(rows[0])
+    red, pivots, _, _ = _reference_eliminate(ctx, [list(r) + [b] for r, b in zip(rows, rhs)], n)
+    sol = None
+    if not any(row[n] for row in red[len(pivots):]):
+        by_col = {c: row[n] for row, c in zip(red, pivots)}
+        sol = [by_col.get(j, 0) for j in range(n)]
+    red, pivots, leads, swaps = _reference_eliminate(ctx, rows, n)
+    null = []
+    for f in range(n):
+        if f not in pivots:
+            x = [int(j == f) for j in range(n)]
+            for row, c in zip(red, pivots):
+                x[c] = ctx.neg(row[f])
+            null.append(x)
+    det = None
+    if len(rows) == n:
+        det = 1
+        for v in leads:
+            det = ctx.mul(det, v)
+        det = 0 if len(pivots) < n else ctx.neg(det) if swaps % 2 else det
+    return sol, null, det
+
+
+# Direct routes (GF(2^17), GF(3^11), the tower GF(4^9)) beside the table
+# fields, by name: "F3" is the prime field GF(3).
+ELIMINATION_FIELDS = {"F2_17": (2, 1, 17), "F3_11": (3, 1, 11), "F4_9": (2, 2, 9)}
+
+
+def _elimination_field(request, field):
+    if field == "F3":
+        return _prime_field(3)
+    if field in ELIMINATION_FIELDS:
+        return FieldCtx(*ELIMINATION_FIELDS[field])
+    return request.getfixturevalue(field)
+
+
+@pytest.mark.parametrize("field", ["gf16", "gf27", "tower16", "F3", *ELIMINATION_FIELDS])
 def test_elimination_against_independent_references(request, field, leibniz_det):
-    ctx = _prime_field(3) if field == "F3" else request.getfixturevalue(field)
+    ctx = _elimination_field(request, field)
     rng = random.Random(41)
     rand = lambda r, c: [[rng.randrange(ctx.order) for _ in range(c)] for _ in range(r)]
     for n in (3, 4):
@@ -674,6 +741,81 @@ def test_elimination_against_independent_references(request, field, leibniz_det)
             assert len(null) == nc - rank
             for v in null:
                 assert any(v) and not any(_mat_vec(ctx, rows, v))
+
+
+def _elimination_inputs(ctx, rng):
+    """(rows, rhs) pairs: square, wide and tall random matrices, each
+    also made rank-deficient, swap-forcing (a zero at the top of a
+    column below a nonzero) and with planted pivots of 1; and augmented
+    t x (k+1) Moore-shaped systems (row j: u_j^(q^i) for i < k, right
+    side f(u_j)) whose first point is 1 or not, with a consistent and a
+    random right side."""
+    rand = lambda: rng.randrange(ctx.order)
+    nonzero = lambda: rng.randrange(1, ctx.order)
+    for nr, nc in ((1, 1), (2, 2), (3, 3), (4, 4), (2, 4), (4, 2), (3, 5), (5, 3)):
+        for trial in range(6):
+            rows = [[rand() for _ in range(nc)] for _ in range(nr)]
+            if trial == 1 and nr > 1:
+                rows[-1] = list(rows[0])                    # rank-deficient
+            elif trial == 2 and nr > 1:
+                rows[0][0], rows[1][0] = 0, nonzero()       # swap at column 0
+                rows[-1] = [0] * nc
+            elif trial == 3:
+                for row in rows:
+                    row[0] = 0                              # zero column
+            elif trial == 4:
+                rows[0][0] = 1                              # pivots of 1
+                if nr > 1 and nc > 1:
+                    rows[1][1] = ctx.add(ctx.mul(rows[1][0], rows[0][1]), 1)
+            yield rows, [rand() for _ in range(nr)]
+    for k in (1, 2, 3):
+        for t in range(1, 5):
+            for first in (1, nonzero()):
+                points = [first] + [nonzero() for _ in range(t - 1)]
+                moore = [[ctx.frob(u, i) for i in range(k)] for u in points]
+                v = [rand() for _ in range(k)]
+                yield moore, _mat_vec(ctx, moore, v)
+                yield moore, [rand() for _ in range(t)]
+
+
+@pytest.mark.parametrize("field", ["gf16", "gf27", "tower16", "F3", *ELIMINATION_FIELDS])
+def test_trimmed_elimination_equals_the_reference_loop(request, field):
+    # The same rows, pivots, leads and swap count as the elimination first
+    # written, and the same solves, null spaces and determinants read off
+    # them, on every input; augmented systems pivot only their left part.
+    ctx = _elimination_field(request, field)
+    rng = random.Random(43)
+    seen_lead_one = seen_swap = 0
+    for rows, rhs in _elimination_inputs(ctx, rng):
+        n, before = len(rows[0]), [list(r) for r in rows]
+        aug = [r + [b] for r, b in zip(rows, rhs)]
+        for matrix, ncols in ((rows, n), (aug, n), (aug, n + 1)):
+            got = _eliminate(ctx, matrix, ncols)
+            assert got == _reference_eliminate(ctx, matrix, ncols)
+            seen_lead_one += 1 in got[2]
+            seen_swap += got[3] > 0
+        sol, null, det = _reference_readers(ctx, rows, rhs)
+        assert _solve(ctx, rows, rhs) == sol
+        assert _nullspace(ctx, rows) == null
+        if det is not None:
+            assert _det(ctx, rows) == det
+        assert rows == before
+    assert seen_lead_one and seen_swap
+
+
+@pytest.mark.parametrize("p,s,m", [(3, 1, 4), (5, 1, 3), (3, 2, 2), (3, 1, 10)])
+def test_addition_rows_are_built_digit_wise(monkeypatch, p, s, m):
+    # GF(3^4), GF(5^3), GF(9^2) and GF(3^10), just under the table limit:
+    # every row x -> x + c that _translation builds equals add(x, c) for
+    # each code x.  With the memo limit at 0 each row is built afresh.
+    monkeypatch.setattr("gablab.field._ADD_ROW_MEMO_LIMIT", 0)
+    ctx = FieldCtx(p, s, m)
+    order = ctx.order
+    addends = [0, 1, ctx.p - 1, order - 1] + random.Random(order).sample(range(order), 3)
+    op, rows = ctx._translation(addends, order)
+    assert op is list.__getitem__ and not ctx._add_rows
+    for c, row in zip(addends, rows):
+        assert row == [ctx.add(x, c) for x in range(order)]
 
 
 def _digitwise(ctx, op, a: int, b: int) -> int:
